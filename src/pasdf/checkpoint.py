@@ -5,7 +5,8 @@ descriptor, then all parameters layer-major (directions, gains, biases per
 layer) as row-major f32.  A JSON sidecar carries the encoding config, the
 canonical target's normalization record, the training config, and the
 final loss.  Training happens in f64; the f32 narrowing here is the
-accepted storage precision.
+accepted storage precision, and loading keeps it, so a loaded model
+infers in f32.
 """
 from __future__ import annotations
 
@@ -57,6 +58,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[SdfModel, EncodingConfig, dict]:
+    """Model, encoding config and sidecar metadata stored at ``path``.
+
+    The parameters come back as float32 arrays, exactly the stored
+    values, so the model's inference runs in float32.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -90,7 +96,7 @@ def load_checkpoint(path: str | Path) -> tuple[SdfModel, EncodingConfig, dict]:
             if end > len(raw):
                 raise CheckpointMismatchError(f"{path}: truncated parameter block")
             flat = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-            target.append(flat.astype(np.float64).reshape(shape))
+            target.append(flat.astype(np.float32).reshape(shape))
             offset = end
     if offset != len(raw):
         raise CheckpointMismatchError(

@@ -71,10 +71,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def has_normals(self) -> bool:
-        return self.normals is not None
-
     def bounds(self) -> tuple[Vector, Vector]:
         return self.points.min(axis=0), self.points.max(axis=0)
 
@@ -190,13 +186,6 @@ class SpatialIndex:
             raise InvalidParameterError(f"radius must be positive, got {radius}")
         found = self._tree.query_ball_point(np.asarray(center, dtype=np.float64), radius)
         return np.sort(np.asarray(found, dtype=np.intp))
-
-    def pairs_within(self, radius: float) -> list[list[int]]:
-        """Neighbour lists within ``radius`` for every indexed point (self excluded)."""
-        if radius <= 0.0:
-            raise InvalidParameterError(f"radius must be positive, got {radius}")
-        neighbours = self._tree.query_ball_tree(self._tree, radius)
-        return [[j for j in row if j != i] for i, row in enumerate(neighbours)]
 
 
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:

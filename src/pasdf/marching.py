@@ -176,20 +176,26 @@ def evaluate_field(
 ) -> NDArray[F64]:
     """Sample the model on every lattice vertex, shape (r, r, r).
 
-    Chunked so a full-resolution grid never materialises the whole
-    encoded batch at once; at default width and resolution this is the
-    dominant cost of repair.
+    The encoding acts on each coordinate alone, so the three axes are
+    encoded once and every chunk's rows are gathered from them: column
+    ``c::3`` of a row comes from axis ``c``.  This equals encoding
+    ``grid.vertex_positions()`` bit for bit without building that
+    array.  Chunked so a full-resolution grid never materialises the
+    whole encoded batch at once.
     """
     if chunk_size < 1:
         raise InvalidParameterError("chunk_size must be positive")
-    positions = grid.vertex_positions()
-    values = np.empty(len(positions), dtype=np.float64)
-    for start in range(0, len(positions), chunk_size):
-        chunk = positions[start : start + chunk_size]
-        values[start : start + len(chunk)] = model.forward(
-            positional_encode(chunk, encoding)
-        )
     r = grid.resolution
+    encoded_axes = positional_encode(np.stack(grid.axes(), axis=1), encoding)
+    per_axis = [encoded_axes[:, c::3] for c in range(3)]
+    values = np.empty(r**3, dtype=np.float64)
+    for start in range(0, r**3, chunk_size):
+        flat = np.arange(start, min(start + chunk_size, r**3))
+        lattice = (flat // (r * r), flat // r % r, flat % r)
+        rows = np.empty((len(flat), encoded_axes.shape[1]))
+        for c in range(3):
+            rows[:, c::3] = per_axis[c][lattice[c]]
+        values[start : start + len(flat)] = model.forward(rows)
     return values.reshape(r, r, r)
 
 

@@ -7,6 +7,10 @@ are ReLU with inverted dropout during training, and the encoded input is
 concatenated back in at a configurable skip layer.  Gradients are exact
 reverse-mode derivatives computed by hand; no autograd framework is
 involved anywhere.
+
+Training runs in float64.  Inference runs at the precision of the
+model's parameters: float64 for a freshly trained model, float32 for
+one loaded from a checkpoint, which stores exactly that precision.
 """
 from __future__ import annotations
 
@@ -149,8 +153,30 @@ class SdfModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> NDArray[F64]:
-        out, _ = self._forward_cached(encoded, training=training, rng=rng)
-        return out
+        """Predicted signed distance per encoded row, as float64.
+
+        Training mode runs the float64 path that keeps activations and
+        dropout masks for backpropagation.  Inference folds the weight
+        normalization once, keeps no activations, and computes in the
+        dtype of the parameters.
+        """
+        if training:
+            out, _ = self._forward_cached(encoded, training=True, rng=rng)
+            return out
+        cfg = self.config
+        x = np.ascontiguousarray(encoded, dtype=self.params.biases[0].dtype)
+        _check_encoded(x, cfg)
+        h = x
+        for layer, (weight, bias) in enumerate(
+            zip(self.effective_weights(), self.params.biases)
+        ):
+            if layer == cfg.skip_layer:
+                h = np.concatenate([h, x], axis=1)
+            h = h @ weight.T
+            h += bias
+            if layer < cfg.num_layers - 1:
+                np.maximum(h, 0.0, out=h)
+        return h[:, 0].astype(np.float64)
 
     def _forward_cached(
         self,
@@ -161,10 +187,7 @@ class SdfModel:
     ) -> tuple[NDArray[F64], "_ForwardCache"]:
         cfg = self.config
         x = np.ascontiguousarray(encoded, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-            raise InvalidInputError(
-                f"encoded input must have shape (n, {cfg.input_dim}), got {x.shape}"
-            )
+        _check_encoded(x, cfg)
         use_dropout = training and cfg.dropout > 0.0
         if use_dropout and rng is None:
             raise InvalidParameterError("training-mode forward with dropout needs an rng")
@@ -196,6 +219,13 @@ class SdfModel:
         out = h[:, 0]
         cache = _ForwardCache(inputs, pre_acts, masks, weights)
         return out, cache
+
+
+def _check_encoded(x: np.ndarray, config: NetworkConfig) -> None:
+    if x.ndim != 2 or x.shape[1] != config.input_dim:
+        raise InvalidInputError(
+            f"encoded input must have shape (n, {config.input_dim}), got {x.shape}"
+        )
 
 
 @dataclass

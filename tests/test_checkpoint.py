@@ -10,6 +10,7 @@ import pytest
 from pasdf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from pasdf.encoding import EncodingConfig, positional_encode
 from pasdf.errors import CheckpointMismatchError
+from pasdf.marching import GridSpec, evaluate_field
 from pasdf.network import NetworkConfig, SdfModel
 
 ENC = EncodingConfig(num_frequencies=2)
@@ -63,6 +64,21 @@ class TestRoundTrip:
         assert meta["normalization"]["scale"] == 2.0
         assert meta["note"] == "x"
         assert meta["network"]["hidden_width"] == 8
+
+
+class TestInferencePrecision:
+    def test_loaded_model_infers_in_float32(self, sphere_world, tmp_path) -> None:
+        path = tmp_path / "sphere.ckpt"
+        save_checkpoint(path, sphere_world.model, encoding=sphere_world.encoding)
+        loaded, encoding, _ = load_checkpoint(path)
+        assert all(a.dtype == np.float32 for a in loaded.params.arrays())
+        assert all(a.dtype == np.float64 for a in sphere_world.model.params.arrays())
+        pts = np.random.default_rng(5).random((64, 3))
+        assert loaded.forward(positional_encode(pts, encoding)).dtype == np.float64
+        grid = GridSpec(32)
+        single = evaluate_field(loaded, encoding, grid)
+        double = evaluate_field(sphere_world.model, sphere_world.encoding, grid)
+        assert np.abs(single - double).max() <= 1e-5
 
 
 class TestBinaryLayout:

@@ -351,6 +351,24 @@ class TestEvaluateField:
         # Chunking may change BLAS kernel choice, nothing more.
         np.testing.assert_allclose(field.ravel(), direct, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("chunk_size", [100, 77, 4096])
+    def test_non_cubic_grid_equals_encoded_vertices(self, sphere_world, chunk_size) -> None:
+        from pasdf.encoding import positional_encode
+
+        # Every axis spans a different interval, so gathering an encoded
+        # column from the wrong axis changes the field.
+        grid = GridSpec(9, (0.1, 0.3, 0.2), (0.9, 0.6, 0.8))
+        model = sphere_world.model
+        field = evaluate_field(model, sphere_world.encoding, grid, chunk_size=chunk_size)
+        encoded = positional_encode(grid.vertex_positions(), sphere_world.encoding)
+        direct = np.concatenate(
+            [
+                model.forward(encoded[start : start + chunk_size])
+                for start in range(0, len(encoded), chunk_size)
+            ]
+        )
+        np.testing.assert_array_equal(field.ravel(), direct)
+
     def test_extracts_learned_sphere(self, sphere_world) -> None:
         grid = GridSpec(32, (0.1, 0.1, 0.1), (0.9, 0.9, 0.9))
         field = evaluate_field(sphere_world.model, sphere_world.encoding, grid)

@@ -111,6 +111,12 @@ class TestForward:
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(model.params.flatten(), before)
 
+    def test_eval_forward_equals_cached_forward_bitwise(self) -> None:
+        model = SdfModel.init(tiny_config(num_layers=4, skip_layer=2, dropout=0.2), seed=5)
+        x = np.random.default_rng(6).normal(size=(300, 9))
+        cached, _ = model._forward_cached(x, training=False, rng=None)
+        np.testing.assert_array_equal(model.forward(x), cached)
+
     def test_direction_row_scaling_leaves_output_unchanged(self) -> None:
         model = SdfModel.init(tiny_config(num_layers=4, skip_layer=2), seed=4)
         x = np.random.default_rng(3).normal(size=(6, 9))
