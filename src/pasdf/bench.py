@@ -358,10 +358,7 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
             record,
             seed=derive_seed(case.seed, "detect"),
             align=config.bench.pam_enabled,
-            voxel_size=config.align.voxel_size,
-            chamfer_threshold=config.align.chamfer_threshold,
-            threshold_step=config.align.threshold_step,
-            max_rounds=config.align.max_rounds,
+            alignment=config.align,
         ).with_object_score(config.scoring.top_k)
         identity = score_points(
             model,

@@ -1,26 +1,25 @@
 """Run configuration: one JSON document driving every pipeline stage.
 
+The schema is the dataclass fields: each section of the document is one
+field of RunConfig, and each key of a section is one field of that
+section's dataclass, read with the cast its type annotation names.
 Deserialization is strict.  Unknown keys, wrong types, and out-of-range
 values all raise ConfigValidationError before any work starts, so a
 failed run never leaves partial artifacts behind.  Missing sections and
-keys fall back to the defaults below.
+keys fall back to the dataclass defaults.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, get_args, get_type_hints
 
 from .encoding import EncodingConfig
 from .errors import ConfigValidationError, InvalidParameterError
 from .network import NetworkConfig
 from .queries import QueryCounts
-from .registration import (
-    DEFAULT_CHAMFER_THRESHOLD,
-    DEFAULT_MAX_ROUNDS,
-    DEFAULT_THRESHOLD_STEP,
-)
+from .registration import AlignConfig
 from .repair import DEFAULT_EMD_SUBSAMPLE, DEFAULT_REPAIR_POINTS
 from .scoring import DEFAULT_TOP_K
 from .training import TrainConfig
@@ -42,26 +41,6 @@ class IoConfig:
         for name in ("train_dir", "test_dir", "out_dir"):
             if not getattr(self, name):
                 raise InvalidParameterError(f"{name} must be a non-empty path")
-
-
-@dataclass(frozen=True)
-class AlignConfig:
-    """Knobs of the pose alignment loop exposed to configuration."""
-
-    voxel_size: float | None = None
-    chamfer_threshold: float = DEFAULT_CHAMFER_THRESHOLD
-    threshold_step: float = DEFAULT_THRESHOLD_STEP
-    max_rounds: int = DEFAULT_MAX_ROUNDS
-
-    def __post_init__(self) -> None:
-        if self.voxel_size is not None and self.voxel_size <= 0.0:
-            raise InvalidParameterError("voxel_size must be positive or null")
-        if self.chamfer_threshold <= 0.0:
-            raise InvalidParameterError("chamfer_threshold must be positive")
-        if self.threshold_step <= 0.0:
-            raise InvalidParameterError("threshold_step must be positive")
-        if self.max_rounds < 1:
-            raise InvalidParameterError("max_rounds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -111,7 +90,6 @@ class BenchConfig:
 
     shapes: tuple[str, ...] = BENCH_SHAPE_KINDS
     normal_cases: int = 10
-    anomalous_cases: int = 10
     cloud_points: int = 2048
     anomaly_kinds: tuple[str, ...] = (
         "dent", "dent", "dent", "dent",
@@ -130,14 +108,12 @@ class BenchConfig:
         for kind in self.shapes:
             if kind not in BENCH_SHAPE_KINDS:
                 raise InvalidParameterError(f"unknown bench shape '{kind}'")
-        if self.normal_cases < 1 or self.anomalous_cases < 1:
-            raise InvalidParameterError("case counts must be >= 1")
+        if self.normal_cases < 1:
+            raise InvalidParameterError("normal_cases must be >= 1")
+        if not self.anomaly_kinds:
+            raise InvalidParameterError("anomaly_kinds must list at least one kind")
         if self.cloud_points < 16:
             raise InvalidParameterError("cloud_points must be >= 16")
-        if len(self.anomaly_kinds) != self.anomalous_cases:
-            raise InvalidParameterError(
-                "anomaly_kinds must list one kind per anomalous case"
-            )
         for kind in self.anomaly_kinds:
             if kind not in BENCH_ANOMALY_KINDS:
                 raise InvalidParameterError(f"unknown anomaly kind '{kind}'")
@@ -199,104 +175,57 @@ def _as_str(value: Any) -> str:
     return value
 
 
-def _as_optional_float(value: Any) -> float | None:
-    return None if value is None else _as_float(value)
-
-
-def _as_optional_int(value: Any) -> int | None:
-    return None if value is None else _as_int(value)
-
-
-def _as_optional_str(value: Any) -> str | None:
-    return None if value is None else _as_str(value)
-
-
 def _as_str_tuple(value: Any) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError(f"expected a list of strings, got {value!r}")
     return tuple(value)
 
 
-_SECTION_FIELDS: dict[str, dict[str, Callable[[Any], Any]]] = {
-    "io": {
-        "train_dir": _as_str,
-        "test_dir": _as_str,
-        "out_dir": _as_str,
-        "labels": _as_optional_str,
-    },
-    "counts": {
-        "volume": _as_int,
-        "bbox": _as_int,
-        "surface": _as_int,
-        "bbox_expand": _as_float,
-    },
-    "encoding": {
-        "num_frequencies": _as_int,
-        "include_input": _as_bool,
-    },
-    "network": {
-        "input_dim": _as_int,
-        "hidden_width": _as_int,
-        "num_layers": _as_int,
-        "skip_layer": _as_optional_int,
-        "dropout": _as_float,
-    },
-    "training": {
-        "learning_rate": _as_float,
-        "epochs": _as_int,
-        "batch_size": _as_int,
-        "d_max": _as_float,
-        "beta1": _as_float,
-        "beta2": _as_float,
-        "epsilon": _as_float,
-        "clamp_targets": _as_bool,
-    },
-    "align": {
-        "voxel_size": _as_optional_float,
-        "chamfer_threshold": _as_float,
-        "threshold_step": _as_float,
-        "max_rounds": _as_int,
-    },
-    "grid": {
-        "resolution": _as_int,
-    },
-    "scoring": {
-        "top_k": _as_int,
-    },
-    "repair": {
-        "n_points": _as_int,
-        "emd_subsample": _as_int,
-    },
-    "bench": {
-        "shapes": _as_str_tuple,
-        "normal_cases": _as_int,
-        "anomalous_cases": _as_int,
-        "cloud_points": _as_int,
-        "anomaly_kinds": _as_str_tuple,
-        "crop_cases": _as_int,
-        "magnitude_frac": _as_float,
-        "radius_frac": _as_float,
-        "crop_radius_frac": _as_float,
-        "pam_enabled": _as_bool,
-    },
+_CASTS: dict[Any, Callable[[Any], Any]] = {
+    int: _as_int,
+    float: _as_float,
+    bool: _as_bool,
+    str: _as_str,
+    tuple[str, ...]: _as_str_tuple,
 }
 
-_SECTION_FACTORIES: dict[str, Callable[..., Any]] = {
-    "io": IoConfig,
-    "counts": QueryCounts,
-    "encoding": EncodingConfig,
-    "network": NetworkConfig,
-    "training": TrainConfig,
-    "align": AlignConfig,
-    "grid": GridConfig,
-    "scoring": ScoreConfig,
-    "repair": RepairConfig,
-    "bench": BenchConfig,
+
+def _cast_for(annotation: Any) -> Callable[[Any], Any]:
+    """The cast for one field's annotation; ``X | None`` also takes null."""
+    args = get_args(annotation)
+    if type(None) not in args:
+        return _CASTS[annotation]
+    (inner,) = (arg for arg in args if arg is not type(None))
+    cast = _CASTS[inner]
+    return lambda value: None if value is None else cast(value)
+
+
+# Every stage derives its randomness from the root seed, so the training
+# seed is left out of the document, which then carries exactly one seed.
+_DERIVED_FIELD = ("training", "seed")
+
+_SECTION_TYPES: dict[str, type] = {
+    name: kind
+    for name, kind in get_type_hints(RunConfig).items()
+    if is_dataclass(kind)
 }
+
+
+def _section_schema(name: str, kind: type) -> dict[str, Callable[[Any], Any]]:
+    hints = get_type_hints(kind)
+    return {
+        f.name: _cast_for(hints[f.name])
+        for f in fields(kind)
+        if (name, f.name) != _DERIVED_FIELD
+    }
+
+
+# Section name -> key -> cast, in field order.
+_SCHEMA = {name: _section_schema(name, kind) for name, kind in _SECTION_TYPES.items()}
 
 
 def _read_section(name: str, data: Mapping[str, Any]) -> Any:
-    fields_spec = _SECTION_FIELDS[name]
+    fields_spec = _SCHEMA[name]
     unknown = sorted(set(data) - set(fields_spec))
     if unknown:
         raise ConfigValidationError(f"unknown key '{name}.{unknown[0]}'")
@@ -308,7 +237,7 @@ def _read_section(name: str, data: Mapping[str, Any]) -> Any:
             except TypeError as error:
                 raise ConfigValidationError(f"{name}.{key}: {error}") from error
     try:
-        return _SECTION_FACTORIES[name](**kwargs)
+        return _SECTION_TYPES[name](**kwargs)
     except InvalidParameterError as error:
         raise ConfigValidationError(f"{name}: {error}") from error
 
@@ -317,7 +246,7 @@ def from_document(document: Mapping[str, Any]) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON document."""
     if not isinstance(document, Mapping):
         raise ConfigValidationError("configuration must be a JSON object")
-    allowed = {"seed"} | set(_SECTION_FIELDS)
+    allowed = {"seed"} | set(_SCHEMA)
     unknown = sorted(set(document) - allowed)
     if unknown:
         raise ConfigValidationError(f"unknown key '{unknown[0]}'")
@@ -327,7 +256,7 @@ def from_document(document: Mapping[str, Any]) -> RunConfig:
             kwargs["seed"] = _as_int(document["seed"])
         except TypeError as error:
             raise ConfigValidationError(f"seed: {error}") from error
-    for name in _SECTION_FIELDS:
+    for name in _SCHEMA:
         if name in document:
             section = document[name]
             if not isinstance(section, Mapping):
@@ -340,61 +269,16 @@ def from_document(document: Mapping[str, Any]) -> RunConfig:
 
 
 def to_document(config: RunConfig) -> dict[str, Any]:
-    """Emit the complete JSON document for a config, defaults included.
+    """Emit the complete JSON document for a config, defaults included."""
+    document: dict[str, Any] = {"seed": config.seed}
+    for name, keys in _SCHEMA.items():
+        section = getattr(config, name)
+        document[name] = {key: _json_value(getattr(section, key)) for key in keys}
+    return document
 
-    The training seed is deliberately absent: every stage derives its
-    randomness from the root seed, so the document has exactly one.
-    """
-    return {
-        "seed": config.seed,
-        "io": {
-            "train_dir": config.io.train_dir,
-            "test_dir": config.io.test_dir,
-            "out_dir": config.io.out_dir,
-            "labels": config.io.labels,
-        },
-        "counts": {
-            "volume": config.counts.volume,
-            "bbox": config.counts.bbox,
-            "surface": config.counts.surface,
-            "bbox_expand": config.counts.bbox_expand,
-        },
-        "encoding": config.encoding.to_dict(),
-        "network": config.network.to_dict(),
-        "training": {
-            key: value
-            for key, value in config.training.to_dict().items()
-            if key != "seed"
-        },
-        "align": {
-            "voxel_size": config.align.voxel_size,
-            "chamfer_threshold": config.align.chamfer_threshold,
-            "threshold_step": config.align.threshold_step,
-            "max_rounds": config.align.max_rounds,
-        },
-        "grid": {
-            "resolution": config.grid.resolution,
-        },
-        "scoring": {
-            "top_k": config.scoring.top_k,
-        },
-        "repair": {
-            "n_points": config.repair.n_points,
-            "emd_subsample": config.repair.emd_subsample,
-        },
-        "bench": {
-            "shapes": list(config.bench.shapes),
-            "normal_cases": config.bench.normal_cases,
-            "anomalous_cases": config.bench.anomalous_cases,
-            "cloud_points": config.bench.cloud_points,
-            "anomaly_kinds": list(config.bench.anomaly_kinds),
-            "crop_cases": config.bench.crop_cases,
-            "magnitude_frac": config.bench.magnitude_frac,
-            "radius_frac": config.bench.radius_frac,
-            "crop_radius_frac": config.bench.crop_radius_frac,
-            "pam_enabled": config.bench.pam_enabled,
-        },
-    }
+
+def _json_value(value: Any) -> Any:
+    return list(value) if isinstance(value, tuple) else value
 
 
 def serialize(config: RunConfig) -> str:

@@ -21,7 +21,7 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .geometry import PointCloud, apply_points, estimate_normals
-from .mesh import NormalizationRecord, TriMesh
+from .mesh import NormalizationRecord, TriMesh, normalization_from_bounds
 from .meshio import PlyContent, read_ply, write_cloud_ply, write_obj
 from .network import SdfModel
 from .queries import QuerySet, label_queries, read_samples, sample_queries_from_cloud, write_samples
@@ -160,10 +160,7 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
         result = pose_align(
             clouds[case_id],
             target,
-            voxel_size=config.align.voxel_size,
-            chamfer_threshold=config.align.chamfer_threshold,
-            threshold_step=config.align.threshold_step,
-            max_rounds=config.align.max_rounds,
+            config.align,
             seed=derive_seed(prepare_seed, f"align-{case_id}"),
         )
         if not result.converged:
@@ -184,7 +181,7 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
     # unit cube; for a single training cloud this is its own bbox.
     lower = np.min([aligned[i].points.min(axis=0) for i in ids], axis=0)
     upper = np.max([aligned[i].points.max(axis=0) for i in ids], axis=0)
-    record = _record_for_bounds(lower, upper)
+    record = normalization_from_bounds(lower, upper)
 
     position_blocks: list[np.ndarray] = []
     tier_blocks: list[np.ndarray] = []
@@ -293,14 +290,13 @@ def cmd_detect(
             record,
             seed=derive_seed(config.seed, f"detect-{case_id}"),
             align=True,
-            voxel_size=config.align.voxel_size,
-            chamfer_threshold=config.align.chamfer_threshold,
-            threshold_step=config.align.threshold_step,
-            max_rounds=config.align.max_rounds,
+            alignment=config.align,
         ).with_object_score(config.scoring.top_k)
         score_map = f"{case_id}_scores.ply"
         write_cloud_ply(detect_dir / score_map, cloud, scores=report.per_point_scores)
-        score_vectors[case_id] = report.per_point_scores
+        # Pool the float32 values the score map stores, so eval, which
+        # reads them back, reproduces these metrics exactly.
+        score_vectors[case_id] = report.per_point_scores.astype(np.float32)
         cases.append(
             DetectCase(
                 case_id=case_id,
@@ -313,7 +309,9 @@ def cmd_detect(
 
     o_auroc = p_auroc = None
     if labels is not None and cases:
-        o_auroc, p_auroc = _dataset_metrics(cases, score_vectors, labels, strict=False)
+        o_auroc, p_auroc = _dataset_metrics(
+            cases, lambda case: score_vectors[case.case_id], labels, strict=False
+        )
     results_path = detect_dir / RESULTS_FILE
     _write_json(
         results_path,
@@ -374,10 +372,7 @@ def cmd_repair(
                 resolution=config.grid.resolution,
                 n_points=config.repair.n_points,
                 align=True,
-                voxel_size=config.align.voxel_size,
-                chamfer_threshold=config.align.chamfer_threshold,
-                threshold_step=config.align.threshold_step,
-                max_rounds=config.align.max_rounds,
+                alignment=config.align,
             )
         except PasdfError as error:
             log.warning("repair of %s failed: %s", case_id, error)
@@ -465,43 +460,29 @@ def cmd_eval(config: RunConfig) -> EvalSummary:
     detect_dir = Path(config.io.out_dir) / DETECT_DIR
     results = _read_json(detect_dir / RESULTS_FILE)
 
-    object_scores: list[float] = []
-    object_labels: list[int] = []
-    pooled_scores: list[np.ndarray] = []
-    pooled_labels: list[np.ndarray] = []
-    n_cases = 0
-    for row in results["cases"]:
-        entry = labels.get(row["id"])
-        if entry is None or "object" not in entry:
-            continue
-        n_cases += 1
-        object_scores.append(float(row["object_score"]))
-        object_labels.append(int(entry["object"]))
-        points = entry.get("anomalous_points")
-        if points is None:
-            continue
-        content = read_ply(detect_dir / row["score_map"])
-        if content.scores is None:
-            raise InvalidInputError(
-                f"{row['score_map']}: score map carries no anomaly scores"
-            )
-        scores = content.scores.astype(np.float64)
-        marks = np.zeros(len(scores), dtype=np.int64)
-        index = np.asarray(points, dtype=np.int64)
-        if index.size and (index.min() < 0 or index.max() >= len(scores)):
-            raise InvalidInputError(
-                f"{row['id']}: anomalous point index out of range"
-            )
-        marks[index] = 1
-        pooled_scores.append(scores)
-        pooled_labels.append(marks)
-    if not object_labels:
+    cases = [
+        DetectCase(
+            case_id=row["id"],
+            object_score=float(row["object_score"]),
+            converged=row["converged"],
+            n_points=row["n_points"],
+            score_map=row["score_map"],
+        )
+        for row in results["cases"]
+    ]
+    n_cases = len(_labelled_cases(cases, labels))
+    if not n_cases:
         raise InvalidInputError("labels manifest covers none of the detected cases")
 
-    o_auroc = auroc(np.asarray(object_scores), np.asarray(object_labels))
-    p_auroc = None
-    if pooled_labels:
-        p_auroc = auroc(np.concatenate(pooled_scores), np.concatenate(pooled_labels))
+    def stored_scores(case: DetectCase) -> np.ndarray:
+        content = read_ply(detect_dir / case.score_map)
+        if content.scores is None:
+            raise InvalidInputError(
+                f"{case.score_map}: score map carries no anomaly scores"
+            )
+        return content.scores
+
+    o_auroc, p_auroc = _dataset_metrics(cases, stored_scores, labels, strict=True)
     results_path = Path(config.io.out_dir) / EVAL_FILE
     _write_json(
         results_path,
@@ -519,26 +500,41 @@ def cmd_bench(config: RunConfig) -> BenchResult:
     return run_bench(config, out_dir=out_dir)
 
 
+def _labelled_cases(
+    cases: Sequence[DetectCase], labels: dict[str, dict]
+) -> list[tuple[DetectCase, dict]]:
+    """Cases whose manifest entry carries an object label, with the entry."""
+    entries = [(case, labels.get(case.case_id)) for case in cases]
+    return [
+        (case, entry)
+        for case, entry in entries
+        if entry is not None and "object" in entry
+    ]
+
+
 def _dataset_metrics(
     cases: Sequence[DetectCase],
-    score_vectors: dict[str, np.ndarray],
+    scores_of: Callable[[DetectCase], np.ndarray],
     labels: dict[str, dict],
     strict: bool,
 ) -> tuple[float | None, float | None]:
+    """Object AUROC over labelled cases and point AUROC pooled over the
+    cases that list anomalous points.
+
+    With ``strict`` an AUROC missing a class raises; otherwise it is
+    logged and left out as None.
+    """
     object_scores: list[float] = []
     object_labels: list[int] = []
     pooled_scores: list[np.ndarray] = []
     pooled_labels: list[np.ndarray] = []
-    for case in cases:
-        entry = labels.get(case.case_id)
-        if entry is None or "object" not in entry:
-            continue
+    for case, entry in _labelled_cases(cases, labels):
         object_scores.append(case.object_score)
         object_labels.append(int(entry["object"]))
         points = entry.get("anomalous_points")
         if points is None:
             continue
-        scores = score_vectors[case.case_id]
+        scores = scores_of(case)
         marks = np.zeros(len(scores), dtype=np.int64)
         index = np.asarray(points, dtype=np.int64)
         if index.size and (index.min() < 0 or index.max() >= len(scores)):
@@ -619,15 +615,6 @@ def _outward_normals(cloud: PointCloud) -> PointCloud:
     if degenerate:
         log.warning("%d points had degenerate normal neighbourhoods", degenerate)
     return PointCloud(cloud.points, -oriented.normals)
-
-
-def _record_for_bounds(lower: np.ndarray, upper: np.ndarray) -> NormalizationRecord:
-    # Mirrors mesh normalization: min corner to the origin, one uniform
-    # scale so the longest axis spans exactly [0, 1].
-    extent = float((upper - lower).max())
-    if extent <= 0.0:
-        raise InvalidInputError("training clouds span no volume")
-    return NormalizationRecord(scale=extent, offset=tuple(float(v) for v in lower))
 
 
 def _read_labels(path: str | Path) -> dict[str, dict]:

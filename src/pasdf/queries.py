@@ -94,10 +94,40 @@ class QuerySet:
         return self.sdf is not None
 
 
-def _require_unit_cube(mesh: TriMesh) -> None:
-    lo, hi = mesh.bounds()
+def _sample_tiers(
+    lo: Points,
+    hi: Points,
+    surface: PointCloud,
+    counts: QueryCounts,
+    seed: int,
+) -> QuerySet:
+    """Volume tier over the unit cube, bbox tier over the expanded bounds
+    ``lo``..``hi``, then ``surface`` as the surface tier unless its count
+    is 0.  Each tier draws from its own named random stream of ``seed``.
+    """
+    blocks: list[Points] = []
+    tiers: list[NDArray[np.uint8]] = []
+    if counts.volume:
+        rng = stream(seed, "queries-volume")
+        blocks.append(rng.random((counts.volume, 3)))
+        tiers.append(np.full(counts.volume, int(Tier.VOLUME), dtype=np.uint8))
+    if counts.bbox:
+        rng = stream(seed, "queries-bbox")
+        center = (lo + hi) / 2.0
+        half = (hi - lo) / 2.0 * counts.bbox_expand
+        lo_exp = np.clip(center - half, 0.0, 1.0)
+        hi_exp = np.clip(center + half, 0.0, 1.0)
+        blocks.append(lo_exp + rng.random((counts.bbox, 3)) * (hi_exp - lo_exp))
+        tiers.append(np.full(counts.bbox, int(Tier.BBOX), dtype=np.uint8))
+    if counts.surface:
+        blocks.append(surface.points)
+        tiers.append(np.full(counts.surface, int(Tier.SURFACE), dtype=np.uint8))
+    return QuerySet(np.vstack(blocks), np.concatenate(tiers))
+
+
+def _require_unit_cube(lo: Points, hi: Points, what: str) -> None:
     if lo.min() < -1e-9 or hi.max() > 1.0 + 1e-9:
-        raise InvalidInputError("mesh must be normalised into the unit cube first")
+        raise InvalidInputError(f"{what} must be normalised into the unit cube first")
 
 
 def sample_queries(
@@ -110,32 +140,10 @@ def sample_queries(
     labelling cloud so surface queries label to exactly zero.  Each tier
     draws from its own named random stream of ``seed``.
     """
-    _require_unit_cube(mesh)
-    blocks: list[Points] = []
-    tiers: list[NDArray[np.uint8]] = []
-
-    if counts.volume:
-        rng = stream(seed, "queries-volume")
-        blocks.append(rng.random((counts.volume, 3)))
-        tiers.append(np.full(counts.volume, int(Tier.VOLUME), dtype=np.uint8))
-
-    if counts.bbox:
-        rng = stream(seed, "queries-bbox")
-        lo, hi = mesh.bounds()
-        center = (lo + hi) / 2.0
-        half = (hi - lo) / 2.0 * counts.bbox_expand
-        lo_exp = np.clip(center - half, 0.0, 1.0)
-        hi_exp = np.clip(center + half, 0.0, 1.0)
-        blocks.append(lo_exp + rng.random((counts.bbox, 3)) * (hi_exp - lo_exp))
-        tiers.append(np.full(counts.bbox, int(Tier.BBOX), dtype=np.uint8))
-
+    lo, hi = mesh.bounds()
+    _require_unit_cube(lo, hi, "mesh")
     surface = sample_surface(mesh, max(counts.surface, 1), seed=derive_seed(seed, "queries-surface"))
-    if counts.surface:
-        blocks.append(surface.points)
-        tiers.append(np.full(counts.surface, int(Tier.SURFACE), dtype=np.uint8))
-
-    queries = QuerySet(np.vstack(blocks), np.concatenate(tiers))
-    return queries, surface
+    return _sample_tiers(lo, hi, surface, counts, seed), surface
 
 
 def sample_queries_from_cloud(
@@ -147,36 +155,15 @@ def sample_queries_from_cloud(
     when oversampled); volume and bbox tiers work as in :func:`sample_queries`.
     """
     lo, hi = cloud.bounds()
-    if lo.min() < -1e-9 or hi.max() > 1.0 + 1e-9:
-        raise InvalidInputError("cloud must be normalised into the unit cube first")
+    _require_unit_cube(lo, hi, "cloud")
     if cloud.normals is None:
         raise InvalidInputError("cloud inputs need normals to support labelling")
-
-    blocks: list[Points] = []
-    tiers: list[NDArray[np.uint8]] = []
-    if counts.volume:
-        rng = stream(seed, "queries-volume")
-        blocks.append(rng.random((counts.volume, 3)))
-        tiers.append(np.full(counts.volume, int(Tier.VOLUME), dtype=np.uint8))
-    if counts.bbox:
-        rng = stream(seed, "queries-bbox")
-        center = (lo + hi) / 2.0
-        half = (hi - lo) / 2.0 * counts.bbox_expand
-        lo_exp = np.clip(center - half, 0.0, 1.0)
-        hi_exp = np.clip(center + half, 0.0, 1.0)
-        blocks.append(lo_exp + rng.random((counts.bbox, 3)) * (hi_exp - lo_exp))
-        tiers.append(np.full(counts.bbox, int(Tier.BBOX), dtype=np.uint8))
-
     rng = stream(seed, "queries-surface")
     n_surface = max(counts.surface, 1)
     replace = n_surface > len(cloud)
     chosen = rng.choice(len(cloud), size=n_surface, replace=replace)
     surface = PointCloud(cloud.points[chosen], cloud.normals[chosen])
-    if counts.surface:
-        blocks.append(surface.points)
-        tiers.append(np.full(counts.surface, int(Tier.SURFACE), dtype=np.uint8))
-
-    return QuerySet(np.vstack(blocks), np.concatenate(tiers)), surface
+    return _sample_tiers(lo, hi, surface, counts, seed), surface
 
 
 def label_sdf(positions: Points, surface: PointCloud) -> NDArray[F64]:

@@ -10,7 +10,7 @@ runs out; the best state seen is returned either way.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -23,6 +23,7 @@ from .geometry import (
     PointCloud,
     Points,
     RigidTransform,
+    apply_points,
     apply_transform,
     chamfer_loss,
     compose,
@@ -34,11 +35,14 @@ from .runtime import worker_count
 
 log = logging.getLogger(__name__)
 
-# Alignment-loop defaults; the chamfer acceptance threshold loosens by one
-# step after every round that fails it.
-DEFAULT_CHAMFER_THRESHOLD = 0.016
-DEFAULT_THRESHOLD_STEP = 0.001
-DEFAULT_MAX_ROUNDS = 10
+# Geometric factors of the alignment loop, relative to the voxel size:
+# the default voxel is the target's bounding-box diagonal over
+# _VOXEL_DIVISOR, FPFH radius and RANSAC inlier distance scale the voxel,
+# and normals fit over _NORMALS_K neighbours.
+_VOXEL_DIVISOR = 20.0
+_FPFH_RADIUS_FACTOR = 5.0
+_NORMALS_K = 16
+_RANSAC_DISTANCE_FACTOR = 1.5
 
 
 def fit_rigid(source: Points, target: Points) -> RigidTransform:
@@ -213,11 +217,11 @@ def ransac_align(
         raise CoarseAlignmentError("no hypothesis passed the edge-compatibility gate")
 
     transform = RigidTransform(best_rot, best_trans)
-    inliers = np.sum((apply_points_rowwise(transform, p) - q) ** 2, axis=1)
+    inliers = np.sum((apply_points(transform, p) - q) ** 2, axis=1)
     inlier_mask = inliers < params.distance_threshold**2
     if int(inlier_mask.sum()) >= 3:
         transform = fit_rigid(p[inlier_mask], q[inlier_mask])
-        inliers = np.sum((apply_points_rowwise(transform, p) - q) ** 2, axis=1)
+        inliers = np.sum((apply_points(transform, p) - q) ** 2, axis=1)
         inlier_mask = inliers < params.distance_threshold**2
     return RansacResult(
         transform=transform,
@@ -225,10 +229,6 @@ def ransac_align(
         correspondence_count=n_corr,
         hypotheses_evaluated=evaluated,
     )
-
-
-def apply_points_rowwise(transform: RigidTransform, points: Points) -> Points:
-    return points @ transform.rotation.T + transform.translation
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,7 +266,7 @@ def icp_refine(
     tree = cKDTree(tgt.points)
     workers = worker_count()
     transform = init
-    current = apply_points_rowwise(transform, src.points)
+    current = apply_points(transform, src.points)
     dists, idx = tree.query(current, k=1, workers=workers)
     mse = float(np.mean(dists**2))
     history = [mse]
@@ -274,7 +274,7 @@ def icp_refine(
     for _ in range(params.max_iterations):
         delta = fit_rigid(current, tgt.points[idx])
         transform = compose(delta, transform)
-        current = apply_points_rowwise(delta, current)
+        current = apply_points(delta, current)
         dists, idx = tree.query(current, k=1, workers=workers)
         new_mse = float(np.mean(dists**2))
         history.append(new_mse)
@@ -288,30 +288,27 @@ def icp_refine(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class AlignmentOptions:
-    """Secondary knobs of the alignment loop, bundled to keep pose_align tidy."""
+@dataclass(frozen=True)
+class AlignConfig:
+    """Settings of the pose alignment loop.
 
-    voxel_divisor: float = 20.0
-    fpfh_radius_factor: float = 5.0
-    normals_k: int = 16
-    ransac_distance_factor: float = 1.5
-    ransac_max_iterations: int = 20_000
-    ransac_sample_size: int = 3
-    edge_length_ratio: float = 0.9
-    ransac_confidence: float = 0.999
-    icp: IcpParams = field(default_factory=IcpParams)
-    full_cloud_chamfer: bool = False
+    ``voxel_size`` of None derives the voxel from the target's bounding
+    box.  The chamfer acceptance threshold loosens by ``threshold_step``
+    after every round that fails it; a step of 0 keeps it fixed.
+    """
+
+    voxel_size: float | None = None
+    chamfer_threshold: float = 0.016
+    threshold_step: float = 0.001
+    max_rounds: int = 10
 
     def __post_init__(self) -> None:
-        if self.voxel_divisor <= 0.0:
-            raise InvalidParameterError("voxel_divisor must be positive")
-        if self.fpfh_radius_factor <= 0.0:
-            raise InvalidParameterError("fpfh_radius_factor must be positive")
-        if self.normals_k < 3:
-            raise InvalidParameterError("normals_k must be >= 3")
-        if self.ransac_distance_factor <= 0.0:
-            raise InvalidParameterError("ransac_distance_factor must be positive")
+        if self.voxel_size is not None and self.voxel_size <= 0.0:
+            raise InvalidParameterError("voxel_size must be positive or null")
+        if self.chamfer_threshold < 0.0 or self.threshold_step < 0.0:
+            raise InvalidParameterError("chamfer threshold and step must be >= 0")
+        if self.max_rounds < 1:
+            raise InvalidParameterError("max_rounds must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -333,72 +330,63 @@ class AlignmentResult:
 
 
 def _described_downsample(
-    cloud: PointCloud, voxel: float, options: AlignmentOptions
+    cloud: PointCloud, voxel: float, min_points: int
 ) -> tuple[PointCloud, NDArray[F64]] | None:
     sparse = voxel_downsample(cloud, voxel)
-    if len(sparse) < max(3, options.ransac_sample_size):
+    if len(sparse) < min_points:
         return None
-    k = min(options.normals_k, len(sparse))
+    k = min(_NORMALS_K, len(sparse))
     with_normals, _ = estimate_normals(sparse, k=k, viewpoint=sparse.centroid())
-    descriptors = compute_fpfh(with_normals, options.fpfh_radius_factor * voxel)
+    descriptors = compute_fpfh(with_normals, _FPFH_RADIUS_FACTOR * voxel)
     return with_normals, descriptors
 
 
 def pose_align(
     src: PointCloud,
     tgt: PointCloud,
-    voxel_size: float | None = None,
-    chamfer_threshold: float = DEFAULT_CHAMFER_THRESHOLD,
-    threshold_step: float = DEFAULT_THRESHOLD_STEP,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    config: AlignConfig = AlignConfig(),
+    *,
     seed: int = 0,
-    options: AlignmentOptions | None = None,
 ) -> AlignmentResult:
     """Align ``src`` onto ``tgt`` with the coarse-to-fine loop.
 
-    ``voxel_size`` defaults to the target bounding-box diagonal divided by
-    ``options.voxel_divisor``.  Each round runs downsample, FPFH, RANSAC and
-    ICP, accumulates the round's full transform, and measures the symmetric
-    chamfer discrepancy of the downsampled pair (full clouds when
-    ``options.full_cloud_chamfer``).  A round beating the current acceptance
-    threshold ends the loop as converged; otherwise the threshold loosens by
-    ``threshold_step`` and the loop continues, returning the best round seen.
+    The voxel defaults to the target bounding-box diagonal divided by 20.
+    Each round runs downsample, FPFH, RANSAC and ICP, accumulates the
+    round's full transform, and measures the symmetric chamfer discrepancy
+    of the downsampled pair (the full clouds when the target is too sparse
+    to describe).  A round beating the current acceptance threshold ends
+    the loop as converged; otherwise the threshold loosens by
+    ``config.threshold_step`` and the loop continues, returning the best
+    round seen.
 
     A failed coarse stage (too few correspondences) falls back to an identity
     initialisation for that round's ICP; it is counted and logged, not fatal.
     """
-    if max_rounds < 1:
-        raise InvalidParameterError("max_rounds must be >= 1")
-    if chamfer_threshold < 0.0 or threshold_step < 0.0:
-        raise InvalidParameterError("chamfer threshold and step must be >= 0")
-    opts = options if options is not None else AlignmentOptions()
-    voxel = tgt.bbox_diagonal() / opts.voxel_divisor if voxel_size is None else voxel_size
+    voxel = (
+        tgt.bbox_diagonal() / _VOXEL_DIVISOR
+        if config.voxel_size is None
+        else config.voxel_size
+    )
     if voxel <= 0.0:
         raise InvalidParameterError(f"voxel size must be positive, got {voxel}")
 
-    tgt_described = _described_downsample(tgt, voxel, opts)
+    ransac_params = RansacParams(distance_threshold=_RANSAC_DISTANCE_FACTOR * voxel)
+    tgt_described = _described_downsample(tgt, voxel, ransac_params.sample_size)
     tgt_sparse = tgt_described[0] if tgt_described else None
-    ransac_params = RansacParams(
-        distance_threshold=opts.ransac_distance_factor * voxel,
-        max_iterations=opts.ransac_max_iterations,
-        sample_size=opts.ransac_sample_size,
-        edge_length_ratio=opts.edge_length_ratio,
-        confidence=opts.ransac_confidence,
-    )
 
     cumulative = RigidTransform.identity()
     current = src
-    threshold = chamfer_threshold
+    threshold = config.chamfer_threshold
     best_loss = np.inf
     best_transform = cumulative
     records: list[RoundRecord] = []
     converged = False
     failures = 0
 
-    for round_index in range(1, max_rounds + 1):
+    for round_index in range(1, config.max_rounds + 1):
         coarse = RigidTransform.identity()
         failed = True
-        src_described = _described_downsample(current, voxel, opts)
+        src_described = _described_downsample(current, voxel, ransac_params.sample_size)
         if src_described is not None and tgt_described is not None:
             src_sparse, src_desc = src_described
             try:
@@ -421,12 +409,12 @@ def pose_align(
         if failed:
             failures += 1
 
-        refined = icp_refine(current, tgt, init=coarse, params=opts.icp)
+        refined = icp_refine(current, tgt, init=coarse)
         round_delta = refined.transform
         cumulative = compose(round_delta, cumulative)
         current = apply_transform(round_delta, current)
 
-        if opts.full_cloud_chamfer or tgt_sparse is None:
+        if tgt_sparse is None:
             loss = chamfer_loss(current, tgt)
         else:
             loss = chamfer_loss(voxel_downsample(current, voxel), tgt_sparse)
@@ -438,7 +426,7 @@ def pose_align(
         if loss < threshold:
             converged = True
             break
-        threshold += threshold_step
+        threshold += config.threshold_step
 
     return AlignmentResult(
         aligned=apply_transform(best_transform, src),

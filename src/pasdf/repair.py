@@ -25,13 +25,7 @@ from .geometry import (
 from .marching import GridSpec, evaluate_field, marching_cubes
 from .mesh import NormalizationRecord, TriMesh, sample_surface
 from .network import SdfModel
-from .registration import (
-    DEFAULT_CHAMFER_THRESHOLD,
-    DEFAULT_MAX_ROUNDS,
-    DEFAULT_THRESHOLD_STEP,
-    AlignmentOptions,
-    pose_align,
-)
+from .registration import AlignConfig, pose_align
 from .rng import derive_seed
 
 DEFAULT_REPAIR_POINTS = 20000
@@ -146,11 +140,7 @@ def repair(
     resolution: int = 128,
     n_points: int = DEFAULT_REPAIR_POINTS,
     align: bool = True,
-    voxel_size: float | None = None,
-    chamfer_threshold: float = DEFAULT_CHAMFER_THRESHOLD,
-    threshold_step: float = DEFAULT_THRESHOLD_STEP,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    options: AlignmentOptions | None = None,
+    alignment: AlignConfig = AlignConfig(),
 ) -> RepairResult:
     """Reconstruct the normal surface underneath an anomalous cloud.
 
@@ -165,16 +155,7 @@ def repair(
     if n_points < 1:
         raise InvalidParameterError("n_points must be positive")
     if align:
-        result = pose_align(
-            anomalous,
-            canonical,
-            voxel_size=voxel_size,
-            chamfer_threshold=chamfer_threshold,
-            threshold_step=threshold_step,
-            max_rounds=max_rounds,
-            seed=seed,
-            options=options,
-        )
+        result = pose_align(anomalous, canonical, alignment, seed=seed)
         aligned = result.aligned
         transform = result.transform
         converged = result.converged

@@ -19,13 +19,7 @@ from .errors import InvalidInputError, InvalidParameterError, UndefinedMetricErr
 from .geometry import F64, PointCloud, RigidTransform
 from .mesh import NormalizationRecord
 from .network import SdfModel
-from .registration import (
-    DEFAULT_CHAMFER_THRESHOLD,
-    DEFAULT_MAX_ROUNDS,
-    DEFAULT_THRESHOLD_STEP,
-    AlignmentOptions,
-    pose_align,
-)
+from .registration import AlignConfig, pose_align
 
 DEFAULT_TOP_K = 1000
 
@@ -75,31 +69,19 @@ def score_points(
     *,
     seed: int,
     align: bool = True,
-    voxel_size: float | None = None,
-    chamfer_threshold: float = DEFAULT_CHAMFER_THRESHOLD,
-    threshold_step: float = DEFAULT_THRESHOLD_STEP,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    options: AlignmentOptions | None = None,
+    alignment: AlignConfig = AlignConfig(),
 ) -> AnomalyReport:
     """Pose-align a test cloud and score each point by |f(x)|.
 
     Scores land at the original point indices (rigid alignment never
     reorders).  A non-convergent alignment still produces scores; the
-    report's converged flag lets the caller decide what to trust.  With
-    align=False the cloud is assumed to already sit in the canonical
-    world frame, which is the ablation path.
+    report's converged flag lets the caller decide what to trust.
+    ``alignment`` sets the alignment loop.  With align=False the cloud is
+    assumed to already sit in the canonical world frame, which is the
+    ablation path.
     """
     if align:
-        result = pose_align(
-            test,
-            canonical,
-            voxel_size=voxel_size,
-            chamfer_threshold=chamfer_threshold,
-            threshold_step=threshold_step,
-            max_rounds=max_rounds,
-            seed=seed,
-            options=options,
-        )
+        result = pose_align(test, canonical, alignment, seed=seed)
         aligned, transform, converged = result.aligned, result.transform, result.converged
     else:
         aligned, transform, converged = test, RigidTransform.identity(), True

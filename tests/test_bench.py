@@ -30,7 +30,6 @@ def small_run_config(**bench_overrides) -> RunConfig:
     bench_kwargs = dict(
         shapes=("sphere",),
         normal_cases=2,
-        anomalous_cases=2,
         cloud_points=512,
         anomaly_kinds=("dent", "noise_patch"),
         crop_cases=1,

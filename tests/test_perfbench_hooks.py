@@ -1,0 +1,35 @@
+"""The traced benchmark's hooks into ``pasdf`` must all resolve.
+
+``perfbench/layers.py`` names, per calling module, the ``pasdf`` functions
+a traced run rebinds.  A hook whose name no longer exists is skipped at
+run time and its layer reads 0, so a rename or a moved call would
+otherwise go unnoticed until someone reads a traced report.
+"""
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_by_path(name: str, monkeypatch):
+    """Import ``perfbench/<name>.py`` as top-level module ``name``, the way
+    the benchmark's own scripts import their siblings."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_pasdf_hook_resolves(monkeypatch) -> None:
+    # layers.py imports its Hook type from the sibling module "tracer".
+    tracer = load_by_path("tracer", monkeypatch)
+    layers = load_by_path("layers", monkeypatch)
+
+    hooks = [hook for hook in layers.HOOKS if hook.consumer.startswith("pasdf.")]
+    assert hooks
+    with tracer.instrument(tracer.Tracer(), hooks) as unbound:
+        assert unbound == []

@@ -16,7 +16,7 @@ from pasdf.geometry import (
     rotation_angle,
 )
 from pasdf.registration import (
-    AlignmentOptions,
+    AlignConfig,
     IcpParams,
     RansacParams,
     fit_rigid,
@@ -226,7 +226,10 @@ class TestPoseAlign:
         cloud = lumpy_blob(81, n=600)
         moved = apply_transform(random_rigid(np.random.default_rng(82), 0.3), lumpy_blob(83, n=600))
         result = pose_align(
-            moved, cloud, chamfer_threshold=0.0, threshold_step=0.0, max_rounds=3, seed=0
+            moved,
+            cloud,
+            AlignConfig(chamfer_threshold=0.0, threshold_step=0.0, max_rounds=3),
+            seed=0,
         )
         assert result.rounds == 3
         assert not result.converged
@@ -261,15 +264,13 @@ class TestPoseAlign:
         # every round logs a failure yet alignment still runs.
         tgt = lumpy_blob(90, n=300)
         src = lumpy_blob(91, n=300)
-        result = pose_align(src, tgt, voxel_size=10.0, max_rounds=2, seed=0)
+        result = pose_align(src, tgt, AlignConfig(voxel_size=10.0, max_rounds=2), seed=0)
         assert result.ransac_failures == result.rounds
         assert result.rounds >= 1
 
     def test_validates_parameters(self):
         cloud = lumpy_blob(92, n=100)
         with pytest.raises(InvalidParameterError):
-            pose_align(cloud, cloud, max_rounds=0)
+            pose_align(cloud, cloud, AlignConfig(max_rounds=0))
         with pytest.raises(InvalidParameterError):
-            pose_align(cloud, cloud, voxel_size=-1.0)
-        with pytest.raises(InvalidParameterError):
-            AlignmentOptions(voxel_divisor=0.0)
+            pose_align(cloud, cloud, AlignConfig(voxel_size=-1.0))

@@ -12,6 +12,7 @@ from pasdf.errors import (
     UndefinedMetricError,
 )
 from pasdf.geometry import PointCloud, RigidTransform, apply_transform, random_rigid
+from pasdf.registration import AlignConfig
 from pasdf.scoring import (
     AnomalyReport,
     auroc,
@@ -221,9 +222,7 @@ class TestScorePoints:
             sphere_world.canonical,
             sphere_world.record,
             seed=4,
-            chamfer_threshold=0.0,
-            threshold_step=0.0,
-            max_rounds=2,
+            alignment=AlignConfig(chamfer_threshold=0.0, threshold_step=0.0, max_rounds=2),
         )
         assert not report.converged
         assert report.per_point_scores.size == len(sphere_world.canonical)
