@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import BENCH_ANOMALY_KINDS, BENCH_SHAPE_KINDS, RunConfig
+from .config import BENCH_ANOMALY_KINDS, BENCH_SHAPE_KINDS, BenchConfig, RunConfig
 from .defects import bulge, crop, dent, noise_patch
 from .errors import InvalidParameterError, PasdfError
 from .geometry import PointCloud, apply_transform, random_rigid
@@ -172,16 +172,21 @@ class RepairCaseResult:
 
 @dataclass(frozen=True)
 class ShapeResult:
-    """All metrics for one benchmark shape; error marks a failed row."""
+    """All metrics for one benchmark shape; error marks a failed row.
+
+    ``scored_cases`` holds the test clouds the metrics were computed on,
+    so the artifacts written for the row are exactly what was scored.
+    """
 
     shape: str
-    o_auroc: float
-    p_auroc: float
-    o_auroc_no_pam: float
-    final_loss: float
-    cases: tuple[CaseResult, ...]
-    repairs: tuple[RepairCaseResult, ...]
+    o_auroc: float = float("nan")
+    p_auroc: float = float("nan")
+    o_auroc_no_pam: float = float("nan")
+    final_loss: float = float("nan")
+    cases: tuple[CaseResult, ...] = ()
+    repairs: tuple[RepairCaseResult, ...] = ()
     error: str | None = None
+    scored_cases: tuple[_Case, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def failed(self) -> bool:
@@ -213,100 +218,56 @@ class _Case:
     anomaly: AnomalySpec | None
     # Crop-track cases are detected and repaired but stay out of the
     # AUROC pools; removal leaves no displaced surface to rank on.
-    in_pool: bool = True
-
-
-def _failed_shape(kind: str, error: str) -> ShapeResult:
-    nan = float("nan")
-    return ShapeResult(
-        shape=kind,
-        o_auroc=nan,
-        p_auroc=nan,
-        o_auroc_no_pam=nan,
-        final_loss=nan,
-        cases=(),
-        repairs=(),
-        error=error,
-    )
+    in_pool: bool
 
 
 def _build_cases(kind: str, mesh: TriMesh, config: RunConfig) -> list[_Case]:
+    """Every test cloud of one shape: normal, anomalous, then crop-track."""
     bench = config.bench
-    diagonal = mesh.bbox_diagonal()
-    cases: list[_Case] = []
-    for index in range(bench.normal_cases):
-        case_seed = derive_seed(config.seed, f"bench-{kind}-normal-{index}")
-        base = sample_surface(
-            mesh, bench.cloud_points, seed=derive_seed(case_seed, "cloud")
-        )
-        pose = random_rigid(stream(case_seed, "pose"), translation_scale=diagonal / 2.0)
-        cases.append(
-            _Case(
-                name=f"normal-{index:02d}",
-                kind="normal",
-                seed=case_seed,
-                posed=apply_transform(pose, base),
-                labels=np.zeros(len(base), dtype=np.int64),
-                reference=sample_surface(
-                    mesh, bench.cloud_points, seed=derive_seed(case_seed, "reference")
-                ),
-                anomaly=None,
-            )
-        )
-    for index, anomaly_kind in enumerate(bench.anomaly_kinds):
-        case_seed = derive_seed(config.seed, f"bench-{kind}-anomalous-{index}")
-        cases.append(
-            _anomalous_case(
-                f"{anomaly_kind}-{index:02d}",
-                anomaly_kind,
-                case_seed,
-                mesh,
-                config,
-                in_pool=True,
-            )
-        )
-    for index in range(bench.crop_cases):
-        case_seed = derive_seed(config.seed, f"bench-{kind}-crop-{index}")
-        cases.append(
-            _anomalous_case(
-                f"crop-track-{index:02d}", "crop", case_seed, mesh, config, in_pool=False
-            )
-        )
+    plan = [
+        (f"normal-{i:02d}", "normal", f"normal-{i}", True) for i in range(bench.normal_cases)
+    ]
+    plan += [
+        (f"{k}-{i:02d}", k, f"anomalous-{i}", True) for i, k in enumerate(bench.anomaly_kinds)
+    ]
+    plan += [
+        (f"crop-track-{i:02d}", "crop", f"crop-{i}", False) for i in range(bench.crop_cases)
+    ]
+    cases = []
+    for name, case_kind, tag, in_pool in plan:
+        case_seed = derive_seed(config.seed, f"bench-{kind}-{tag}")
+        cases.append(_make_case(name, case_kind, case_seed, mesh, bench, in_pool))
     return cases
 
 
-def _anomalous_case(
-    name: str,
-    anomaly_kind: str,
-    case_seed: int,
-    mesh: TriMesh,
-    config: RunConfig,
-    in_pool: bool,
+def _make_case(
+    name: str, kind: str, case_seed: int, mesh: TriMesh, bench: BenchConfig, in_pool: bool
 ) -> _Case:
-    bench = config.bench
+    """One posed test cloud; a kind other than "normal" names the defect
+    injected into it, and a normal cloud gets all-zero labels."""
     diagonal = mesh.bbox_diagonal()
-    base = sample_surface(
-        mesh, bench.cloud_points, seed=derive_seed(case_seed, "cloud")
-    )
-    rng = stream(case_seed, "anomaly")
-    center = base.points[int(rng.integers(len(base)))]
-    radius_frac = (
-        bench.crop_radius_frac if anomaly_kind == "crop" else bench.radius_frac
-    )
-    spec = AnomalySpec(
-        kind=anomaly_kind,
-        center=tuple(float(v) for v in center),
-        radius=radius_frac * diagonal,
-        magnitude=bench.magnitude_frac * diagonal,
-    )
-    defective, labels = inject_anomaly(base, spec, derive_seed(case_seed, "inject"))
+    cloud = sample_surface(mesh, bench.cloud_points, seed=derive_seed(case_seed, "cloud"))
+    labels = np.zeros(len(cloud), dtype=np.int64)
+    spec = None
+    if kind != "normal":
+        rng = stream(case_seed, "anomaly")
+        center = cloud.points[int(rng.integers(len(cloud)))]
+        radius_frac = bench.crop_radius_frac if kind == "crop" else bench.radius_frac
+        spec = AnomalySpec(
+            kind=kind,
+            center=tuple(float(v) for v in center),
+            radius=radius_frac * diagonal,
+            magnitude=bench.magnitude_frac * diagonal,
+        )
+        cloud, mask = inject_anomaly(cloud, spec, derive_seed(case_seed, "inject"))
+        labels = mask.astype(np.int64)
     pose = random_rigid(stream(case_seed, "pose"), translation_scale=diagonal / 2.0)
     return _Case(
         name=name,
-        kind=anomaly_kind,
+        kind=kind,
         seed=case_seed,
-        posed=apply_transform(pose, defective),
-        labels=labels.astype(np.int64),
+        posed=apply_transform(pose, cloud),
+        labels=labels,
         reference=sample_surface(
             mesh, bench.cloud_points, seed=derive_seed(case_seed, "reference")
         ),
@@ -408,6 +369,7 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
             canonical,
             record,
             seed=derive_seed(case.seed, "repair"),
+            expand=config.counts.bbox_expand,
             resolution=config.grid.resolution,
             n_points=config.bench.cloud_points,
             align=False,
@@ -453,6 +415,7 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
         final_loss=trained.final_loss,
         cases=tuple(case_results),
         repairs=tuple(repair_results),
+        scored_cases=tuple(cases),
     )
 
 
@@ -465,7 +428,7 @@ def run_bench(config: RunConfig, out_dir: str | Path | None = None) -> BenchResu
         try:
             rows.append(run_shape(kind, config))
         except PasdfError as error:
-            rows.append(_failed_shape(kind, f"{type(error).__name__}: {error}"))
+            rows.append(ShapeResult(kind, error=f"{type(error).__name__}: {error}"))
         timings.append((kind, time.monotonic() - started))
     result = BenchResult(tuple(rows))
     if out_dir is not None:
@@ -533,18 +496,7 @@ def write_bench_artifacts(
         entry = _metric_row(row)
         entry["error"] = row.error
         entry["final_loss"] = row.final_loss
-        entry["cases"] = [
-            {
-                "name": case.name,
-                "kind": case.kind,
-                "object_score": case.object_score,
-                "object_score_no_pam": case.object_score_no_pam,
-                "converged": case.converged,
-                "n_labelled": case.n_labelled,
-                "in_pool": case.in_pool,
-            }
-            for case in row.cases
-        ]
+        entry["cases"] = [asdict(case) for case in row.cases]
         entry["repairs"] = [
             {
                 "name": rep.name,
@@ -565,45 +517,31 @@ def write_bench_artifacts(
         fh.write("\n")
 
     manifest = {"seed": config.seed, "shapes": []}
-    for kind in config.bench.shapes:
-        shape_entry: dict = {
-            "shape": kind,
-            "seed": derive_seed(config.seed, f"bench-shape-{kind}"),
-            "cases": [],
-        }
-        # Cases derive purely from config and seed, so rebuilding them
-        # here reproduces exactly what the runner scored and lets the
-        # manifest carry the injected specs and the dumped cloud files.
-        try:
-            mesh = generate_shape(
-                ShapeSpec(kind=kind), derive_seed(config.seed, f"bench-shape-{kind}")
-            )
-            cases = _build_cases(kind, mesh, config)
-        except PasdfError:
-            manifest["shapes"].append(shape_entry)
-            continue
-        case_dir = out_dir / "cases" / kind
-        case_dir.mkdir(parents=True, exist_ok=True)
-        for case in cases:
+    for row in result.shapes:
+        case_dir = out_dir / "cases" / row.shape
+        if row.scored_cases:
+            case_dir.mkdir(parents=True, exist_ok=True)
+        entries = []
+        for case in row.scored_cases:
             path = case_dir / f"{case.name}.ply"
             write_cloud_ply(path, case.posed, scores=case.labels.astype(np.float32))
-            entry = {
-                "name": case.name,
-                "kind": case.kind,
-                "seed": case.seed,
-                "file": str(path.relative_to(out_dir)),
-                "n_points": len(case.posed),
-                "anomaly": None,
-            }
-            if case.anomaly is not None:
-                entry["anomaly"] = {
-                    "kind": case.anomaly.kind,
-                    "center": list(case.anomaly.center),
-                    "radius": case.anomaly.radius,
-                    "magnitude": case.anomaly.magnitude,
+            entries.append(
+                {
+                    "name": case.name,
+                    "kind": case.kind,
+                    "seed": case.seed,
+                    "file": str(path.relative_to(out_dir)),
+                    "n_points": len(case.posed),
+                    "anomaly": None if case.anomaly is None else asdict(case.anomaly),
                 }
-            shape_entry["cases"].append(entry)
-        manifest["shapes"].append(shape_entry)
+            )
+        manifest["shapes"].append(
+            {
+                "shape": row.shape,
+                "seed": derive_seed(config.seed, f"bench-shape-{row.shape}"),
+                "cases": entries,
+            }
+        )
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from .config import read_section
 from .encoding import EncodingConfig
-from .errors import CheckpointMismatchError
+from .errors import CheckpointMismatchError, ConfigValidationError
 from .network import NetworkConfig, ParameterSet, SdfModel
 
 MAGIC = b"PASDF001"
@@ -50,8 +52,8 @@ def save_checkpoint(
         fh.write(blob)
 
     sidecar = dict(metadata or {})
-    sidecar["network"] = cfg.to_dict()
-    sidecar["encoding"] = encoding.to_dict()
+    sidecar["network"] = asdict(cfg)
+    sidecar["encoding"] = asdict(encoding)
     with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -107,11 +109,16 @@ def load_checkpoint(path: str | Path) -> tuple[SdfModel, EncodingConfig, dict]:
     if not sidecar.exists():
         raise CheckpointMismatchError(f"{sidecar}: checkpoint sidecar is missing")
     with open(sidecar, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CheckpointMismatchError(f"{sidecar}: not valid JSON") from exc
+    if not isinstance(meta, dict) or "encoding" not in meta:
+        raise CheckpointMismatchError(f"{sidecar}: missing encoding config")
     try:
-        encoding = EncodingConfig.from_dict(meta["encoding"])
-    except KeyError as exc:
-        raise CheckpointMismatchError(f"{sidecar}: missing encoding config") from exc
+        encoding = read_section("encoding", meta["encoding"])
+    except ConfigValidationError as exc:
+        raise CheckpointMismatchError(f"{sidecar}: {exc}") from exc
     if encoding.dim != config.input_dim:
         raise CheckpointMismatchError(
             f"{path}: encoding dimension {encoding.dim} does not match "

@@ -45,8 +45,9 @@ class IoConfig:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Isosurface evaluation lattice; the bbox expansion is shared with
-    query sampling via QueryCounts."""
+    """Isosurface evaluation lattice.  Repair spans it over the aligned
+    cloud's bounding box expanded by counts.bbox_expand, the shell the
+    bbox-tier queries were drawn from."""
 
     resolution: int = 128
 
@@ -224,7 +225,11 @@ def _section_schema(name: str, kind: type) -> dict[str, Callable[[Any], Any]]:
 _SCHEMA = {name: _section_schema(name, kind) for name, kind in _SECTION_TYPES.items()}
 
 
-def _read_section(name: str, data: Mapping[str, Any]) -> Any:
+def read_section(name: str, data: Any) -> Any:
+    """Build section ``name`` of a RunConfig from its parsed JSON object,
+    as strictly as a whole document is read."""
+    if not isinstance(data, Mapping):
+        raise ConfigValidationError(f"section '{name}' must be an object")
     fields_spec = _SCHEMA[name]
     unknown = sorted(set(data) - set(fields_spec))
     if unknown:
@@ -258,10 +263,7 @@ def from_document(document: Mapping[str, Any]) -> RunConfig:
             raise ConfigValidationError(f"seed: {error}") from error
     for name in _SCHEMA:
         if name in document:
-            section = document[name]
-            if not isinstance(section, Mapping):
-                raise ConfigValidationError(f"section '{name}' must be an object")
-            kwargs[name] = _read_section(name, section)
+            kwargs[name] = read_section(name, document[name])
     try:
         return RunConfig(**kwargs)
     except InvalidParameterError as error:

@@ -30,19 +30,6 @@ class EncodingConfig:
     def dim(self) -> int:
         return 3 * int(self.include_input) + 6 * self.num_frequencies
 
-    def to_dict(self) -> dict:
-        return {
-            "num_frequencies": self.num_frequencies,
-            "include_input": self.include_input,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EncodingConfig":
-        return cls(
-            num_frequencies=int(data["num_frequencies"]),
-            include_input=bool(data["include_input"]),
-        )
-
 
 def positional_encode(points: Points, config: EncodingConfig) -> NDArray[F64]:
     """Encode (n, 3) coordinates into (n, config.dim) features.

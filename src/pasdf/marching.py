@@ -26,6 +26,7 @@ from .errors import InvalidInputError, InvalidParameterError
 from .geometry import F64, Points
 from .mesh import Faces, TriMesh
 from .network import SdfModel
+from .queries import QueryCounts
 
 _CORNERS = np.array(
     [
@@ -131,13 +132,17 @@ class GridSpec:
 
     @classmethod
     def for_cloud(
-        cls, points: Points, resolution: int = 128, expand: float = 1.3
+        cls,
+        points: Points,
+        resolution: int = 128,
+        expand: float = QueryCounts.bbox_expand,
     ) -> "GridSpec":
-        """Unit cube clipped to the expanded bounding box of a cloud.
+        """Unit cube clipped to the bounding box of a cloud, scaled by
+        ``expand`` about its center.
 
-        Points are expected in normalized coordinates; the expansion
-        mirrors the query-sampling convention so the grid covers the same
-        shell the model was trained on.
+        Points are expected in normalized coordinates.  With the
+        ``bbox_expand`` the model's bbox-tier queries were drawn with, the
+        grid covers the same shell the model was trained on.
         """
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:

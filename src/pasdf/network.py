@@ -58,26 +58,6 @@ class NetworkConfig:
             shapes.append((fan_out, fan_in))
         return shapes
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_width": self.hidden_width,
-            "num_layers": self.num_layers,
-            "skip_layer": self.skip_layer,
-            "dropout": self.dropout,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetworkConfig":
-        skip = data["skip_layer"]
-        return cls(
-            input_dim=int(data["input_dim"]),
-            hidden_width=int(data["hidden_width"]),
-            num_layers=int(data["num_layers"]),
-            skip_layer=None if skip is None else int(skip),
-            dropout=float(data["dropout"]),
-        )
-
 
 @dataclass
 class ParameterSet:

@@ -183,21 +183,21 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
     upper = np.max([aligned[i].points.max(axis=0) for i in ids], axis=0)
     record = normalization_from_bounds(lower, upper)
 
-    position_blocks: list[np.ndarray] = []
-    tier_blocks: list[np.ndarray] = []
-    for case_id in ids:
-        normalized = PointCloud(
-            record.normalize(aligned[case_id].points), aligned[case_id].normals
-        )
-        queries, _ = sample_queries_from_cloud(
-            normalized, config.counts, derive_seed(prepare_seed, f"queries-{case_id}")
-        )
-        position_blocks.append(queries.positions)
-        tier_blocks.append(queries.tiers)
-    pooled = QuerySet(np.vstack(position_blocks), np.concatenate(tier_blocks))
+    normalized = [
+        PointCloud(record.normalize(aligned[i].points), aligned[i].normals) for i in ids
+    ]
+    tiered = [
+        sample_queries_from_cloud(
+            cloud, config.counts, derive_seed(prepare_seed, f"queries-{case_id}")
+        )[0]
+        for case_id, cloud in zip(ids, normalized)
+    ]
+    pooled = QuerySet(
+        np.vstack([q.positions for q in tiered]), np.concatenate([q.tiers for q in tiered])
+    )
     union = PointCloud(
-        np.vstack([record.normalize(aligned[i].points) for i in ids]),
-        np.vstack([aligned[i].normals for i in ids]),
+        np.vstack([cloud.points for cloud in normalized]),
+        np.vstack([cloud.normals for cloud in normalized]),
     )
     labelled = label_queries(pooled, union)
 
@@ -369,6 +369,7 @@ def cmd_repair(
                 canonical,
                 record,
                 seed=derive_seed(config.seed, f"repair-{case_id}"),
+                expand=config.counts.bbox_expand,
                 resolution=config.grid.resolution,
                 n_points=config.repair.n_points,
                 align=True,

@@ -25,6 +25,7 @@ from .geometry import (
 from .marching import GridSpec, evaluate_field, marching_cubes
 from .mesh import NormalizationRecord, TriMesh, sample_surface
 from .network import SdfModel
+from .queries import QueryCounts
 from .registration import AlignConfig, pose_align
 from .rng import derive_seed
 
@@ -136,7 +137,7 @@ def repair(
     record: NormalizationRecord,
     *,
     seed: int,
-    grid: GridSpec | None = None,
+    expand: float = QueryCounts.bbox_expand,
     resolution: int = 128,
     n_points: int = DEFAULT_REPAIR_POINTS,
     align: bool = True,
@@ -144,12 +145,13 @@ def repair(
 ) -> RepairResult:
     """Reconstruct the normal surface underneath an anomalous cloud.
 
-    The grid defaults to the expanded bounding box of the aligned cloud
-    in normalized coordinates, matching the shell the model was trained
-    on.  Extraction closes the level set at the grid boundary, so shapes
-    whose normalized surface touches the unit cube keep those faces, and
-    the sampled points are Newton-projected onto the zero set before
-    being returned in original units.  Extraction yielding no surface
+    The grid covers the bounding box of the aligned cloud in normalized
+    coordinates, expanded by ``expand``; pass the ``bbox_expand`` the
+    model's queries were drawn with so the grid spans the shell it was
+    trained on.  Extraction closes the level set at the grid boundary,
+    so shapes whose normalized surface touches the unit cube keep those
+    faces, and the sampled points are Newton-projected onto the zero set
+    before being returned in original units.  Extraction yielding no surface
     raises RepairFailedError rather than returning an empty cloud.
     """
     if n_points < 1:
@@ -164,9 +166,9 @@ def repair(
         transform = RigidTransform.identity()
         converged = True
 
-    normalized = record.normalize(aligned.points)
-    if grid is None:
-        grid = GridSpec.for_cloud(normalized, resolution=resolution)
+    grid = GridSpec.for_cloud(
+        record.normalize(aligned.points), resolution=resolution, expand=expand
+    )
     field = evaluate_field(model, encoding, grid)
     surface = marching_cubes(field, grid, close_boundary=True)
     if len(surface.faces) == 0:

@@ -8,7 +8,7 @@ parameter norm at the point of failure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -48,31 +48,7 @@ class TrainConfig:
             raise InvalidParameterError("epsilon must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "d_max": self.d_max,
-            "seed": self.seed,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "clamp_targets": self.clamp_targets,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(
-            learning_rate=float(data["learning_rate"]),
-            epochs=int(data["epochs"]),
-            batch_size=int(data["batch_size"]),
-            d_max=float(data["d_max"]),
-            seed=int(data["seed"]),
-            beta1=float(data["beta1"]),
-            beta2=float(data["beta2"]),
-            epsilon=float(data["epsilon"]),
-            clamp_targets=bool(data["clamp_targets"]),
-        )
+        return asdict(self)
 
 
 @dataclass

@@ -169,8 +169,22 @@ class TestInjectAnomaly:
 
 
 @pytest.fixture(scope="module")
-def bench_result() -> BenchResult:
-    return run_bench(small_run_config())
+def bench_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("bench")
+
+
+@pytest.fixture(scope="module")
+def bench_result(bench_out) -> BenchResult:
+    return run_bench(small_run_config(), out_dir=bench_out)
+
+
+def artifact_bytes(out_dir) -> dict[str, bytes]:
+    """Every bench artifact but the timing log, keyed by relative path."""
+    return {
+        str(path.relative_to(out_dir)): path.read_bytes()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file() and path.name != "bench.log"
+    }
 
 
 class TestRunBench:
@@ -210,10 +224,14 @@ class TestRunBench:
         again = run_bench(small_run_config())
         assert metrics_table(again) == metrics_table(bench_result)
 
-    def test_artifacts(self, tmp_path) -> None:
+    def test_artifacts(self, bench_result, bench_out, tmp_path) -> None:
         config = small_run_config()
         result = run_bench(config, out_dir=tmp_path)
         assert (tmp_path / "metrics.csv").read_text() == metrics_table(result)
+        # A second run writes the same metrics, manifest and case clouds.
+        first, second = artifact_bytes(bench_out), artifact_bytes(tmp_path)
+        assert {"metrics.json", "manifest.json", "cases/sphere/dent-00.ply"} <= set(first)
+        assert second == first
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["shapes"][0]["shape"] == "sphere"
         assert len(metrics["shapes"][0]["cases"]) == 5
@@ -225,7 +243,22 @@ class TestRunBench:
         dent_case = next(c for c in cases if c["kind"] == "dent")
         assert dent_case["anomaly"]["radius"] > 0.0
 
-    def test_failed_shape_isolated(self, monkeypatch) -> None:
+    def test_each_defect_injected_once(self, tmp_path, monkeypatch) -> None:
+        import pasdf.bench as bench_module
+
+        calls = []
+        real_inject = bench_module.inject_anomaly
+
+        def counting(cloud, spec, seed):
+            calls.append(spec.kind)
+            return real_inject(cloud, spec, seed)
+
+        monkeypatch.setattr(bench_module, "inject_anomaly", counting)
+        run_bench(small_run_config(), out_dir=tmp_path)
+        # Two anomalous cases and one crop-track case, built once each.
+        assert sorted(calls) == ["crop", "dent", "noise_patch"]
+
+    def test_failed_shape_isolated(self, tmp_path, monkeypatch) -> None:
         import pasdf.bench as bench_module
 
         real_run_shape = bench_module.run_shape
@@ -237,12 +270,18 @@ class TestRunBench:
 
         monkeypatch.setattr(bench_module, "run_shape", failing)
         config = small_run_config(shapes=("box", "sphere"))
-        result = run_bench(config)
+        result = run_bench(config, out_dir=tmp_path)
         assert result.row("box").failed
         assert "synthetic failure" in result.row("box").error
         assert not result.row("sphere").failed
         table = metrics_table(result)
         assert "true" in table.split("\n")[1]  # the failed row
+        # The manifest lists only clouds that were scored.
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        entries = {entry["shape"]: entry for entry in manifest["shapes"]}
+        assert entries["box"]["cases"] == []
+        assert len(entries["sphere"]["cases"]) == 5
+        assert not (tmp_path / "cases" / "box").exists()
 
     def test_unknown_shape_lookup_raises(self, bench_result) -> None:
         with pytest.raises(KeyError):

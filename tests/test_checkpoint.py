@@ -56,6 +56,18 @@ class TestRoundTrip:
         assert loaded.config.skip_layer is None
         assert loaded.config == cfg
 
+    def test_encoding_without_input_round_trips(self, tmp_path) -> None:
+        encoding = EncodingConfig(num_frequencies=3, include_input=False)
+        cfg = NetworkConfig(
+            input_dim=encoding.dim, hidden_width=8, num_layers=3, skip_layer=1
+        )
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, SdfModel.init(cfg, 2), encoding=encoding)
+        loaded, loaded_encoding, meta = load_checkpoint(path)
+        assert loaded_encoding == encoding
+        assert loaded.config == cfg
+        assert meta["encoding"] == {"num_frequencies": 3, "include_input": False}
+
     def test_metadata_extra_fields_preserved(self, tmp_path) -> None:
         path = tmp_path / "model.ckpt"
         extra = {"normalization": {"scale": 2.0, "offset": [0, 0, 0]}, "note": "x"}
@@ -130,6 +142,31 @@ class TestCorruption:
         path = self.write_good(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointMismatchError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "encoding",
+        (
+            {"num_frequencies": 2, "include_input": "false"},
+            {"num_frequencies": 2.9, "include_input": True},
+            {"num_frequencies": 2, "include_input": True, "scale": 1.0},
+            [2, True],
+        ),
+    )
+    def test_sidecar_encoding_read_strictly(self, tmp_path, encoding) -> None:
+        path = self.write_good(tmp_path)
+        sidecar = tmp_path / "model.json"
+        meta = json.loads(sidecar.read_text())
+        meta["encoding"] = encoding
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(CheckpointMismatchError, match="encoding"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ("{not json", "[]", "{}"))
+    def test_sidecar_must_be_an_object_with_encoding(self, tmp_path, text) -> None:
+        path = self.write_good(tmp_path)
+        (tmp_path / "model.json").write_text(text)
+        with pytest.raises(CheckpointMismatchError, match="JSON|encoding"):
             load_checkpoint(path)
 
     def test_missing_sidecar(self, tmp_path) -> None:

@@ -35,10 +35,6 @@ class TestEncodingConfig:
         with pytest.raises(InvalidParameterError):
             EncodingConfig(num_frequencies=-1)
 
-    def test_dict_round_trip(self) -> None:
-        cfg = EncodingConfig(num_frequencies=3, include_input=False)
-        assert EncodingConfig.from_dict(cfg.to_dict()) == cfg
-
 
 class TestPositionalEncode:
     def test_origin_single_frequency(self) -> None:

@@ -81,10 +81,6 @@ class TestNetworkConfig:
         with pytest.raises(InvalidParameterError):
             NetworkConfig(hidden_width=0)
 
-    def test_dict_round_trip(self) -> None:
-        cfg = NetworkConfig(input_dim=9, hidden_width=8, num_layers=3, skip_layer=None)
-        assert NetworkConfig.from_dict(cfg.to_dict()) == cfg
-
 
 def tiny_config(**overrides) -> NetworkConfig:
     base = dict(input_dim=9, hidden_width=8, num_layers=2, skip_layer=None, dropout=0.0)

@@ -1,4 +1,5 @@
-"""The traced benchmark's hooks into ``pasdf`` must all resolve.
+"""The benchmark's hooks into ``pasdf`` must all resolve, and its fixture
+models must load.
 
 ``perfbench/layers.py`` names, per calling module, the ``pasdf`` functions
 a traced run rebinds.  A hook whose name no longer exists is skipped at
@@ -10,6 +11,8 @@ from __future__ import annotations
 import importlib.util
 import sys
 from pathlib import Path
+
+from pasdf.training import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,3 +36,12 @@ def test_every_pasdf_hook_resolves(monkeypatch) -> None:
     assert hooks
     with tracer.instrument(tracer.Tracer(), hooks) as unbound:
         assert unbound == []
+
+
+def test_fixture_models_load(monkeypatch) -> None:
+    # The benchmark's fixtures go through the checkpoint sidecar reader,
+    # and its training workload rebuilds TrainConfig from to_dict().
+    inputs = load_by_path("inputs", monkeypatch)
+    for kind in ("torus", "blob"):
+        inputs.check_probes(inputs.load_world(kind, seed=0))
+    assert TrainConfig(**inputs.TRAINING.to_dict()) == inputs.TRAINING

@@ -414,6 +414,25 @@ class TestRepair:
         assert rows["dented"]["failed"] is True
 
 
+    def test_repair_grid_uses_the_training_shell(self, world, tmp_path, monkeypatch):
+        config = replace(
+            world["config"],
+            io=replace(world["config"].io, out_dir=str(tmp_path)),
+            counts=replace(world["config"].counts, bbox_expand=1.6),
+        )
+        for name in ("model.ckpt", "model.json", "prepare.json", "canonical.ply"):
+            shutil.copy(Path(world["config"].io.out_dir) / name, tmp_path / name)
+        expands = []
+
+        def record_expand(cloud, *args, **kwargs):
+            expands.append(kwargs.get("expand"))
+            raise RepairFailedError("not repaired")
+
+        monkeypatch.setattr(pipeline_module, "repair", record_expand)
+        cmd_repair(config)
+        assert expands == [1.6, 1.6]
+
+
 class TestEval:
     def test_matches_detect_metrics(self, world):
         assert world["evaluated"].o_auroc == world["detected"].o_auroc

@@ -315,22 +315,31 @@ class TestRepair:
         projected_mean = np.abs(field_at(result.repaired.points)).mean()
         assert projected_mean <= raw_mean + 1e-12
 
-    def test_explicit_grid_is_respected(self, sphere_world) -> None:
-        grid = GridSpec(32, (0.15, 0.15, 0.15), (0.85, 0.85, 0.85))
+    @pytest.mark.parametrize("expand", (1.0, 1.6))
+    def test_grid_spans_the_expanded_shell(self, sphere_world, expand) -> None:
+        # Half the sphere: the grid cuts the field at its lower x face,
+        # where the closed boundary caps the extracted surface.
+        half = sphere_world.canonical.points[:, 0] > sphere_world.center[0]
+        cap = PointCloud(sphere_world.canonical.points[half])
         result = repair(
-            sphere_world.canonical,
+            cap,
             sphere_world.model,
             sphere_world.encoding,
             sphere_world.canonical,
             sphere_world.record,
             seed=7,
-            grid=grid,
+            expand=expand,
+            resolution=32,
             n_points=1000,
             align=False,
         )
+        grid = GridSpec.for_cloud(
+            sphere_world.record.normalize(cap.points), resolution=32, expand=expand
+        )
         normalized = sphere_world.record.normalize(result.mesh.vertices)
-        assert (normalized >= 0.15 - 1e-9).all()
-        assert (normalized <= 0.85 + 1e-9).all()
+        assert (normalized >= np.asarray(grid.lower) - 1e-9).all()
+        assert (normalized <= np.asarray(grid.upper) + 1e-9).all()
+        assert normalized[:, 0].min() == pytest.approx(grid.lower[0], abs=1e-9)
 
     def test_empty_level_set_raises(self, sphere_world) -> None:
         model = sphere_world.model

@@ -52,10 +52,6 @@ class TestTrainConfig:
         with pytest.raises(InvalidParameterError):
             TrainConfig(beta1=1.0)
 
-    def test_dict_round_trip(self) -> None:
-        cfg = TrainConfig(learning_rate=3e-4, epochs=7, seed=5, clamp_targets=True)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-
 
 class TestTrainModel:
     def test_overfits_single_sample(self) -> None:
