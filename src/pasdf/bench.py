@@ -34,35 +34,14 @@ _REPAIRED_KINDS = ("dent", "crop")
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """Which surface to build and how finely to tessellate it.
-
-    Only the parameters of the chosen kind matter: radius for spheres,
-    extents for boxes, the two radii for tori, tube_radius and height
-    for capsules.  Density scales every tessellation knob together.
-    """
+    """Which bench surface to build; each kind has one fixed size and
+    tessellation."""
 
     kind: str
-    radius: float = 0.5
-    extents: tuple[float, float, float] = (1.0, 0.6, 0.4)
-    major_radius: float = 0.35
-    minor_radius: float = 0.12
-    tube_radius: float = 0.2
-    height: float = 0.5
-    density: int = 3
 
     def __post_init__(self) -> None:
         if self.kind not in BENCH_SHAPE_KINDS:
             raise InvalidParameterError(f"unknown shape kind '{self.kind}'")
-        if self.radius <= 0.0 or self.tube_radius <= 0.0:
-            raise InvalidParameterError("radius must be positive")
-        if any(extent <= 0.0 for extent in self.extents):
-            raise InvalidParameterError("extents must be positive")
-        if not 0.0 < self.minor_radius < self.major_radius:
-            raise InvalidParameterError("torus needs 0 < minor_radius < major_radius")
-        if self.height < 0.0:
-            raise InvalidParameterError("height must be >= 0")
-        if self.density < 1:
-            raise InvalidParameterError("density must be >= 1")
 
 
 def generate_shape(spec: ShapeSpec, seed: int) -> TriMesh:
@@ -73,22 +52,12 @@ def generate_shape(spec: ShapeSpec, seed: int) -> TriMesh:
     """
     del seed
     if spec.kind == "sphere":
-        return sphere(spec.radius, subdivisions=spec.density)
+        return sphere()
     if spec.kind == "box":
-        return box(spec.extents)
+        return box()
     if spec.kind == "torus":
-        return torus(
-            spec.major_radius,
-            spec.minor_radius,
-            segments_major=16 * spec.density,
-            segments_minor=8 * spec.density,
-        )
-    return capsule(
-        spec.tube_radius,
-        spec.height,
-        segments=8 * spec.density,
-        cap_rings=2 * spec.density,
-    )
+        return torus()
+    return capsule(segments=24, cap_rings=6)
 
 
 @dataclass(frozen=True)
@@ -318,7 +287,6 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
             canonical,
             record,
             seed=derive_seed(case.seed, "detect"),
-            align=config.bench.pam_enabled,
             alignment=config.align,
         ).with_object_score(config.scoring.top_k)
         identity = score_points(

@@ -101,7 +101,6 @@ class BenchConfig:
     magnitude_frac: float = 0.05
     radius_frac: float = 0.15
     crop_radius_frac: float = 0.22
-    pam_enabled: bool = True
 
     def __post_init__(self) -> None:
         if not self.shapes:

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, InvalidParameterError
-from .geometry import PointCloud, SpatialIndex
+from .geometry import PointCloud
 from .rng import derive_seed
+from .runtime import worker_count
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,11 @@ def crop(cloud: PointCloud, *, center: np.ndarray, radius: float) -> DefectResul
     kept = ~inside
     if not kept.any():
         raise InvalidParameterError("crop radius removes the whole cloud")
-    spacing_distances, _ = SpatialIndex(cloud.points).k_nearest(cloud.points, k=2)
+    workers = worker_count()
+    spacing_distances, _ = cKDTree(cloud.points).query(cloud.points, k=2, workers=workers)
     mean_spacing = float(spacing_distances[:, 1].mean())
     survivors = cloud.points[kept]
-    rim_distance, _ = SpatialIndex(cloud.points[inside]).nearest(survivors)
+    rim_distance, _ = cKDTree(cloud.points[inside]).query(survivors, k=1, workers=workers)
     labels = rim_distance < mean_spacing
     normals = cloud.normals[kept] if cloud.normals is not None else None
     return DefectResult(

@@ -122,19 +122,6 @@ class RigidTransform:
         rot_t = self.rotation.T.copy()
         return RigidTransform(rot_t, -(rot_t @ self.translation))
 
-    def as_matrix(self) -> Matrix:
-        mat = np.eye(4)
-        mat[:3, :3] = self.rotation
-        mat[:3, 3] = self.translation
-        return mat
-
-    @classmethod
-    def from_matrix(cls, matrix: Matrix) -> "RigidTransform":
-        mat = np.asarray(matrix, dtype=np.float64)
-        if mat.shape != (4, 4):
-            raise InvalidInputError(f"expected a 4x4 matrix, got {mat.shape}")
-        return cls(mat[:3, :3], mat[:3, 3])
-
 
 def compose(outer: RigidTransform, inner: RigidTransform) -> RigidTransform:
     """Transform applying ``inner`` first, then ``outer``."""
@@ -153,39 +140,6 @@ def apply_transform(transform: RigidTransform, cloud: PointCloud) -> PointCloud:
     if cloud.normals is not None:
         normals = cloud.normals @ transform.rotation.T
     return PointCloud(apply_points(transform, cloud.points), normals)
-
-
-class SpatialIndex:
-    """Exact nearest-neighbour index over a fixed point set."""
-
-    def __init__(self, points: Points | PointCloud) -> None:
-        if isinstance(points, PointCloud):
-            points = points.points
-        self.points = _as_points(points, "points")
-        if self.points.shape[0] == 0:
-            raise InvalidInputError("cannot index an empty point set")
-        self._tree = cKDTree(self.points)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def nearest(self, queries: Points) -> tuple[NDArray[F64], NDArray[np.intp]]:
-        """Distance and index of the nearest indexed point for each query."""
-        dists, idx = self._tree.query(queries, k=1, workers=worker_count())
-        return np.atleast_1d(dists), np.atleast_1d(idx)
-
-    def k_nearest(self, queries: Points, k: int) -> tuple[NDArray[F64], NDArray[np.intp]]:
-        if not 1 <= k <= len(self):
-            raise InvalidParameterError(f"k must be in [1, {len(self)}], got {k}")
-        dists, idx = self._tree.query(queries, k=k, workers=worker_count())
-        return dists, idx
-
-    def within(self, center: Vector, radius: float) -> NDArray[np.intp]:
-        """Indices of points within ``radius`` of ``center``, ascending."""
-        if radius <= 0.0:
-            raise InvalidParameterError(f"radius must be positive, got {radius}")
-        found = self._tree.query_ball_point(np.asarray(center, dtype=np.float64), radius)
-        return np.sort(np.asarray(found, dtype=np.intp))
 
 
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
@@ -236,8 +190,7 @@ def estimate_normals(
     if vp.shape != (3,):
         raise InvalidParameterError(f"viewpoint must have shape (3,), got {vp.shape}")
 
-    index = SpatialIndex(cloud.points)
-    _, idx = index.k_nearest(cloud.points, k)
+    _, idx = cKDTree(cloud.points).query(cloud.points, k=k, workers=worker_count())
     neighbours = cloud.points[idx]
     centered = neighbours - neighbours.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / float(k)

@@ -95,9 +95,6 @@ class TriMesh:
         lo, hi = self.bounds()
         return float(np.linalg.norm(hi - lo))
 
-    def transformed(self, rotation: NDArray[F64], translation: NDArray[F64]) -> "TriMesh":
-        return TriMesh(self.vertices @ np.asarray(rotation).T + translation, self.faces)
-
 
 def signed_volume(mesh: TriMesh) -> float:
     """Divergence-theorem volume; positive when windings face outward."""

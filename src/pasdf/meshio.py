@@ -15,7 +15,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidInputError
 from .geometry import F64, PointCloud, Points
-from .mesh import Faces, TriMesh
+from .mesh import TriMesh
 
 SCORE_PROPERTY = "anomaly_score"
 
@@ -36,7 +36,6 @@ class PlyContent:
     points: Points
     normals: Points | None
     scores: NDArray[np.float32] | None
-    faces: Faces | None
 
 
 def write_cloud_ply(
@@ -138,26 +137,6 @@ def _read_vertex_block(fh, fmt: str, count: int, props: list) -> dict[str, NDArr
     return {name: np.ascontiguousarray(data[name]) for name in names}
 
 
-def _read_face_block(fh, fmt: str, count: int, props: list) -> Faces:
-    if len(props) != 1 or props[0][0] != "list":
-        raise InvalidInputError("face element must carry a single vertex list property")
-    _, count_type, index_type, _name = props[0]
-    faces: list[list[int]] = []
-    if fmt == "binary_little_endian":
-        count_dt = np.dtype("<" + _PLY_TYPES[count_type])
-        index_dt = np.dtype("<" + _PLY_TYPES[index_type])
-        for _ in range(count):
-            n = int(np.frombuffer(fh.read(count_dt.itemsize), dtype=count_dt)[0])
-            idx = np.frombuffer(fh.read(index_dt.itemsize * n), dtype=index_dt)
-            faces.extend(_fan(idx))
-    else:
-        for _ in range(count):
-            row = fh.readline().decode("ascii").split()
-            n = int(row[0])
-            faces.extend(_fan([int(v) for v in row[1 : 1 + n]]))
-    return np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-
-
 def _fan(indices) -> list[list[int]]:
     indices = list(int(v) for v in indices)
     if len(indices) < 3:
@@ -166,17 +145,21 @@ def _fan(indices) -> list[list[int]]:
 
 
 def read_ply(path: str | Path) -> PlyContent:
-    with open(path, "rb") as fh:
-        fmt, elements = _parse_header(fh)
-        vertex_data: dict[str, NDArray] | None = None
-        faces: Faces | None = None
-        for name, count, props in elements:
-            if name == "vertex":
-                vertex_data = _read_vertex_block(fh, fmt, count, props)
-            elif name == "face":
-                faces = _read_face_block(fh, fmt, count, props)
-            else:
-                _skip_element(fh, fmt, count, props)
+    """Vertex positions, and normals and scores when present; every other
+    element is skipped.  Malformed content raises InvalidInputError."""
+    vertex_data: dict[str, NDArray] | None = None
+    try:
+        with open(path, "rb") as fh:
+            fmt, elements = _parse_header(fh)
+            for name, count, props in elements:
+                if name == "vertex":
+                    vertex_data = _read_vertex_block(fh, fmt, count, props)
+                else:
+                    _skip_element(fh, fmt, count, props)
+    except (ValueError, IndexError, KeyError) as exc:
+        # Bad counts, short rows, truncated binary data and unknown types
+        # surface from int(), indexing, numpy and the type table.
+        raise InvalidInputError(f"{path}: malformed PLY file: {exc}") from exc
     if vertex_data is None or any(axis not in vertex_data for axis in "xyz"):
         raise InvalidInputError(f"{path}: PLY file has no x/y/z vertex data")
     points = np.column_stack(
@@ -194,7 +177,7 @@ def read_ply(path: str | Path) -> PlyContent:
     scores = None
     if SCORE_PROPERTY in vertex_data:
         scores = vertex_data[SCORE_PROPERTY].astype(np.float32)
-    return PlyContent(points=points, normals=normals, scores=scores, faces=faces)
+    return PlyContent(points=points, normals=normals, scores=scores)
 
 
 def _skip_element(fh, fmt: str, count: int, props: list) -> None:

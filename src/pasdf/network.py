@@ -3,14 +3,16 @@
 An MLP maps encoded coordinates to a scalar signed distance.  Layers are
 reparameterized with weight normalization (weight = gain * direction /
 row-norm) so magnitude and direction train separately; hidden activations
-are ReLU with inverted dropout during training, and the encoded input is
-concatenated back in at a configurable skip layer.  Gradients are exact
-reverse-mode derivatives computed by hand; no autograd framework is
-involved anywhere.
+are ReLU, and the encoded input is concatenated back in at a
+configurable skip layer.  Gradients are exact reverse-mode derivatives
+computed by hand; no autograd framework is involved anywhere.
 
-Training runs in float64.  Inference runs at the precision of the
-model's parameters: float64 for a freshly trained model, float32 for
-one loaded from a checkpoint, which stores exactly that precision.
+Two forward passes exist.  ``SdfModel.forward`` is inference only: no
+dropout, no kept activations, at the precision of the model's
+parameters (float64 for a freshly trained model, float32 for one loaded
+from a checkpoint, which stores exactly that precision).
+``loss_and_gradients`` runs the float64 training pass, which applies
+inverted dropout and keeps what backpropagation needs.
 """
 from __future__ import annotations
 
@@ -126,23 +128,13 @@ class SdfModel:
             weights.append((g / norms)[:, None] * v)
         return weights
 
-    def forward(
-        self,
-        encoded: NDArray[F64],
-        *,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> NDArray[F64]:
+    def forward(self, encoded: NDArray[F64]) -> NDArray[F64]:
         """Predicted signed distance per encoded row, as float64.
 
-        Training mode runs the float64 path that keeps activations and
-        dropout masks for backpropagation.  Inference folds the weight
-        normalization once, keeps no activations, and computes in the
-        dtype of the parameters.
+        Inference only: folds the weight normalization once, keeps no
+        activations, applies no dropout, and computes in the dtype of the
+        parameters.
         """
-        if training:
-            out, _ = self._forward_cached(encoded, training=True, rng=rng)
-            return out
         cfg = self.config
         x = np.ascontiguousarray(encoded, dtype=self.params.biases[0].dtype)
         _check_encoded(x, cfg)
@@ -159,18 +151,14 @@ class SdfModel:
         return h[:, 0].astype(np.float64)
 
     def _forward_cached(
-        self,
-        encoded: NDArray[F64],
-        *,
-        training: bool,
-        rng: np.random.Generator | None,
+        self, encoded: NDArray[F64], rng: np.random.Generator | None
     ) -> tuple[NDArray[F64], "_ForwardCache"]:
         cfg = self.config
         x = np.ascontiguousarray(encoded, dtype=np.float64)
         _check_encoded(x, cfg)
-        use_dropout = training and cfg.dropout > 0.0
+        use_dropout = cfg.dropout > 0.0
         if use_dropout and rng is None:
-            raise InvalidParameterError("training-mode forward with dropout needs an rng")
+            raise InvalidParameterError("forward with dropout needs an rng")
 
         weights = self.effective_weights()
         keep = 1.0 - cfg.dropout
@@ -236,10 +224,12 @@ def loss_and_gradients(
     targets: NDArray[F64],
     d_max: float,
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, ParameterSet]:
     """Mean clamped L1 loss and its exact gradients for every parameter.
+
+    The forward pass applies dropout whenever the config sets a rate,
+    drawing its masks from ``rng``, which is then required.
 
     Subgradient conventions: sign(0) = 0 for the absolute value, zero
     gradient where the clamp saturates (strictly outside [-d_max, d_max]),
@@ -251,7 +241,7 @@ def loss_and_gradients(
     y = np.ascontiguousarray(targets, dtype=np.float64)
     if y.size == 0:
         raise InvalidInputError("gradient batch must be non-empty")
-    out, cache = model._forward_cached(encoded, training=training, rng=rng)
+    out, cache = model._forward_cached(encoded, rng)
     if y.shape != out.shape:
         raise InvalidInputError("targets must pair 1:1 with inputs")
 

@@ -15,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, InvalidParameterError
-from .geometry import F64, PointCloud, Points, SpatialIndex
+from .geometry import F64, PointCloud, Points
 from .mesh import TriMesh, sample_surface
 from .rng import derive_seed, stream
+from .runtime import worker_count
 
 _SURFACE_SDF_TOL = 1e-9
 
@@ -178,8 +180,7 @@ def label_sdf(positions: Points, surface: PointCloud) -> NDArray[F64]:
     pos = np.ascontiguousarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise InvalidInputError(f"positions must have shape (n, 3), got {pos.shape}")
-    index = SpatialIndex(surface.points)
-    dists, idx = index.nearest(pos)
+    dists, idx = cKDTree(surface.points).query(pos, k=1, workers=worker_count())
     offsets = pos - surface.points[idx]
     dots = np.einsum("ij,ij->i", offsets, surface.normals[idx])
     signs = np.where(dots < 0.0, -1.0, 1.0)

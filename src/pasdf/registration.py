@@ -44,6 +44,17 @@ _FPFH_RADIUS_FACTOR = 5.0
 _NORMALS_K = 16
 _RANSAC_DISTANCE_FACTOR = 1.5
 
+# RANSAC: hypothesis budget, correspondences per hypothesis, the
+# edge-length ratio two samples must keep to be compatible, and the
+# confidence that ends the search early.  ICP: iteration budget and the
+# least mean-squared improvement that keeps it going.
+_RANSAC_MAX_ITERATIONS = 20_000
+_RANSAC_SAMPLE_SIZE = 3
+_RANSAC_EDGE_RATIO = 0.9
+_RANSAC_CONFIDENCE = 0.999
+_ICP_MAX_ITERATIONS = 50
+_ICP_TOLERANCE = 1e-10
+
 
 def fit_rigid(source: Points, target: Points) -> RigidTransform:
     """Least-squares rigid motion mapping source points onto target points.
@@ -89,29 +100,6 @@ def _batched_fit(src: NDArray[F64], tgt: NDArray[F64]) -> tuple[NDArray[F64], ND
 
 
 @dataclass(frozen=True, slots=True)
-class RansacParams:
-    """Knobs for correspondence RANSAC."""
-
-    distance_threshold: float
-    max_iterations: int = 20_000
-    sample_size: int = 3
-    edge_length_ratio: float = 0.9
-    confidence: float = 0.999
-
-    def __post_init__(self) -> None:
-        if self.distance_threshold <= 0.0:
-            raise InvalidParameterError("distance_threshold must be positive")
-        if self.max_iterations < 1:
-            raise InvalidParameterError("max_iterations must be >= 1")
-        if self.sample_size < 3:
-            raise InvalidParameterError("sample_size must be >= 3")
-        if not 0.0 < self.edge_length_ratio < 1.0:
-            raise InvalidParameterError("edge_length_ratio must lie in (0, 1)")
-        if not 0.0 < self.confidence < 1.0:
-            raise InvalidParameterError("confidence must lie in (0, 1)")
-
-
-@dataclass(frozen=True, slots=True)
 class RansacResult:
     transform: RigidTransform
     inlier_count: int
@@ -142,13 +130,13 @@ def ransac_align(
     tgt: PointCloud,
     src_desc: NDArray[F64],
     tgt_desc: NDArray[F64],
-    params: RansacParams,
+    distance_threshold: float,
     seed: int,
 ) -> RansacResult:
     """Coarse transform from descriptor correspondences.
 
     Correspondences are mutual nearest neighbours in descriptor space.  Each
-    hypothesis samples ``sample_size`` of them, passes an edge-length-ratio
+    hypothesis samples three of them, passes an edge-length-ratio
     compatibility gate, is fit by rigid Procrustes, and is scored by how many
     correspondences land within ``distance_threshold``.  The best hypothesis
     is refit on its inliers.  Fully deterministic for a given seed; raises
@@ -158,26 +146,25 @@ def ransac_align(
         raise InvalidInputError("descriptor rows must match their cloud sizes")
     src_corr_idx, tgt_corr_idx = _mutual_correspondences(src_desc, tgt_desc)
     n_corr = src_corr_idx.shape[0]
-    if n_corr < params.sample_size:
+    if n_corr < _RANSAC_SAMPLE_SIZE:
         raise CoarseAlignmentError(
-            f"only {n_corr} mutual correspondences, need {params.sample_size}"
+            f"only {n_corr} mutual correspondences, need {_RANSAC_SAMPLE_SIZE}"
         )
     p = src.points[src_corr_idx]
     q = tgt.points[tgt_corr_idx]
 
     rng = np.random.default_rng(seed)
-    pair_a, pair_b = np.triu_indices(params.sample_size, k=1)
-    ratio = params.edge_length_ratio
+    pair_a, pair_b = np.triu_indices(_RANSAC_SAMPLE_SIZE, k=1)
 
     best_count = -1
     best_rot = np.eye(3)
     best_trans = np.zeros(3)
     evaluated = 0
-    needed = float(params.max_iterations)
+    needed = float(_RANSAC_MAX_ITERATIONS)
 
-    while evaluated < min(params.max_iterations, needed):
-        batch = int(min(_HYPOTHESIS_BATCH, params.max_iterations - evaluated))
-        picks = rng.integers(0, n_corr, size=(batch, params.sample_size))
+    while evaluated < min(_RANSAC_MAX_ITERATIONS, needed):
+        batch = int(min(_HYPOTHESIS_BATCH, _RANSAC_MAX_ITERATIONS - evaluated))
+        picks = rng.integers(0, n_corr, size=(batch, _RANSAC_SAMPLE_SIZE))
         evaluated += batch
 
         sample_src = p[picks]
@@ -189,8 +176,8 @@ def ransac_align(
             sample_tgt[:, pair_a] - sample_tgt[:, pair_b], axis=2
         )
         compatible = (
-            (edge_src > ratio * edge_tgt)
-            & (edge_tgt > ratio * edge_src)
+            (edge_src > _RANSAC_EDGE_RATIO * edge_tgt)
+            & (edge_tgt > _RANSAC_EDGE_RATIO * edge_src)
             & (edge_src > 1e-12)
             & (edge_tgt > 1e-12)
         ).all(axis=1)
@@ -200,47 +187,35 @@ def ransac_align(
         rot, trans = _batched_fit(sample_src[compatible], sample_tgt[compatible])
         moved = np.einsum("hij,cj->hci", rot, p) + trans[:, None, :]
         dist_sq = np.sum((moved - q[None, :, :]) ** 2, axis=2)
-        counts = np.sum(dist_sq < params.distance_threshold**2, axis=1)
+        counts = np.sum(dist_sq < distance_threshold**2, axis=1)
         top = int(np.argmax(counts))
         if counts[top] > best_count:
             best_count = int(counts[top])
             best_rot = rot[top]
             best_trans = trans[top]
             inlier_ratio = best_count / n_corr
-            hit_prob = inlier_ratio**params.sample_size
+            hit_prob = inlier_ratio**_RANSAC_SAMPLE_SIZE
             if hit_prob >= 1.0:
                 needed = 0.0
             elif hit_prob > 0.0:
-                needed = np.log1p(-params.confidence) / np.log1p(-hit_prob)
+                needed = np.log1p(-_RANSAC_CONFIDENCE) / np.log1p(-hit_prob)
 
     if best_count < 0:
         raise CoarseAlignmentError("no hypothesis passed the edge-compatibility gate")
 
     transform = RigidTransform(best_rot, best_trans)
     inliers = np.sum((apply_points(transform, p) - q) ** 2, axis=1)
-    inlier_mask = inliers < params.distance_threshold**2
+    inlier_mask = inliers < distance_threshold**2
     if int(inlier_mask.sum()) >= 3:
         transform = fit_rigid(p[inlier_mask], q[inlier_mask])
         inliers = np.sum((apply_points(transform, p) - q) ** 2, axis=1)
-        inlier_mask = inliers < params.distance_threshold**2
+        inlier_mask = inliers < distance_threshold**2
     return RansacResult(
         transform=transform,
         inlier_count=int(inlier_mask.sum()),
         correspondence_count=n_corr,
         hypotheses_evaluated=evaluated,
     )
-
-
-@dataclass(frozen=True, slots=True)
-class IcpParams:
-    max_iterations: int = 50
-    tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise InvalidParameterError("max_iterations must be >= 1")
-        if self.tolerance < 0.0:
-            raise InvalidParameterError("tolerance must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +230,6 @@ def icp_refine(
     src: PointCloud,
     tgt: PointCloud,
     init: RigidTransform,
-    params: IcpParams = IcpParams(),
 ) -> IcpResult:
     """Point-to-point ICP started from ``init``.
 
@@ -271,7 +245,7 @@ def icp_refine(
     mse = float(np.mean(dists**2))
     history = [mse]
     iterations = 0
-    for _ in range(params.max_iterations):
+    for _ in range(_ICP_MAX_ITERATIONS):
         delta = fit_rigid(current, tgt.points[idx])
         transform = compose(delta, transform)
         current = apply_points(delta, current)
@@ -281,7 +255,7 @@ def icp_refine(
         iterations += 1
         improved = mse - new_mse
         mse = new_mse
-        if improved < params.tolerance:
+        if improved < _ICP_TOLERANCE:
             break
     return IcpResult(
         transform=transform, mse=mse, iterations=iterations, mse_history=tuple(history)
@@ -370,8 +344,8 @@ def pose_align(
     if voxel <= 0.0:
         raise InvalidParameterError(f"voxel size must be positive, got {voxel}")
 
-    ransac_params = RansacParams(distance_threshold=_RANSAC_DISTANCE_FACTOR * voxel)
-    tgt_described = _described_downsample(tgt, voxel, ransac_params.sample_size)
+    distance_threshold = _RANSAC_DISTANCE_FACTOR * voxel
+    tgt_described = _described_downsample(tgt, voxel, _RANSAC_SAMPLE_SIZE)
     tgt_sparse = tgt_described[0] if tgt_described else None
 
     cumulative = RigidTransform.identity()
@@ -386,7 +360,7 @@ def pose_align(
     for round_index in range(1, config.max_rounds + 1):
         coarse = RigidTransform.identity()
         failed = True
-        src_described = _described_downsample(current, voxel, ransac_params.sample_size)
+        src_described = _described_downsample(current, voxel, _RANSAC_SAMPLE_SIZE)
         if src_described is not None and tgt_described is not None:
             src_sparse, src_desc = src_described
             try:
@@ -395,7 +369,7 @@ def pose_align(
                     tgt_described[0],
                     src_desc,
                     tgt_described[1],
-                    ransac_params,
+                    distance_threshold,
                     seed=derive_seed(seed, f"coarse-round-{round_index}"),
                 ).transform
                 failed = False

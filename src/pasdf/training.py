@@ -132,7 +132,6 @@ def train_model(
                 encoded[batch],
                 targets[batch],
                 train_cfg.d_max,
-                training=True,
                 rng=dropout_rng,
             )
             if not np.isfinite(loss):

@@ -72,7 +72,6 @@ def every_field_changed() -> RunConfig:
             magnitude_frac=0.1,
             radius_frac=0.2,
             crop_radius_frac=0.3,
-            pam_enabled=False,
         ),
     )
 

@@ -14,7 +14,6 @@ from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.geometry import (
     PointCloud,
     RigidTransform,
-    SpatialIndex,
     apply_points,
     apply_transform,
     chamfer_loss,
@@ -130,12 +129,6 @@ class TestRigidTransform:
         drift = np.abs(current.rotation.T @ current.rotation - np.eye(3)).max()
         assert drift <= 1e-6
 
-    def test_matrix_round_trip(self):
-        t = random_rigid(np.random.default_rng(4))
-        again = RigidTransform.from_matrix(t.as_matrix())
-        np.testing.assert_allclose(again.rotation, t.rotation)
-        np.testing.assert_allclose(again.translation, t.translation)
-
     def test_apply_transform_rotates_normals_and_keeps_order(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(8, 3))
@@ -150,33 +143,6 @@ class TestRigidTransform:
     def test_rotation_angle_matches_construction(self):
         rot = rotation_about_axis(np.array([0.0, 1.0, 0.0]), 0.7)
         assert rotation_angle(rot) == pytest.approx(0.7, abs=1e-12)
-
-
-class TestSpatialIndex:
-    def test_matches_linear_scan(self):
-        rng = np.random.default_rng(6)
-        data = rng.uniform(size=(120, 3))
-        queries = rng.uniform(size=(40, 3))
-        index = SpatialIndex(data)
-        dists, idx = index.nearest(queries)
-        for qi, q in enumerate(queries):
-            sq = np.sum((data - q) ** 2, axis=1)
-            best = int(np.argmin(sq))
-            assert idx[qi] == best
-            assert dists[qi] == pytest.approx(np.sqrt(sq[best]), rel=1e-12)
-
-    def test_within_radius_matches_linear_scan(self):
-        rng = np.random.default_rng(7)
-        data = rng.uniform(size=(80, 3))
-        index = SpatialIndex(data)
-        center = np.array([0.5, 0.5, 0.5])
-        got = index.within(center, 0.3)
-        expected = np.flatnonzero(np.linalg.norm(data - center, axis=1) <= 0.3)
-        np.testing.assert_array_equal(got, expected)
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidInputError):
-            SpatialIndex(np.zeros((0, 3)))
 
 
 class TestVoxelDownsample:

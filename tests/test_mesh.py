@@ -215,6 +215,96 @@ class TestPlyRoundTrip:
             read_ply(path)
 
 
+# A quad, a triangle and an extra element around four vertices; the
+# vertex values are exact in float32.
+_PLY_VERTICES = np.array(
+    [[0.0, 0.5, 1.0], [1.25, -2.0, 0.75], [3.5, 0.125, -1.5], [-0.25, 4.0, 2.0]]
+)
+_PLY_FACES = ([0, 1, 2, 3], [0, 2, 3])
+_PLY_EXTRA = ((7, 0.5), (9, 1.5))
+_PLY_HEADERS = {
+    "vertex": "element vertex 4\nproperty float x\nproperty float y\nproperty float z\n",
+    "face": "element face 2\nproperty list uchar int vertex_indices\n",
+    "material": "element material 2\nproperty uchar red\nproperty float shininess\n",
+}
+
+
+def _ply_bytes(fmt: str, order: tuple[str, ...], headers: dict = _PLY_HEADERS) -> bytes:
+    """A PLY file with its elements in the given order."""
+    binary = fmt == "binary_little_endian"
+    bodies = {
+        "vertex": (
+            _PLY_VERTICES.astype("<f4").tobytes()
+            if binary
+            else "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in _PLY_VERTICES).encode()
+        ),
+        "face": b"".join(
+            np.uint8(len(face)).tobytes() + np.asarray(face, dtype="<i4").tobytes()
+            if binary
+            else (" ".join(map(str, [len(face), *face])) + "\n").encode()
+            for face in _PLY_FACES
+        ),
+        "material": b"".join(
+            np.uint8(red).tobytes() + np.float32(shine).tobytes()
+            if binary
+            else f"{red} {shine}\n".encode()
+            for red, shine in _PLY_EXTRA
+        ),
+    }
+    header = f"ply\nformat {fmt} 1.0\ncomment made by hand\n"
+    header += "".join(headers[name] for name in order) + "end_header\n"
+    return header.encode() + b"".join(bodies[name] for name in order)
+
+
+class TestPlyReader:
+    @pytest.mark.parametrize("fmt", ["binary_little_endian", "ascii"])
+    @pytest.mark.parametrize(
+        "order", [("vertex", "face", "material"), ("face", "material", "vertex")]
+    )
+    def test_mesh_file_loads_exactly_its_vertices(self, tmp_path, fmt, order):
+        # Elements before the vertex block must be skipped byte-exactly.
+        path = tmp_path / "mesh.ply"
+        path.write_bytes(_ply_bytes(fmt, order))
+        content = read_ply(path)
+        np.testing.assert_array_equal(content.points, _PLY_VERTICES)
+        assert content.normals is None and content.scores is None
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(
+                lambda: _ply_bytes("binary_little_endian", ("vertex",))[:-5],
+                id="truncated-binary-vertices",
+            ),
+            pytest.param(
+                lambda: _ply_bytes(
+                    "binary_little_endian",
+                    ("vertex",),
+                    {"vertex": _PLY_HEADERS["vertex"].replace("4", "ten")},
+                ),
+                id="non-integer-count",
+            ),
+            pytest.param(
+                lambda: _ply_bytes("ascii", ("vertex",)).replace(b"0.0 0.5 1.0\n", b"0.0 0.5\n"),
+                id="short-ascii-row",
+            ),
+            pytest.param(
+                lambda: _ply_bytes(
+                    "binary_little_endian",
+                    ("material", "vertex"),
+                    {**_PLY_HEADERS, "material": "element material 2\nproperty quad red\n"},
+                ),
+                id="unknown-type-in-skipped-element",
+            ),
+        ],
+    )
+    def test_malformed_file_is_invalid_input_naming_it(self, tmp_path, make):
+        path = tmp_path / "broken.ply"
+        path.write_bytes(make())
+        with pytest.raises(InvalidInputError, match="broken.ply"):
+            read_ply(path)
+
+
 class TestObjRoundTrip:
     def test_mesh_round_trip(self, tmp_path):
         cube = unit_cube()

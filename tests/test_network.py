@@ -108,9 +108,9 @@ class TestForward:
         np.testing.assert_array_equal(model.params.flatten(), before)
 
     def test_eval_forward_equals_cached_forward_bitwise(self) -> None:
-        model = SdfModel.init(tiny_config(num_layers=4, skip_layer=2, dropout=0.2), seed=5)
+        model = SdfModel.init(tiny_config(num_layers=4, skip_layer=2), seed=5)
         x = np.random.default_rng(6).normal(size=(300, 9))
-        cached, _ = model._forward_cached(x, training=False, rng=None)
+        cached, _ = model._forward_cached(x, None)
         np.testing.assert_array_equal(model.forward(x), cached)
 
     def test_direction_row_scaling_leaves_output_unchanged(self) -> None:
@@ -125,10 +125,10 @@ class TestForward:
         model = SdfModel.init(tiny_config(dropout=0.5), seed=0)
         x = np.zeros((2, 9))
         with pytest.raises(InvalidParameterError, match="rng"):
-            model.forward(x, training=True)
+            model._forward_cached(x, None)
         # Without dropout the rng is not needed.
         no_drop = SdfModel.init(tiny_config(), seed=0)
-        no_drop.forward(x, training=True)
+        no_drop._forward_cached(x, None)
 
     def test_dropout_expectation_matches_eval_forward(self) -> None:
         # With one hidden layer the output is linear in the masked
@@ -136,7 +136,7 @@ class TestForward:
         model = SdfModel.init(tiny_config(hidden_width=16, dropout=0.3), seed=5)
         x = np.random.default_rng(4).normal(size=(4, 9))
         rng = np.random.default_rng(99)
-        draws = np.stack([model.forward(x, training=True, rng=rng) for _ in range(4000)])
+        draws = np.stack([model._forward_cached(x, rng)[0] for _ in range(4000)])
         np.testing.assert_allclose(draws.mean(axis=0), model.forward(x), atol=0.05)
 
     def test_rejects_wrong_input_width(self) -> None:
@@ -222,12 +222,8 @@ class TestGradients:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(12, 9))
         y = rng.normal(size=12)
-        loss_a, grads_a = loss_and_gradients(
-            model, x, y, 5.0, training=True, rng=np.random.default_rng(55)
-        )
-        loss_b, grads_b = loss_and_gradients(
-            model, x, y, 5.0, training=True, rng=np.random.default_rng(55)
-        )
+        loss_a, grads_a = loss_and_gradients(model, x, y, 5.0, rng=np.random.default_rng(55))
+        loss_b, grads_b = loss_and_gradients(model, x, y, 5.0, rng=np.random.default_rng(55))
         assert loss_a == loss_b
         np.testing.assert_array_equal(grads_a.flatten(), grads_b.flatten())
 

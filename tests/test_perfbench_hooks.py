@@ -1,5 +1,5 @@
-"""The benchmark's hooks into ``pasdf`` must all resolve, and its fixture
-models must load.
+"""The benchmark's hooks into ``pasdf`` must all resolve, its fixture
+models must load, and its workloads must set up and run.
 
 ``perfbench/layers.py`` names, per calling module, the ``pasdf`` functions
 a traced run rebinds.  A hook whose name no longer exists is skipped at
@@ -45,3 +45,18 @@ def test_fixture_models_load(monkeypatch) -> None:
     for kind in ("torus", "blob"):
         inputs.check_probes(inputs.load_world(kind, seed=0))
     assert TrainConfig(**inputs.TRAINING.to_dict()) == inputs.TRAINING
+
+
+def test_workloads_set_up_and_run_a_case(monkeypatch) -> None:
+    # The benchmark also calls pasdf directly, outside the hooked names:
+    # shape generation, query labelling, defect injection and scoring.
+    load_by_path("inputs", monkeypatch)
+    workloads = load_by_path("workloads", monkeypatch)
+    states = {}
+    for name in ("train", "detect", "repair"):
+        workload = workloads.WORKLOADS[name]
+        states[name] = workload.setup(seed=0)
+        workload.verify(states[name])
+    case = states["detect"]["cases"][0]
+    output = workloads.WORKLOADS["detect"].run_case(states["detect"], case)
+    assert output.samples == len(case.cloud)

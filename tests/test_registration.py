@@ -17,8 +17,6 @@ from pasdf.geometry import (
 )
 from pasdf.registration import (
     AlignConfig,
-    IcpParams,
-    RansacParams,
     fit_rigid,
     icp_refine,
     pose_align,
@@ -102,8 +100,7 @@ def crafted_pair(seed: int) -> tuple[PointCloud, PointCloud, np.ndarray, RigidTr
 class TestRansacAlign:
     def test_recovers_transform_despite_outliers(self):
         src, tgt, desc, truth, n_inliers = crafted_pair(60)
-        params = RansacParams(distance_threshold=0.05)
-        result = ransac_align(src, tgt, desc, desc, params, seed=0)
+        result = ransac_align(src, tgt, desc, desc, 0.05, seed=0)
         assert result.correspondence_count == 30
         assert result.inlier_count == n_inliers
         err = compose(result.transform, truth.inverse())
@@ -114,16 +111,15 @@ class TestRansacAlign:
         true_fracs, noise_fracs = [], []
         for seed in range(20):
             src, tgt, desc, _, _ = crafted_pair(100 + seed)
-            params = RansacParams(distance_threshold=0.05)
             true_fracs.append(
-                ransac_align(src, tgt, desc, desc, params, seed=seed).inlier_fraction
+                ransac_align(src, tgt, desc, desc, 0.05, seed=seed).inlier_fraction
             )
             rng = np.random.default_rng(900 + seed)
             noise_src = rng.normal(size=desc.shape)
             noise_tgt = rng.normal(size=desc.shape)
             try:
                 noise_fracs.append(
-                    ransac_align(src, tgt, noise_src, noise_tgt, params, seed=seed).inlier_fraction
+                    ransac_align(src, tgt, noise_src, noise_tgt, 0.05, seed=seed).inlier_fraction
                 )
             except CoarseAlignmentError:
                 noise_fracs.append(0.0)
@@ -131,9 +127,8 @@ class TestRansacAlign:
 
     def test_deterministic_per_seed(self):
         src, tgt, desc, _, _ = crafted_pair(61)
-        params = RansacParams(distance_threshold=0.05)
-        a = ransac_align(src, tgt, desc, desc, params, seed=7)
-        b = ransac_align(src, tgt, desc, desc, params, seed=7)
+        a = ransac_align(src, tgt, desc, desc, 0.05, seed=7)
+        b = ransac_align(src, tgt, desc, desc, 0.05, seed=7)
         np.testing.assert_array_equal(a.transform.rotation, b.transform.rotation)
         np.testing.assert_array_equal(a.transform.translation, b.transform.translation)
         assert a.inlier_count == b.inlier_count
@@ -144,17 +139,8 @@ class TestRansacAlign:
         # Descriptors match mutually for only two of three points.
         src_desc = np.array([[1.0, 0.0], [0.0, 1.0], [10.0, 10.0]])
         tgt_desc = np.array([[1.0, 0.0], [0.0, 1.0], [-10.0, -10.0]])
-        params = RansacParams(distance_threshold=0.1)
         with pytest.raises(CoarseAlignmentError):
-            ransac_align(cloud, cloud, src_desc, tgt_desc, params, seed=0)
-
-    def test_validates_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            RansacParams(distance_threshold=0.0)
-        with pytest.raises(InvalidParameterError):
-            RansacParams(distance_threshold=0.1, sample_size=2)
-        with pytest.raises(InvalidParameterError):
-            RansacParams(distance_threshold=0.1, edge_length_ratio=1.5)
+            ransac_align(cloud, cloud, src_desc, tgt_desc, 0.1, seed=0)
 
 
 class TestIcpRefine:
@@ -172,7 +158,7 @@ class TestIcpRefine:
             rotation_about_axis(rng.normal(size=3), 0.3), rng.normal(scale=0.05, size=3)
         )
         src = apply_transform(perturb, lumpy_blob(73, n=800))
-        result = icp_refine(src, tgt, init=RigidTransform.identity(), params=IcpParams(max_iterations=40))
+        result = icp_refine(src, tgt, init=RigidTransform.identity())
         history = np.asarray(result.mse_history)
         assert (np.diff(history) <= 1e-15).all()
 
