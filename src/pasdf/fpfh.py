@@ -22,38 +22,6 @@ DESCRIPTOR_SIZE = 3 * BINS_PER_FEATURE
 _MIN_PAIR_DISTANCE = 1e-12
 
 
-def pair_features(
-    p_i: NDArray[F64], n_i: NDArray[F64], p_j: NDArray[F64], n_j: NDArray[F64]
-) -> tuple[float, float, float] | None:
-    """Darboux-frame angles (alpha, phi, theta) for one point pair.
-
-    The frame is anchored at whichever point's normal makes the smaller angle
-    with the connecting line, which makes the result symmetric in the pair.
-    Returns None for coincident points or a normal parallel to the line.
-    Scalar reference implementation; the batch path below must match it.
-    """
-    d = p_j - p_i
-    dist = float(np.linalg.norm(d))
-    if dist < _MIN_PAIR_DISTANCE:
-        return None
-    d_hat = d / dist
-    if abs(float(np.dot(n_i, d_hat))) >= abs(float(np.dot(n_j, d_hat))):
-        u, n_t = n_i, n_j
-    else:
-        u, n_t = n_j, n_i
-        d_hat = -d_hat
-    phi = float(np.dot(u, d_hat))
-    v = np.cross(d_hat, u)
-    v_norm = float(np.linalg.norm(v))
-    if v_norm < _MIN_PAIR_DISTANCE:
-        return None
-    v_hat = v / v_norm
-    w = np.cross(u, v_hat)
-    alpha = float(np.dot(v_hat, n_t))
-    theta = float(np.arctan2(np.dot(w, n_t), np.dot(u, n_t)))
-    return alpha, phi, theta
-
-
 def _bin_index(values: NDArray[F64], low: float, high: float) -> NDArray[np.int64]:
     scaled = (values - low) / (high - low) * BINS_PER_FEATURE
     return np.clip(np.floor(scaled).astype(np.int64), 0, BINS_PER_FEATURE - 1)
@@ -99,6 +67,9 @@ def compute_fpfh(cloud: PointCloud, radius: float) -> NDArray[F64]:
     centers, others, d, dist = centers[ok], others[ok], d[ok], dist[ok]
     d_hat = d / dist[:, None]
 
+    # Anchor each pair's Darboux frame at the point whose normal makes the
+    # smaller angle with the connecting line, so the angles are symmetric
+    # in the pair.
     n_c, n_o = nrm[centers], nrm[others]
     dot_c = np.einsum("ij,ij->i", n_c, d_hat)
     dot_o = np.einsum("ij,ij->i", n_o, d_hat)

@@ -13,10 +13,18 @@ increasing field values.
 Extraction itself is vectorized: cells are grouped by case index, edge
 crossings are welded through canonical (cell, axis) grid-edge keys, and
 positions come from linear interpolation along each crossed edge.
+
+``evaluate_field`` samples a model only where its zero level set can
+cross the lattice: block corners first, then every vertex of the blocks
+whose corners or faces show a sign change.  Values are exact within one
+refined block of any sign change and carry only the sign elsewhere,
+which is all extraction reads, so the mesh equals the one from a dense
+sweep unless a closed component fits inside blocks that never refine.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -166,11 +174,9 @@ class GridSpec:
         hi = np.asarray(self.upper)
         return (hi - lo) / (self.resolution - 1)
 
-    def vertex_positions(self) -> Points:
-        """All lattice vertices, x fastest nowhere: index order (i, j, k)."""
-        ax, ay, az = self.axes()
-        gx, gy, gz = np.meshgrid(ax, ay, az, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+
+# Edge length, in lattice cells, of the blocks that evaluate_field refines.
+_BLOCK = 4
 
 
 def evaluate_field(
@@ -179,29 +185,132 @@ def evaluate_field(
     grid: GridSpec,
     chunk_size: int = 65536,
 ) -> NDArray[F64]:
-    """Sample the model on every lattice vertex, shape (r, r, r).
+    """The model on the grid's lattice, shape (r, r, r).
+
+    Values are exact within one refined block of any sign change and
+    carry only the sign elsewhere (see ``_refine_field``).  That is all
+    ``marching_cubes`` reads: a crossed lattice edge always has both
+    ends evaluated.  The known limit is a closed level-set component
+    smaller than one block that touches no refined block: its vertices
+    take their block's sign and it is not extracted.
 
     The encoding acts on each coordinate alone, so the three axes are
-    encoded once and every chunk's rows are gathered from them: column
-    ``c::3`` of a row comes from axis ``c``.  This equals encoding
-    ``grid.vertex_positions()`` bit for bit without building that
-    array.  Chunked so a full-resolution grid never materialises the
-    whole encoded batch at once.
+    encoded once and the rows of every forward chunk are gathered from
+    them, already cast to the model's precision: column ``c::3`` of a
+    row comes from axis ``c``.  This equals encoding the vertex
+    positions bit for bit without building them.
     """
     if chunk_size < 1:
         raise InvalidParameterError("chunk_size must be positive")
-    r = grid.resolution
     encoded_axes = positional_encode(np.stack(grid.axes(), axis=1), encoding)
-    per_axis = [encoded_axes[:, c::3] for c in range(3)]
-    values = np.empty(r**3, dtype=np.float64)
-    for start in range(0, r**3, chunk_size):
-        flat = np.arange(start, min(start + chunk_size, r**3))
-        lattice = (flat // (r * r), flat // r % r, flat % r)
-        rows = np.empty((len(flat), encoded_axes.shape[1]))
-        for c in range(3):
-            rows[:, c::3] = per_axis[c][lattice[c]]
-        values[start : start + len(flat)] = model.forward(rows)
-    return values.reshape(r, r, r)
+    per_axis = [encoded_axes[:, c::3].astype(model.dtype) for c in range(3)]
+
+    def sample(
+        i: NDArray[np.int_], j: NDArray[np.int_], k: NDArray[np.int_]
+    ) -> NDArray[F64]:
+        rows = np.empty((len(i), encoded_axes.shape[1]), dtype=model.dtype)
+        for c, index in enumerate((i, j, k)):
+            rows[:, c::3] = per_axis[c][index]
+        return model.forward(rows)
+
+    values, _ = _refine_field(sample, grid.resolution, chunk_size)
+    return values
+
+
+def _refine_field(
+    sample: Callable[[NDArray[np.int_], NDArray[np.int_], NDArray[np.int_]], NDArray[F64]],
+    resolution: int,
+    chunk_size: int,
+) -> tuple[NDArray[F64], NDArray[np.bool_]]:
+    """Sign-refined field on an (r, r, r) lattice and the mask of sampled vertices.
+
+    ``sample(i, j, k)`` returns the field at lattice index triples; it is
+    called with at most ``chunk_size`` triples at a time.  The lattice is
+    cut into blocks of ``_BLOCK`` cells a side (the last one per axis
+    partial), and the block corners are sampled first.  Every vertex of
+    a block is then sampled when its corners disagree in sign or one of
+    its faces holds sampled vertices of both signs, repeated until no
+    new block qualifies.  Lattice vertices beyond the box count as
+    outside, so a block face on the box holding an inside vertex
+    qualifies too.  A vertex never sampled takes the value of a corner of
+    its block, all of which share one sign (multiresolution isosurface
+    extraction, Mescheder et al., "Occupancy Networks", CVPR 2019).
+    """
+    r = resolution
+    bounds = np.append(np.arange(0, r - 1, _BLOCK), r - 1)
+    blocks = len(bounds) - 1
+    index = np.arange(r)
+    # The blocks whose closure holds each vertex index, and the corner
+    # index a vertex copies while its block stays coarse.
+    owner = np.minimum(index // _BLOCK, blocks - 1)
+    below = np.minimum(np.maximum(index - 1, 0) // _BLOCK, blocks - 1)
+    corner = index // _BLOCK
+    corner[-1] = blocks
+
+    ci, cj, ck = np.meshgrid(bounds, bounds, bounds, indexing="ij")
+    corner_flat = ((ci * r + cj) * r + ck).ravel()
+    corner_values = np.concatenate(
+        [sample(*ijk) for _, ijk in _chunks(corner_flat, r, chunk_size)]
+    ).reshape(blocks + 1, blocks + 1, blocks + 1)
+    values = corner_values[np.ix_(corner, corner, corner)]
+    sampled = np.zeros((r, r, r), dtype=bool)
+    sampled.reshape(-1)[corner_flat] = True
+
+    crossed = _blocks_at_sign_changes(corner_values < 0.0, np.arange(blocks + 1))
+    while True:
+        todo = crossed
+        for axis in range(3):
+            todo = np.take(todo, owner, axis=axis) | np.take(todo, below, axis=axis)
+        todo[sampled] = False
+        if not todo.any():
+            return values, sampled
+        for part, ijk in _chunks(np.flatnonzero(todo), r, chunk_size):
+            values.reshape(-1)[part] = sample(*ijk)
+        sampled |= todo
+        crossed = _blocks_at_sign_changes(values < 0.0, bounds)
+
+
+def _chunks(
+    flat: NDArray[np.int_], r: int, chunk_size: int
+) -> Iterator[tuple[NDArray[np.int_], tuple[NDArray[np.int_], ...]]]:
+    """Consecutive runs of flat lattice indices with their (i, j, k) arrays."""
+    for start in range(0, len(flat), chunk_size):
+        part = flat[start : start + chunk_size]
+        yield part, (part // (r * r), part // r % r, part % r)
+
+
+def _blocks_at_sign_changes(
+    inside: NDArray[np.bool_], bounds: NDArray[np.int_]
+) -> NDArray[np.bool_]:
+    """Blocks with a face that holds lattice vertices of both signs.
+
+    ``bounds`` are the lattice indices of the block faces along every
+    axis.  Beyond the lattice counts as outside, so a face on the box
+    with an inside vertex changes sign too.
+    """
+    n = len(bounds) - 1
+    found = np.zeros((n, n, n), dtype=bool)
+    for axis in range(3):
+        faces = np.moveaxis(inside, axis, 0)[bounds]
+        any_inside = _reduce_face_windows(faces, bounds, np.logical_or)
+        all_inside = _reduce_face_windows(faces, bounds, np.logical_and)
+        changed = any_inside & ~all_inside
+        changed[[0, -1]] = any_inside[[0, -1]]
+        # Block b lies between faces b and b + 1.
+        found |= np.moveaxis(changed[:-1] | changed[1:], 0, axis)
+    return found
+
+
+def _reduce_face_windows(
+    faces: NDArray[np.bool_], bounds: NDArray[np.int_], op: np.ufunc
+) -> NDArray[np.bool_]:
+    """Reduce each face plane over the closed windows between ``bounds``."""
+    for axis in (1, 2):
+        faces = op(
+            op.reduceat(faces, bounds[:-1], axis=axis),
+            np.take(faces, bounds[1:], axis=axis),
+        )
+    return faces
 
 
 def marching_cubes(

@@ -26,6 +26,11 @@ from .geometry import F64
 
 _MIN_ROW_NORM = 1e-12
 
+# Inference batches are padded with zero rows to a multiple of this, so
+# every row runs through the BLAS main kernel (never a short-batch or
+# remainder-row path) and gets the same bits whatever batch it sits in.
+_ROW_MULTIPLE = 64
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -119,6 +124,11 @@ class SdfModel:
             biases.append(np.zeros(fan_out))
         return cls(config, ParameterSet(directions, gains, biases))
 
+    @property
+    def dtype(self) -> np.dtype:
+        """Precision of the parameters, which inference computes in."""
+        return self.params.biases[0].dtype
+
     def effective_weights(self) -> list[NDArray[F64]]:
         weights: list[NDArray[F64]] = []
         for v, g in zip(self.params.directions, self.params.gains):
@@ -133,11 +143,21 @@ class SdfModel:
 
         Inference only: folds the weight normalization once, keeps no
         activations, applies no dropout, and computes in the dtype of the
-        parameters.
+        parameters.  A row's value does not depend on the other rows of
+        the batch or on its size.
         """
         cfg = self.config
-        x = np.ascontiguousarray(encoded, dtype=self.params.biases[0].dtype)
+        dtype = self.dtype
+        x = np.asarray(encoded)
         _check_encoded(x, cfg)
+        rows = len(x)
+        pad = -rows % _ROW_MULTIPLE
+        if pad:
+            padded = np.zeros((rows + pad, x.shape[1]), dtype=dtype)
+            padded[:rows] = x
+            x = padded
+        else:
+            x = np.ascontiguousarray(x, dtype=dtype)
         h = x
         for layer, (weight, bias) in enumerate(
             zip(self.effective_weights(), self.params.biases)
@@ -148,7 +168,7 @@ class SdfModel:
             h += bias
             if layer < cfg.num_layers - 1:
                 np.maximum(h, 0.0, out=h)
-        return h[:, 0].astype(np.float64)
+        return h[:rows, 0].astype(np.float64)
 
     def _forward_cached(
         self, encoded: NDArray[F64], rng: np.random.Generator | None

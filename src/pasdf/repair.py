@@ -148,11 +148,15 @@ def repair(
     The grid covers the bounding box of the aligned cloud in normalized
     coordinates, expanded by ``expand``; pass the ``bbox_expand`` the
     model's queries were drawn with so the grid spans the shell it was
-    trained on.  Extraction closes the level set at the grid boundary,
-    so shapes whose normalized surface touches the unit cube keep those
-    faces, and the sampled points are Newton-projected onto the zero set
-    before being returned in original units.  Extraction yielding no surface
-    raises RepairFailedError rather than returning an empty cloud.
+    trained on.  The field is evaluated exactly within one block of any
+    sign change and only by sign elsewhere (``evaluate_field``), which
+    yields the dense-sweep mesh except for closed components smaller
+    than a block that no refined block touches.  Extraction closes the
+    level set at the grid boundary, so shapes whose normalized surface
+    touches the unit cube keep those faces, and the sampled points are
+    Newton-projected onto the zero set before being returned in original
+    units.  Extraction yielding no surface raises RepairFailedError
+    rather than returning an empty cloud.
     """
     if n_points < 1:
         raise InvalidParameterError("n_points must be positive")

@@ -93,6 +93,30 @@ class TestInferencePrecision:
         assert np.abs(single - double).max() <= 1e-5
 
 
+class TestBatchIndependence:
+    @pytest.mark.parametrize("stored", [False, True], ids=["float64", "float32"])
+    def test_row_values_do_not_depend_on_the_batch(
+        self, sphere_world, tmp_path, stored
+    ) -> None:
+        # Sign-refined field evaluation runs each lattice vertex in a
+        # different batch than a dense sweep would; the two only agree
+        # bit for bit if a row's value ignores its batch.
+        model, encoding = sphere_world.model, sphere_world.encoding
+        if stored:
+            path = tmp_path / "sphere.ckpt"
+            save_checkpoint(path, model, encoding=encoding)
+            model, encoding, _ = load_checkpoint(path)
+        rows = positional_encode(np.random.default_rng(11).random((70_000, 3)), encoding)
+        full = model.forward(rows)
+        subset = np.random.default_rng(12).permutation(len(rows))[:7_777]
+        np.testing.assert_array_equal(model.forward(rows[subset]), full[subset])
+        for chunk in (77, 4096, 65536):
+            chunked = np.concatenate(
+                [model.forward(rows[start : start + chunk]) for start in range(0, len(rows), chunk)]
+            )
+            np.testing.assert_array_equal(chunked, full)
+
+
 class TestBinaryLayout:
     def test_header_and_first_block_layout(self, tmp_path) -> None:
         model = small_model(seed=7)

@@ -7,8 +7,44 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pasdf.errors import InvalidInputError, InvalidParameterError
-from pasdf.fpfh import BINS_PER_FEATURE, DESCRIPTOR_SIZE, compute_fpfh, pair_features
+from pasdf.fpfh import BINS_PER_FEATURE, DESCRIPTOR_SIZE, compute_fpfh
 from pasdf.geometry import PointCloud, apply_transform, random_rigid
+
+# Pairs closer than this, or with a normal this close to parallel to the
+# connecting line, have no Darboux frame (the floor compute_fpfh uses).
+MIN_PAIR_DISTANCE = 1e-12
+
+
+def pair_features(
+    p_i: np.ndarray, n_i: np.ndarray, p_j: np.ndarray, n_j: np.ndarray
+) -> tuple[float, float, float] | None:
+    """Darboux-frame angles (alpha, phi, theta) for one point pair.
+
+    The frame is anchored at whichever point's normal makes the smaller angle
+    with the connecting line, which makes the result symmetric in the pair.
+    Returns None for coincident points or a normal parallel to the line.
+    Scalar reference for the batch path in compute_fpfh.
+    """
+    d = p_j - p_i
+    dist = float(np.linalg.norm(d))
+    if dist < MIN_PAIR_DISTANCE:
+        return None
+    d_hat = d / dist
+    if abs(float(np.dot(n_i, d_hat))) >= abs(float(np.dot(n_j, d_hat))):
+        u, n_t = n_i, n_j
+    else:
+        u, n_t = n_j, n_i
+        d_hat = -d_hat
+    phi = float(np.dot(u, d_hat))
+    v = np.cross(d_hat, u)
+    v_norm = float(np.linalg.norm(v))
+    if v_norm < MIN_PAIR_DISTANCE:
+        return None
+    v_hat = v / v_norm
+    w = np.cross(u, v_hat)
+    alpha = float(np.dot(v_hat, n_t))
+    theta = float(np.arctan2(np.dot(w, n_t), np.dot(u, n_t)))
+    return alpha, phi, theta
 
 
 def oracle_bin(value: float, low: float, high: float) -> int:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from field_oracle import dense_field, vertex_positions
+from pasdf import marching
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.marching import (
     CASE_TRIANGLES,
@@ -44,7 +46,7 @@ class TestGridSpec:
 
     def test_vertex_positions_index_order(self) -> None:
         grid = GridSpec(8)
-        positions = grid.vertex_positions()
+        positions = vertex_positions(grid)
         assert positions.shape == (512, 3)
         ax = grid.axes()[0]
         # Row-major (i, j, k): the k axis varies fastest.
@@ -336,38 +338,63 @@ class TestCloseBoundary:
             assert mesh.is_empty
 
 
-class TestEvaluateField:
-    def test_matches_direct_forward(self, sphere_world) -> None:
-        from pasdf.encoding import positional_encode
+def evaluate_recording_samples(monkeypatch, model, encoding, grid, **kwargs):
+    """``evaluate_field`` plus the mask of vertices it ran the model on."""
+    masks = []
+    refine = marching._refine_field
 
-        grid = GridSpec(8, (0.3, 0.3, 0.3), (0.7, 0.7, 0.7))
-        field = evaluate_field(
-            sphere_world.model, sphere_world.encoding, grid, chunk_size=100
+    def spy(*args, **kw):
+        values, sampled = refine(*args, **kw)
+        masks.append(sampled)
+        return values, sampled
+
+    monkeypatch.setattr(marching, "_refine_field", spy)
+    field = evaluate_field(model, encoding, grid, **kwargs)
+    (sampled,) = masks
+    return field, sampled
+
+
+def assert_same_mesh(a, b) -> None:
+    np.testing.assert_array_equal(a.vertices, b.vertices)
+    np.testing.assert_array_equal(a.faces, b.faces)
+
+
+class TestEvaluateField:
+    def test_matches_direct_forward(self, sphere_world, monkeypatch) -> None:
+        grid = GridSpec(32, (0.1, 0.1, 0.1), (0.9, 0.9, 0.9))
+        field, sampled = evaluate_recording_samples(
+            monkeypatch, sphere_world.model, sphere_world.encoding, grid, chunk_size=100
         )
-        positions = grid.vertex_positions()
-        direct = sphere_world.model.forward(
-            positional_encode(positions, sphere_world.encoding)
-        )
-        # Chunking may change BLAS kernel choice, nothing more.
-        np.testing.assert_allclose(field.ravel(), direct, rtol=1e-12, atol=1e-15)
+        dense = dense_field(sphere_world.model, sphere_world.encoding, grid)
+        # Only the band around the sphere is evaluated, and exactly.
+        assert 0 < sampled.sum() < 0.6 * grid.resolution**3
+        np.testing.assert_array_equal(field[sampled], dense[sampled])
+        np.testing.assert_array_equal(field < 0.0, dense < 0.0)
+        for close in (False, True):
+            assert_same_mesh(
+                marching_cubes(field, grid, close_boundary=close),
+                marching_cubes(dense, grid, close_boundary=close),
+            )
 
     @pytest.mark.parametrize("chunk_size", [100, 77, 4096])
-    def test_non_cubic_grid_equals_encoded_vertices(self, sphere_world, chunk_size) -> None:
-        from pasdf.encoding import positional_encode
-
+    def test_non_cubic_grid_equals_encoded_vertices(
+        self, sphere_world, monkeypatch, chunk_size
+    ) -> None:
         # Every axis spans a different interval, so gathering an encoded
         # column from the wrong axis changes the field.
-        grid = GridSpec(9, (0.1, 0.3, 0.2), (0.9, 0.6, 0.8))
+        grid = GridSpec(17, (0.1, 0.3, 0.2), (0.9, 0.6, 0.8))
         model = sphere_world.model
-        field = evaluate_field(model, sphere_world.encoding, grid, chunk_size=chunk_size)
-        encoded = positional_encode(grid.vertex_positions(), sphere_world.encoding)
-        direct = np.concatenate(
-            [
-                model.forward(encoded[start : start + chunk_size])
-                for start in range(0, len(encoded), chunk_size)
-            ]
+        field, sampled = evaluate_recording_samples(
+            monkeypatch, model, sphere_world.encoding, grid, chunk_size=chunk_size
         )
-        np.testing.assert_array_equal(field.ravel(), direct)
+        dense = dense_field(model, sphere_world.encoding, grid)
+        assert sampled.any()
+        np.testing.assert_array_equal(field[sampled], dense[sampled])
+        np.testing.assert_array_equal(field < 0.0, dense < 0.0)
+        assert_same_mesh(
+            marching_cubes(field, grid, close_boundary=True),
+            marching_cubes(dense, grid, close_boundary=True),
+        )
 
     def test_extracts_learned_sphere(self, sphere_world) -> None:
         grid = GridSpec(32, (0.1, 0.1, 0.1), (0.9, 0.9, 0.9))
@@ -389,3 +416,152 @@ class TestEvaluateField:
         grid = GridSpec(8)
         with pytest.raises(InvalidParameterError):
             evaluate_field(sphere_world.model, sphere_world.encoding, grid, chunk_size=0)
+
+
+def refine_analytic(field, grid: GridSpec, chunk_size: int = 65536):
+    """Sign-refined and dense samples of ``field(x, y, z)`` on the grid,
+    plus the mask of vertices the refinement sampled."""
+    ax, ay, az = grid.axes()
+    values, sampled = marching._refine_field(
+        lambda i, j, k: field(ax[i], ay[j], az[k]), grid.resolution, chunk_size
+    )
+    return values, sampled, field(*sample_grid(grid))
+
+
+def assert_refined_like_dense(field, grid: GridSpec, close_boundary: bool) -> None:
+    values, sampled, dense = refine_analytic(field, grid)
+    np.testing.assert_array_equal(values[sampled], dense[sampled])
+    np.testing.assert_array_equal(values < 0.0, dense < 0.0)
+    assert_same_mesh(
+        marching_cubes(values, grid, close_boundary=close_boundary),
+        marching_cubes(dense, grid, close_boundary=close_boundary),
+    )
+
+
+def ball(center, radius: float):
+    cx, cy, cz = center
+    return lambda x, y, z: np.sqrt((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2) - radius
+
+
+def block_edge(grid: GridSpec) -> float:
+    """Longest edge of a refinement block."""
+    return float(4 * grid.spacing().max())
+
+
+unit = st.floats(0.0, 1.0)
+boxes = st.builds(
+    lambda r, lo, ext: GridSpec(r, lo, tuple(a + b for a, b in zip(lo, ext))),
+    st.integers(12, 40),
+    st.tuples(*[st.floats(0.0, 0.3)] * 3),
+    st.tuples(*[st.floats(0.3, 0.9)] * 3),
+)
+
+
+def point_in(grid: GridSpec, fractions) -> tuple[float, float, float]:
+    lo, hi = np.asarray(grid.lower), np.asarray(grid.upper)
+    return tuple(lo + np.asarray(fractions) * (hi - lo))
+
+
+class TestRefineField:
+    """The sign-refined field against the dense one on analytic fields.
+
+    Every surface component here crosses at least one block's corners,
+    so refinement must reproduce the dense mesh bit for bit.
+    """
+
+    @given(boxes, st.tuples(unit, unit, unit), unit, st.booleans())
+    def test_sphere(self, grid, where, grow, close) -> None:
+        radius = block_edge(grid) * (2.0 + 2.0 * grow)
+        assert_refined_like_dense(ball(point_in(grid, where), radius), grid, close)
+
+    @given(
+        boxes,
+        st.tuples(unit, unit, unit),
+        st.tuples(unit, unit, unit),
+        unit,
+        unit,
+        st.booleans(),
+    )
+    def test_two_sphere_union(self, grid, where_a, where_b, grow_a, grow_b, close) -> None:
+        edge = block_edge(grid)
+        a = ball(point_in(grid, where_a), edge * (2.0 + grow_a))
+        b = ball(point_in(grid, where_b), edge * (2.0 + grow_b))
+        assert_refined_like_dense(
+            lambda x, y, z: np.minimum(a(x, y, z), b(x, y, z)), grid, close
+        )
+
+    @given(
+        boxes,
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda n: np.linalg.norm(n) > 0.1
+        ),
+        st.tuples(*[st.floats(1 / 3, 2 / 3)] * 3),
+        st.booleans(),
+    )
+    def test_tilted_plane(self, grid, normal, through, close) -> None:
+        nx, ny, nz = np.asarray(normal) / np.linalg.norm(normal)
+        px, py, pz = point_in(grid, through)
+        assert_refined_like_dense(
+            lambda x, y, z: (x - px) * nx + (y - py) * ny + (z - pz) * nz, grid, close
+        )
+
+    @given(
+        st.integers(32, 48),
+        st.floats(0.2, 0.3),
+        st.floats(0.08, 0.1),
+        st.floats(0.7, 1.3),
+    )
+    def test_torus_in_thin_slab(self, r, major, minor, slab) -> None:
+        # Like the grid repair spans for a flat torus: wide in x and y,
+        # thin in z.  A slab thinner than the tube cuts it, and the cut
+        # faces only close when the caps are exact.
+        half = 1.3 * (major + minor)
+        grid = GridSpec(
+            r, (0.5 - half, 0.5 - half, 0.5 - slab * minor), (0.5 + half, 0.5 + half, 0.5 + slab * minor)
+        )
+
+        def torus(x, y, z):
+            ring = np.sqrt((x - 0.5) ** 2 + (y - 0.5) ** 2) - major
+            return np.sqrt(ring**2 + (z - 0.5) ** 2) - minor
+
+        assert_refined_like_dense(torus, grid, close_boundary=slab < 1.0)
+
+    def test_level_set_touching_the_box_is_capped_exactly(self) -> None:
+        grid = GridSpec(33, (0.0, 0.0, 0.0), (1.0, 1.0, 0.5))
+        field = ball((0.5, 0.5, 0.45), 0.3)
+        values, sampled, dense = refine_analytic(field, grid)
+        closed = marching_cubes(values, grid, close_boundary=True)
+        assert_same_mesh(closed, marching_cubes(dense, grid, close_boundary=True))
+        assert check_watertight(closed)[0]
+        # The cap on the top face came from sampled values, not a sign.
+        assert sampled[:, :, -1][dense[:, :, -1] < 0.0].all()
+
+    def test_samples_only_near_the_surface(self) -> None:
+        grid = GridSpec(65)
+        values, sampled, dense = refine_analytic(ball((0.5, 0.5, 0.5), 0.3), grid)
+        assert sampled.sum() < 0.35 * 65**3
+        assert sampled[::4, ::4, ::4].all()
+        # Far from the surface only the block corners are sampled: at the
+        # center and at the box corner.
+        assert not sampled[33, 33, 33] and not sampled[1, 1, 1]
+
+    def test_chunk_size_does_not_change_the_field(self) -> None:
+        grid = GridSpec(24, (0.1, 0.2, 0.0), (0.9, 0.7, 1.0))
+        field = ball((0.5, 0.45, 0.5), 0.2)
+        reference, reference_sampled, _ = refine_analytic(field, grid)
+        for chunk_size in (1, 77, 4096):
+            values, sampled, _ = refine_analytic(field, grid, chunk_size)
+            np.testing.assert_array_equal(values, reference)
+            np.testing.assert_array_equal(sampled, reference_sampled)
+
+    def test_bubble_inside_one_block_is_missed(self) -> None:
+        """The known limit: a closed component smaller than one block,
+        touching no refined block, keeps its block's sign and is not
+        extracted, though the dense field has it."""
+        grid = GridSpec(33)  # blocks of 4 cells, 0.125 a side
+        field = ball((0.5625, 0.5625, 0.5625), 0.05)
+        values, sampled, dense = refine_analytic(field, grid)
+        assert len(marching_cubes(dense, grid).faces) > 0
+        assert (values > 0.0).all()
+        assert marching_cubes(values, grid).is_empty
+        assert sampled.sum() == 9**3

@@ -1,5 +1,6 @@
 """The benchmark's hooks into ``pasdf`` must all resolve, its fixture
-models must load, and its workloads must set up and run.
+models must load, its workloads must set up and run, and repair on its
+cases must give the mesh of the densely sampled field.
 
 ``perfbench/layers.py`` names, per calling module, the ``pasdf`` functions
 a traced run rebinds.  A hook whose name no longer exists is skipped at
@@ -12,6 +13,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from field_oracle import dense_field
+from pasdf.marching import GridSpec, marching_cubes
+from pasdf.repair import repair
 from pasdf.training import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,3 +66,34 @@ def test_workloads_set_up_and_run_a_case(monkeypatch) -> None:
     case = states["detect"]["cases"][0]
     output = workloads.WORKLOADS["detect"].run_case(states["detect"], case)
     assert output.samples == len(case.cloud)
+
+
+def test_repair_mesh_equals_dense_field_mesh(monkeypatch) -> None:
+    # Repair evaluates the field only near sign changes.  On the
+    # benchmark's own repair cases that must not move a single vertex
+    # against marching cubes over the field sampled everywhere.
+    inputs = load_by_path("inputs", monkeypatch)
+    workloads = load_by_path("workloads", monkeypatch)
+    state = workloads.WORKLOADS["repair"].setup(seed=0)
+    assert [(c.shape, c.kind) for c in state["cases"]] == [("torus", "dent"), ("blob", "crop")]
+    for case in state["cases"]:
+        world = state["worlds"][case.shape]
+        result = repair(
+            case.cloud,
+            world.model,
+            inputs.ENCODING,
+            world.canonical,
+            world.record,
+            seed=0,
+            resolution=64,
+            n_points=256,
+            align=False,
+        )
+        grid = GridSpec.for_cloud(world.record.normalize(case.cloud.points), resolution=64)
+        dense = marching_cubes(
+            dense_field(world.model, inputs.ENCODING, grid), grid, close_boundary=True
+        )
+        np.testing.assert_array_equal(
+            result.mesh.vertices, world.record.denormalize(dense.vertices)
+        )
+        np.testing.assert_array_equal(result.mesh.faces, dense.faces)
