@@ -8,7 +8,6 @@ byte-identical metrics tables regardless of worker count.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -20,9 +19,9 @@ from .defects import bulge, crop, dent, noise_patch
 from .errors import InvalidParameterError, PasdfError
 from .geometry import PointCloud, apply_transform, random_rigid
 from .mesh import TriMesh, normalize_unit_cube, sample_surface
-from .meshio import write_cloud_ply
+from .meshio import write_cloud_ply, write_json
 from .queries import label_queries, sample_queries
-from .repair import RepairQuality, repair, repair_quality
+from .repair import repair, repair_quality
 from .rng import derive_seed, stream
 from .scoring import auroc, evaluate, score_points
 from .shapes import box, capsule, sphere, torus
@@ -125,18 +124,12 @@ class RepairCaseResult:
     name: str
     kind: str
     converged: bool
-    quality_before: RepairQuality
-    quality_after: RepairQuality
+    chamfer_before: float
+    chamfer_after: float
+    emd_before: float
+    emd_after: float
     score_before: float
     score_after: float
-
-    @property
-    def chamfer_improved(self) -> bool:
-        return self.quality_after.chamfer < self.quality_before.chamfer
-
-    @property
-    def score_not_worse(self) -> bool:
-        return self.score_after <= self.score_before
 
 
 @dataclass(frozen=True)
@@ -368,8 +361,10 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
                 name=case.name,
                 kind=case.kind,
                 converged=repaired.converged,
-                quality_before=before,
-                quality_after=after,
+                chamfer_before=before.chamfer,
+                chamfer_after=after.chamfer,
+                emd_before=before.emd,
+                emd_after=after.emd,
                 score_before=float(report.object_score),
                 score_after=float(rescore.object_score),
             )
@@ -409,18 +404,18 @@ def _mean(values: list[float]) -> float:
 
 
 def _metric_row(row: ShapeResult) -> dict:
-    improved = [r.chamfer_improved for r in row.repairs]
-    not_worse = [r.score_not_worse for r in row.repairs]
+    improved = [r.chamfer_after < r.chamfer_before for r in row.repairs]
+    not_worse = [r.score_after <= r.score_before for r in row.repairs]
     return {
         "shape": row.shape,
         "o_auroc": row.o_auroc,
         "p_auroc": row.p_auroc,
         "o_auroc_no_pam": row.o_auroc_no_pam,
         "n_repairs": len(row.repairs),
-        "chamfer_before_mean": _mean([r.quality_before.chamfer for r in row.repairs]),
-        "chamfer_after_mean": _mean([r.quality_after.chamfer for r in row.repairs]),
-        "emd_before_mean": _mean([r.quality_before.emd for r in row.repairs]),
-        "emd_after_mean": _mean([r.quality_after.emd for r in row.repairs]),
+        "chamfer_before_mean": _mean([r.chamfer_before for r in row.repairs]),
+        "chamfer_after_mean": _mean([r.chamfer_after for r in row.repairs]),
+        "emd_before_mean": _mean([r.emd_before for r in row.repairs]),
+        "emd_after_mean": _mean([r.emd_after for r in row.repairs]),
         "all_repairs_improved": bool(improved) and all(improved),
         "all_rescores_not_worse": bool(not_worse) and all(not_worse),
         "failed": row.failed,
@@ -465,24 +460,9 @@ def write_bench_artifacts(
         entry["error"] = row.error
         entry["final_loss"] = row.final_loss
         entry["cases"] = [asdict(case) for case in row.cases]
-        entry["repairs"] = [
-            {
-                "name": rep.name,
-                "kind": rep.kind,
-                "converged": rep.converged,
-                "chamfer_before": rep.quality_before.chamfer,
-                "chamfer_after": rep.quality_after.chamfer,
-                "emd_before": rep.quality_before.emd,
-                "emd_after": rep.quality_after.emd,
-                "score_before": rep.score_before,
-                "score_after": rep.score_after,
-            }
-            for rep in row.repairs
-        ]
+        entry["repairs"] = [asdict(rep) for rep in row.repairs]
         document["shapes"].append(entry)
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "metrics.json", document)
 
     manifest = {"seed": config.seed, "shapes": []}
     for row in result.shapes:
@@ -510,9 +490,7 @@ def write_bench_artifacts(
                 "cases": entries,
             }
         )
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
 
     if timings is not None:
         lines = [

@@ -10,7 +10,6 @@ infers in f32.
 """
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -19,16 +18,13 @@ import numpy as np
 
 from .config import read_section
 from .encoding import EncodingConfig
-from .errors import CheckpointMismatchError, ConfigValidationError
+from .errors import CheckpointMismatchError, ConfigValidationError, InvalidInputError
+from .meshio import read_json, write_json
 from .network import NetworkConfig, ParameterSet, SdfModel
 
 MAGIC = b"PASDF001"
 _HEADER = struct.Struct("<8sIIIid")
 _SKIP_NONE = -1
-
-
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".json")
 
 
 def save_checkpoint(
@@ -54,9 +50,7 @@ def save_checkpoint(
     sidecar = dict(metadata or {})
     sidecar["network"] = asdict(cfg)
     sidecar["encoding"] = asdict(encoding)
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path.with_suffix(".json"), sidecar)
 
 
 def load_checkpoint(path: str | Path) -> tuple[SdfModel, EncodingConfig, dict]:
@@ -105,15 +99,12 @@ def load_checkpoint(path: str | Path) -> tuple[SdfModel, EncodingConfig, dict]:
             f"{path}: {len(raw) - offset} trailing bytes after parameters"
         )
 
-    sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise CheckpointMismatchError(f"{sidecar}: checkpoint sidecar is missing")
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointMismatchError(f"{sidecar}: not valid JSON") from exc
-    if not isinstance(meta, dict) or "encoding" not in meta:
+    sidecar = path.with_suffix(".json")
+    try:
+        meta = read_json(sidecar, "checkpoint sidecar")
+    except InvalidInputError as exc:
+        raise CheckpointMismatchError(str(exc)) from exc
+    if "encoding" not in meta:
         raise CheckpointMismatchError(f"{sidecar}: missing encoding config")
     try:
         encoding = read_section("encoding", meta["encoding"])

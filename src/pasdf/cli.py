@@ -94,17 +94,17 @@ def _run(args: argparse.Namespace, config) -> int:
         detected = pipeline.cmd_detect(config)
         for case in detected.cases:
             flag = "" if case.converged else " (alignment not converged)"
-            print(f"{case.case_id}: object score {case.object_score:.6f}{flag}")
+            print(f"{case.id}: object score {case.object_score:.6f}{flag}")
         _print_metrics(detected.o_auroc, detected.p_auroc)
     elif args.command == "repair":
         repaired = pipeline.cmd_repair(config)
         for case in repaired.cases:
             if case.failed:
-                print(f"{case.case_id}: FAILED ({case.error})")
+                print(f"{case.id}: FAILED ({case.error})")
             elif case.chamfer is not None:
-                print(f"{case.case_id}: chamfer {case.chamfer:.6f} emd {case.emd:.6f}")
+                print(f"{case.id}: chamfer {case.chamfer:.6f} emd {case.emd:.6f}")
             else:
-                print(f"{case.case_id}: repaired -> {case.cloud_file}")
+                print(f"{case.id}: repaired -> {case.cloud}")
     elif args.command == "eval":
         evaluated = pipeline.cmd_eval(config)
         _print_metrics(evaluated.o_auroc, evaluated.p_auroc)

@@ -316,11 +316,10 @@ def _reduce_face_windows(
 def marching_cubes(
     field: NDArray[F64],
     grid: GridSpec,
-    iso: float = 0.0,
     *,
     close_boundary: bool = False,
 ) -> TriMesh:
-    """Extract the iso-level surface of a sampled scalar field.
+    """Extract the zero level set of a sampled scalar field.
 
     The field must be sampled on the grid's lattice, shape (r, r, r) in
     (i, j, k) index order.  A field of uniform sign yields an empty mesh.
@@ -343,12 +342,12 @@ def marching_cubes(
             f"non-finite field value at grid vertex ({i}, {j}, {k})"
         )
 
-    padded = close_boundary and bool((values < iso).any() and (values >= iso).any())
+    padded = close_boundary and bool((values < 0.0).any() and (values >= 0.0).any())
     if padded:
         values = _pad_outside(values)
         r += 2
 
-    inside = values < iso
+    inside = values < 0.0
     n_cells = r - 1
     case_index = np.zeros((n_cells, n_cells, n_cells), dtype=np.uint8)
     for corner, (dx, dy, dz) in enumerate(_CORNERS):
@@ -401,7 +400,7 @@ def marching_cubes(
     high = low + step
     f_low = values[low[:, 0], low[:, 1], low[:, 2]]
     f_high = values[high[:, 0], high[:, 1], high[:, 2]]
-    t = (iso - f_low) / (f_high - f_low)
+    t = -f_low / (f_high - f_low)
     spacing = grid.spacing()
     origin = np.asarray(grid.lower)
     # Padded lattice indices are shifted by one against the caller's

@@ -1,12 +1,18 @@
-"""PLY and OBJ readers and writers.
+"""PLY, OBJ and JSON readers and writers.
 
-PLY covers clouds and score maps (binary little-endian by default, ASCII
+PLY covers clouds and score maps (written binary little-endian, ASCII
 accepted on read); OBJ covers triangle meshes.  Only the properties this
 pipeline produces are written; readers tolerate and ignore extras.
+
+JSON covers the sample and checkpoint sidecars, ``prepare.json``,
+``results.json``, ``eval.json``, the bench's ``metrics.json`` and
+``manifest.json``, and the labels manifest.  All are written with sorted
+keys, two-space indent and a trailing newline.
 """
 from __future__ import annotations
 
 import io
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +48,6 @@ def write_cloud_ply(
     path: str | Path,
     cloud: PointCloud,
     scores: NDArray | None = None,
-    binary: bool = True,
 ) -> None:
     """Write a cloud, optionally with normals and a per-point anomaly score."""
     if scores is not None:
@@ -51,9 +56,7 @@ def write_cloud_ply(
             raise InvalidInputError(
                 f"scores shape {scores.shape} does not match cloud size {len(cloud)}"
             )
-    header = ["ply"]
-    header.append("format binary_little_endian 1.0" if binary else "format ascii 1.0")
-    header.append(f"element vertex {len(cloud)}")
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(cloud)}"]
     fields: list[tuple[str, str]] = [("x", "<f8"), ("y", "<f8"), ("z", "<f8")]
     for axis in "xyz":
         header.append(f"property double {axis}")
@@ -75,12 +78,7 @@ def write_cloud_ply(
 
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fh.write(record.tobytes())
-        else:
-            columns = [record[name] for name, _ in fields]
-            for row in zip(*columns):
-                fh.write((" ".join(repr(float(v)) for v in row) + "\n").encode("ascii"))
+        fh.write(record.tobytes())
 
 
 def _parse_header(fh: io.BufferedReader) -> tuple[str, list[tuple[str, int, list]]]:
@@ -224,3 +222,30 @@ def read_obj(path: str | Path) -> TriMesh:
     if not vertices:
         raise InvalidInputError(f"{path}: OBJ file has no vertices")
     return TriMesh(np.asarray(vertices, dtype=np.float64), np.asarray(faces, dtype=np.int64))
+
+
+def write_json(path: str | Path, document: dict) -> None:
+    """Write a JSON document with sorted keys, two-space indent and a
+    trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object stored at ``path``.
+
+    A missing, unreadable, unparsable or non-object file raises
+    InvalidInputError naming ``what`` and the path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            document = json.load(fh)
+    except FileNotFoundError:
+        raise InvalidInputError(f"{path}: {what} is missing") from None
+    except (OSError, ValueError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError.
+        raise InvalidInputError(f"{path}: {what} is not readable JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise InvalidInputError(f"{path}: {what} is not a JSON object")
+    return document

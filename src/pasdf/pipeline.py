@@ -7,19 +7,27 @@ detect's artifacts without touching the model again.  Every artifact is
 deterministic for a fixed config and seed: sorted case order, sorted
 JSON keys, no timestamps.
 
+Prepare writes ``samples.bin`` with its ``samples.json`` sidecar,
+``canonical.ply`` and ``prepare.json``; train writes ``model.ckpt`` with
+its ``model.json`` sidecar and ``loss_history.csv``; detect writes
+``detect/<id>_scores.ply`` per case and ``detect/results.json``; repair
+writes ``repair/<id>_repaired.ply`` and ``.obj`` per repaired case and
+``repair/results.json``; eval writes ``eval.json``.  A ``results.json``
+row is exactly the fields of ``DetectCase`` or ``RepairCase``.
+
 The optional labels manifest is a JSON document
 ``{"cases": {"<id>": {"object": 0 or 1, "anomalous_points": [...],
 "reference": "clean.ply"}}}`` keyed by input file stem;
 ``anomalous_points`` lists anomalous point indices for point-level
 metrics and ``reference`` names a clean cloud (relative paths resolve
 against the manifest's directory, and the cloud lives in the canonical
-frame) for repair quality.
+frame) for repair quality.  Every key of an entry is optional, and a
+null value counts as absent.
 """
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -37,7 +45,7 @@ from .errors import (
 )
 from .geometry import PointCloud, apply_points, estimate_normals
 from .mesh import NormalizationRecord, TriMesh, normalization_from_bounds
-from .meshio import PlyContent, read_ply, write_cloud_ply, write_obj
+from .meshio import PlyContent, read_json, read_ply, write_cloud_ply, write_json, write_obj
 from .network import SdfModel
 from .queries import QuerySet, label_queries, read_samples, sample_queries_from_cloud, write_samples
 from .registration import pose_align
@@ -81,7 +89,7 @@ class TrainSummary:
 
 @dataclass(frozen=True)
 class DetectCase:
-    case_id: str
+    id: str
     object_score: float
     converged: bool
     n_points: int
@@ -98,14 +106,14 @@ class DetectSummary:
 
 @dataclass(frozen=True)
 class RepairCase:
-    case_id: str
-    failed: bool
-    error: str | None
-    converged: bool | None
-    cloud_file: str | None
-    mesh_file: str | None
-    chamfer: float | None
-    emd: float | None
+    id: str
+    failed: bool = False
+    error: str | None = None
+    converged: bool | None = None
+    cloud: str | None = None
+    mesh: str | None = None
+    chamfer: float | None = None
+    emd: float | None = None
 
 
 @dataclass(frozen=True)
@@ -218,7 +226,7 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
     canonical_path = out_dir / CANONICAL_FILE
     write_cloud_ply(canonical_path, target)
     metadata_path = out_dir / PREPARE_FILE
-    _write_json(metadata_path, metadata)
+    write_json(metadata_path, metadata)
     return PrepareSummary(
         samples_path=samples_path,
         canonical_path=canonical_path,
@@ -299,7 +307,7 @@ def cmd_detect(
         score_vectors[case_id] = report.per_point_scores.astype(np.float32)
         cases.append(
             DetectCase(
-                case_id=case_id,
+                id=case_id,
                 object_score=float(report.object_score),
                 converged=report.converged,
                 n_points=len(cloud),
@@ -310,25 +318,12 @@ def cmd_detect(
     o_auroc = p_auroc = None
     if labels is not None and cases:
         o_auroc, p_auroc = _dataset_metrics(
-            cases, lambda case: score_vectors[case.case_id], labels, strict=False
+            cases, lambda case: score_vectors[case.id], labels, strict=False
         )
     results_path = detect_dir / RESULTS_FILE
-    _write_json(
+    write_json(
         results_path,
-        {
-            "cases": [
-                {
-                    "id": case.case_id,
-                    "object_score": case.object_score,
-                    "converged": case.converged,
-                    "n_points": case.n_points,
-                    "score_map": case.score_map,
-                }
-                for case in cases
-            ],
-            "o_auroc": o_auroc,
-            "p_auroc": p_auroc,
-        },
+        {"cases": [asdict(case) for case in cases], "o_auroc": o_auroc, "p_auroc": p_auroc},
     )
     return DetectSummary(
         results_path=results_path,
@@ -377,18 +372,7 @@ def cmd_repair(
             )
         except PasdfError as error:
             log.warning("repair of %s failed: %s", case_id, error)
-            cases.append(
-                RepairCase(
-                    case_id=case_id,
-                    failed=True,
-                    error=str(error),
-                    converged=None,
-                    cloud_file=None,
-                    mesh_file=None,
-                    chamfer=None,
-                    emd=None,
-                )
-            )
+            cases.append(RepairCase(id=case_id, failed=True, error=str(error)))
             continue
 
         cloud_file = f"{case_id}_repaired.ply"
@@ -415,36 +399,17 @@ def cmd_repair(
             chamfer, emd = quality.chamfer, quality.emd
         cases.append(
             RepairCase(
-                case_id=case_id,
-                failed=False,
-                error=None,
+                id=case_id,
                 converged=result.converged,
-                cloud_file=cloud_file,
-                mesh_file=mesh_file,
+                cloud=cloud_file,
+                mesh=mesh_file,
                 chamfer=chamfer,
                 emd=emd,
             )
         )
 
     results_path = repair_dir / RESULTS_FILE
-    _write_json(
-        results_path,
-        {
-            "cases": [
-                {
-                    "id": case.case_id,
-                    "failed": case.failed,
-                    "error": case.error,
-                    "converged": case.converged,
-                    "cloud": case.cloud_file,
-                    "mesh": case.mesh_file,
-                    "chamfer": case.chamfer,
-                    "emd": case.emd,
-                }
-                for case in cases
-            ]
-        },
-    )
+    write_json(results_path, {"cases": [asdict(case) for case in cases]})
     return RepairSummary(results_path=results_path, cases=tuple(cases))
 
 
@@ -459,18 +424,13 @@ def cmd_eval(config: RunConfig) -> EvalSummary:
         raise InvalidInputError("evaluation requires a labels manifest (io.labels)")
     labels = _read_labels(config.io.labels)
     detect_dir = Path(config.io.out_dir) / DETECT_DIR
-    results = _read_json(detect_dir / RESULTS_FILE)
-
-    cases = [
-        DetectCase(
-            case_id=row["id"],
-            object_score=float(row["object_score"]),
-            converged=row["converged"],
-            n_points=row["n_points"],
-            score_map=row["score_map"],
-        )
-        for row in results["cases"]
-    ]
+    source = detect_dir / RESULTS_FILE
+    try:
+        cases = [DetectCase(**row) for row in read_json(source, "detect results")["cases"]]
+    except (KeyError, TypeError) as error:
+        raise InvalidInputError(
+            f"{source}: detect results are not a list of DetectCase rows: {error}"
+        ) from error
     n_cases = len(_labelled_cases(cases, labels))
     if not n_cases:
         raise InvalidInputError("labels manifest covers none of the detected cases")
@@ -485,10 +445,7 @@ def cmd_eval(config: RunConfig) -> EvalSummary:
 
     o_auroc, p_auroc = _dataset_metrics(cases, stored_scores, labels, strict=True)
     results_path = Path(config.io.out_dir) / EVAL_FILE
-    _write_json(
-        results_path,
-        {"o_auroc": o_auroc, "p_auroc": p_auroc, "n_cases": n_cases},
-    )
+    write_json(results_path, {"o_auroc": o_auroc, "p_auroc": p_auroc, "n_cases": n_cases})
     return EvalSummary(
         results_path=results_path, o_auroc=o_auroc, p_auroc=p_auroc, n_cases=n_cases
     )
@@ -505,11 +462,11 @@ def _labelled_cases(
     cases: Sequence[DetectCase], labels: dict[str, dict]
 ) -> list[tuple[DetectCase, dict]]:
     """Cases whose manifest entry carries an object label, with the entry."""
-    entries = [(case, labels.get(case.case_id)) for case in cases]
+    entries = [(case, labels.get(case.id)) for case in cases]
     return [
         (case, entry)
         for case, entry in entries
-        if entry is not None and "object" in entry
+        if entry is not None and entry.get("object") is not None
     ]
 
 
@@ -540,7 +497,7 @@ def _dataset_metrics(
         index = np.asarray(points, dtype=np.int64)
         if index.size and (index.min() < 0 or index.max() >= len(scores)):
             raise InvalidInputError(
-                f"{case.case_id}: anomalous point index out of range"
+                f"{case.id}: anomalous point index out of range"
             )
         marks[index] = 1
         pooled_scores.append(np.asarray(scores, dtype=np.float64))
@@ -580,7 +537,7 @@ def _load_model_artifacts(
         raise CheckpointMismatchError(
             f"checkpoint network {model.config} does not match configured {config.network}"
         )
-    prepare_meta = _read_json(out_dir / PREPARE_FILE)
+    prepare_meta = read_json(out_dir / PREPARE_FILE, "prepare metadata")
     record = NormalizationRecord.from_dict(prepare_meta["record"])
     canonical = _cloud_from_ply(read_ply(out_dir / CANONICAL_FILE))
     return model, encoding, canonical, record
@@ -619,28 +576,25 @@ def _outward_normals(cloud: PointCloud) -> PointCloud:
 
 
 def _read_labels(path: str | Path) -> dict[str, dict]:
-    source = Path(path)
-    if not source.is_file():
-        raise FileNotFoundError(f"labels manifest not found: {source}")
-    try:
-        with open(source, encoding="utf-8") as fh:
-            document = json.load(fh)
-    except json.JSONDecodeError as error:
-        raise InvalidInputError(f"{source}: labels manifest is not valid JSON: {error}")
-    cases = document.get("cases")
+    """The manifest's entries by case id, each checked against the schema
+    in the module docstring."""
+    cases = read_json(path, "labels manifest").get("cases")
     if not isinstance(cases, dict):
-        raise InvalidInputError(f"{source}: labels manifest needs a 'cases' object")
+        raise InvalidInputError(f"{path}: labels manifest needs a 'cases' object")
+    for case_id, entry in cases.items():
+        where = f"{path}: labels manifest case {case_id!r}"
+        if not isinstance(entry, dict):
+            raise InvalidInputError(f"{where} is not an object")
+        # Exact type checks: JSON true and 1.0 are not labels or indices.
+        mark = entry.get("object")
+        if mark is not None and (type(mark) is not int or mark not in (0, 1)):
+            raise InvalidInputError(f"{where}: 'object' must be 0 or 1")
+        points = entry.get("anomalous_points")
+        if points is not None and (
+            not isinstance(points, list) or any(type(i) is not int for i in points)
+        ):
+            raise InvalidInputError(f"{where}: 'anomalous_points' must be a list of integers")
+        reference = entry.get("reference")
+        if reference is not None and not isinstance(reference, str):
+            raise InvalidInputError(f"{where}: 'reference' must be a string")
     return cases
-
-
-def _read_json(path: Path) -> dict:
-    if not path.is_file():
-        raise FileNotFoundError(f"pipeline artifact not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _write_json(path: Path, document: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -8,7 +8,6 @@ positive in front, and exactly on a sample counts as positive.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -20,6 +19,7 @@ from scipy.spatial import cKDTree
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import F64, PointCloud, Points
 from .mesh import TriMesh, sample_surface
+from .meshio import read_json, write_json
 from .rng import derive_seed, stream
 from .runtime import worker_count
 
@@ -197,10 +197,6 @@ _RECORD_DTYPE = np.dtype(
 )
 
 
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".json")
-
-
 def write_samples(path: str | Path, queries: QuerySet, meta: dict) -> None:
     """Write labelled queries as packed little-endian records plus a JSON sidecar."""
     if not queries.is_labelled:
@@ -218,9 +214,7 @@ def write_samples(path: str | Path, queries: QuerySet, meta: dict) -> None:
     }
     sidecar["counts"] = tier_counts
     sidecar["total"] = len(queries)
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path.with_suffix(".json"), sidecar)
 
 
 def read_samples(path: str | Path) -> tuple[QuerySet, dict]:
@@ -231,11 +225,7 @@ def read_samples(path: str | Path) -> tuple[QuerySet, dict]:
             f"{path}: size {len(raw)} is not a whole number of sample records"
         )
     records = np.frombuffer(raw, dtype=_RECORD_DTYPE)
-    sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise InvalidInputError(f"{sidecar}: sample sidecar is missing")
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json(path.with_suffix(".json"), "sample sidecar")
     queries = QuerySet(
         np.ascontiguousarray(records["position"], dtype=np.float64),
         np.ascontiguousarray(records["tier"]),

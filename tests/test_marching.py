@@ -187,7 +187,7 @@ class TestMarchingCubes:
     def test_nonzero_iso_level(self) -> None:
         grid = GridSpec(48)
         center = np.full(3, 0.5)
-        mesh = marching_cubes(sphere_field(grid, center, 0.2), grid, iso=0.1)
+        mesh = marching_cubes(sphere_field(grid, center, 0.2) - 0.1, grid)
         radial = np.linalg.norm(mesh.vertices - center, axis=1)
         np.testing.assert_allclose(radial, 0.3, atol=2e-3)
 
@@ -257,7 +257,7 @@ class TestMarchingCubes:
         # Negated so the blobs are the inside; the level is never
         # reached on the grid boundary, so the surface is closed.
         assert bumps[0].max() < 0.5 and bumps[-1].max() < 0.5
-        mesh = marching_cubes(-bumps, grid, iso=-0.5)
+        mesh = marching_cubes(0.5 - bumps, grid)
         watertight, open_edges = check_watertight(mesh)
         assert len(mesh.faces) > 0
         assert watertight, f"{open_edges} open edges"

@@ -9,19 +9,22 @@ from __future__ import annotations
 import json
 import logging
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pasdf.pipeline as pipeline_module
-from pasdf.bench import AnomalySpec, ShapeSpec, generate_shape, inject_anomaly
+from pasdf.bench import AnomalySpec, ShapeSpec, generate_shape, inject_anomaly, run_bench
+from pasdf.cli import EXIT_INPUT, main
 from pasdf.config import (
+    BenchConfig,
     GridConfig,
     IoConfig,
     RepairConfig,
     RunConfig,
+    save_config,
 )
 from pasdf.errors import (
     CheckpointMismatchError,
@@ -33,6 +36,8 @@ from pasdf.mesh import sample_surface
 from pasdf.meshio import read_ply, write_cloud_ply
 from pasdf.network import NetworkConfig
 from pasdf.pipeline import (
+    DetectCase,
+    RepairCase,
     cmd_detect,
     cmd_eval,
     cmd_prepare,
@@ -272,12 +277,12 @@ class TestTrain:
 class TestDetect:
     def test_cases_sorted_and_scored(self, world):
         cases = world["detected"].cases
-        assert [case.case_id for case in cases] == ["dented", "normal"]
+        assert [case.id for case in cases] == ["dented", "normal"]
         assert all(case.converged for case in cases)
         assert all(case.object_score >= 0.0 for case in cases)
 
     def test_normal_scores_below_dented(self, world):
-        by_id = {case.case_id: case for case in world["detected"].cases}
+        by_id = {case.id: case for case in world["detected"].cases}
         assert by_id["normal"].object_score < by_id["dented"].object_score
 
     def test_results_json_carries_metrics(self, world):
@@ -336,7 +341,7 @@ class TestDetect:
 
 class TestRepair:
     def test_rows_for_both_cases(self, world):
-        cases = {case.case_id: case for case in world["repaired"].cases}
+        cases = {case.id: case for case in world["repaired"].cases}
         assert set(cases) == {"dented", "normal"}
         assert not any(case.failed for case in cases.values())
         assert all(case.converged for case in cases.values())
@@ -344,31 +349,31 @@ class TestRepair:
     def test_outputs_exist(self, world):
         repair_dir = world["repaired"].results_path.parent
         for case in world["repaired"].cases:
-            assert (repair_dir / case.cloud_file).is_file()
-            assert (repair_dir / case.mesh_file).is_file()
+            assert (repair_dir / case.cloud).is_file()
+            assert (repair_dir / case.mesh).is_file()
 
     def test_repaired_cloud_size(self, world):
         repair_dir = world["repaired"].results_path.parent
-        case = next(c for c in world["repaired"].cases if c.case_id == "dented")
-        content = read_ply(repair_dir / case.cloud_file)
+        case = next(c for c in world["repaired"].cases if c.id == "dented")
+        content = read_ply(repair_dir / case.cloud)
         assert len(content.points) == world["config"].repair.n_points
 
     def test_dented_quality_beats_input(self, world):
-        case = next(c for c in world["repaired"].cases if c.case_id == "dented")
+        case = next(c for c in world["repaired"].cases if c.id == "dented")
         assert case.chamfer is not None and case.emd is not None
         input_chamfer = chamfer_metric(world["dented"], world["reference"])
         assert case.chamfer < input_chamfer
 
     def test_normal_case_has_no_reference_quality(self, world):
-        case = next(c for c in world["repaired"].cases if c.case_id == "normal")
+        case = next(c for c in world["repaired"].cases if c.id == "normal")
         assert case.chamfer is None and case.emd is None
 
     def test_redetect_of_repaired_scores_not_worse(self, world, tmp_path):
         repair_dir = world["repaired"].results_path.parent
-        case = next(c for c in world["repaired"].cases if c.case_id == "dented")
+        case = next(c for c in world["repaired"].cases if c.id == "dented")
         redetect_dir = tmp_path / "redetect"
         redetect_dir.mkdir()
-        shutil.copy(repair_dir / case.cloud_file, redetect_dir / "dented.ply")
+        shutil.copy(repair_dir / case.cloud, redetect_dir / "dented.ply")
         out = tmp_path / "out"
         out.mkdir()
         for name in ("model.ckpt", "model.json", "prepare.json", "canonical.ply"):
@@ -384,7 +389,7 @@ class TestRepair:
         )
         summary = cmd_detect(config)
         original = next(
-            c for c in world["detected"].cases if c.case_id == "dented"
+            c for c in world["detected"].cases if c.id == "dented"
         ).object_score
         assert summary.cases[0].object_score <= original
 
@@ -405,7 +410,7 @@ class TestRepair:
 
         monkeypatch.setattr(pipeline_module, "repair", flaky)
         summary = cmd_repair(config)
-        cases = {case.case_id: case for case in summary.cases}
+        cases = {case.id: case for case in summary.cases}
         assert cases["dented"].failed
         assert "synthetic repair failure" in cases["dented"].error
         assert not cases["normal"].failed
@@ -460,3 +465,108 @@ class TestEval:
         )
         with pytest.raises(InvalidInputError, match="covers none"):
             cmd_eval(config)
+
+
+class TestLabelsManifest:
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            ({"object": "yes"}, "'object' must be 0 or 1"),
+            ({"object": 1, "anomalous_points": [0.5]}, "'anomalous_points' must be"),
+            ([1, [0]], "is not an object"),
+            ({"object": 1, "reference": 3}, "'reference' must be a string"),
+        ],
+        ids=["object-not-a-label", "fractional-point", "list-entry", "reference-not-a-path"],
+    )
+    def test_malformed_entry_names_manifest_and_case(self, world, tmp_path, entry, problem):
+        manifest = tmp_path / "labels.json"
+        manifest.write_text(json.dumps({"cases": {"normal": {"object": 0}, "dented": entry}}))
+        config = replace(
+            world["config"], io=replace(world["config"].io, labels=str(manifest))
+        )
+        for command in (cmd_detect, cmd_repair, cmd_eval):
+            with pytest.raises(InvalidInputError, match=problem) as raised:
+                command(config)
+            assert str(manifest) in str(raised.value)
+            assert "'dented'" in str(raised.value)
+
+
+def _truncated(text: str) -> str:
+    return text[: len(text) // 2]
+
+
+def _without_object_score(text: str) -> str:
+    document = json.loads(text)
+    del document["cases"][0]["object_score"]
+    return json.dumps(document)
+
+
+class TestMalformedArtifacts:
+    """The command line exits 2 with one error line naming the bad file."""
+
+    @pytest.mark.parametrize(
+        "command, name, corrupt",
+        [
+            ("eval", "detect/results.json", _truncated),
+            ("eval", "detect/results.json", _without_object_score),
+            ("train", "samples.json", _truncated),
+            ("train", "samples.json", lambda text: "[1, 2]\n"),
+        ],
+        ids=["truncated-results", "row-missing-field", "truncated-sidecar", "list-sidecar"],
+    )
+    def test_exits_with_input_error(self, world, tmp_path, capsys, command, name, corrupt):
+        out = tmp_path / "out"
+        shutil.copytree(world["config"].io.out_dir, out)
+        artifact = out / name
+        artifact.write_text(corrupt(artifact.read_text()))
+        config_path = tmp_path / "run.json"
+        save_config(
+            replace(world["config"], io=replace(world["config"].io, out_dir=str(out))),
+            config_path,
+        )
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path)]) == EXIT_INPUT
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert str(artifact) in errors[0]
+
+
+class TestArtifactFormat:
+    def test_one_json_format_and_rows_are_dataclasses(self, world, tmp_path):
+        bench = RunConfig(
+            seed=11,
+            counts=QueryCounts(volume=400, bbox=400, surface=400),
+            network=NetworkConfig(input_dim=39, hidden_width=16),
+            training=TrainConfig(learning_rate=1e-3, epochs=20, clamp_targets=True),
+            grid=GridConfig(resolution=24),
+            bench=BenchConfig(
+                shapes=("sphere",),
+                normal_cases=1,
+                cloud_points=256,
+                anomaly_kinds=("dent",),
+                crop_cases=0,
+            ),
+        )
+        assert len(run_bench(bench, out_dir=tmp_path).row("sphere").repairs) == 1
+        out = Path(world["config"].io.out_dir)
+        documents = sorted(out.rglob("*.json")) + sorted(tmp_path.rglob("*.json"))
+        assert {path.name for path in documents} == {
+            "samples.json",
+            "prepare.json",
+            "model.json",
+            "results.json",
+            "eval.json",
+            "metrics.json",
+            "manifest.json",
+        }
+        for path in documents:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        for summary, row_type in (("detected", DetectCase), ("repaired", RepairCase)):
+            with open(world[summary].results_path, encoding="utf-8") as fh:
+                rows = json.load(fh)["cases"]
+            assert len(rows) == 2
+            for row in rows:
+                assert set(row) == {field.name for field in fields(row_type)}
