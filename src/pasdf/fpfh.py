@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, InvalidParameterError
@@ -40,7 +41,13 @@ def _normalize_blocks(hist: NDArray[F64]) -> NDArray[F64]:
 def compute_fpfh(cloud: PointCloud, radius: float) -> NDArray[F64]:
     """Descriptor matrix of shape (n, 33), row i for point i.
 
-    Points with no usable neighbour inside ``radius`` get an all-zero row.
+    Each unordered neighbour pair is described once and counted for both of
+    its points: the Darboux frame sits at the point whose normal makes the
+    smaller angle with the connecting line, whichever point is the centre.
+    When both angles are exactly equal, each point anchors the frame at
+    itself, so a tied pair is described once from each end and each
+    description counts for its own centre only.  Points with no usable
+    neighbour inside ``radius`` get an all-zero row.
     """
     if radius <= 0.0 or not np.isfinite(radius):
         raise InvalidParameterError(f"radius must be positive and finite, got {radius}")
@@ -50,45 +57,40 @@ def compute_fpfh(cloud: PointCloud, radius: float) -> NDArray[F64]:
     pts = cloud.points
     nrm = cloud.normals
     n = len(cloud)
-    tree = cKDTree(pts)
-    neighbour_lists = tree.query_ball_tree(tree, radius)
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    first, second = pairs.T
 
-    counts = np.fromiter((len(row) for row in neighbour_lists), dtype=np.int64, count=n)
-    if counts.sum() == 0:
-        return np.zeros((n, DESCRIPTOR_SIZE))
-    flat = np.concatenate([np.asarray(row, dtype=np.int64) for row in neighbour_lists])
-    centers = np.repeat(np.arange(n, dtype=np.int64), counts)
-    keep = flat != centers
-    centers, others = centers[keep], flat[keep]
-
-    d = pts[others] - pts[centers]
+    d = pts[second] - pts[first]
     dist = np.linalg.norm(d, axis=1)
     ok = dist >= _MIN_PAIR_DISTANCE
-    centers, others, d, dist = centers[ok], others[ok], d[ok], dist[ok]
+    first, second, d, dist = first[ok], second[ok], d[ok], dist[ok]
     d_hat = d / dist[:, None]
 
-    # Anchor each pair's Darboux frame at the point whose normal makes the
-    # smaller angle with the connecting line, so the angles are symmetric
-    # in the pair.
-    n_c, n_o = nrm[centers], nrm[others]
-    dot_c = np.einsum("ij,ij->i", n_c, d_hat)
-    dot_o = np.einsum("ij,ij->i", n_o, d_hat)
-    swap = np.abs(dot_c) < np.abs(dot_o)
-    u = np.where(swap[:, None], n_o, n_c)
-    n_t = np.where(swap[:, None], n_c, n_o)
-    d_st = np.where(swap[:, None], -d_hat, d_hat)
+    dot_first = np.abs(np.einsum("ij,ij->i", nrm[first], d_hat))
+    dot_second = np.abs(np.einsum("ij,ij->i", nrm[second], d_hat))
+    at_first = dot_first >= dot_second
+    tied = np.flatnonzero(dot_first == dot_second)
+    # One directed pair (source -> target) per unordered pair, plus the
+    # second-anchored direction of every tied pair.
+    source = np.concatenate([np.where(at_first, first, second), second[tied]])
+    target = np.concatenate([np.where(at_first, second, first), first[tied]])
+    d_st = np.concatenate([np.where(at_first[:, None], d_hat, -d_hat), -d_hat[tied]])
+    dist = np.concatenate([dist, dist[tied]])
+    one_sided = np.zeros(source.shape[0], dtype=bool)
+    one_sided[tied] = True
+    one_sided[first.shape[0] :] = True
 
+    u, n_t = nrm[source], nrm[target]
     phi = np.einsum("ij,ij->i", u, d_st)
     v = np.cross(d_st, u)
     v_norm = np.linalg.norm(v, axis=1)
     ok = v_norm >= _MIN_PAIR_DISTANCE
-    centers, others, dist = centers[ok], others[ok], dist[ok]
+    source, target, dist, one_sided = source[ok], target[ok], dist[ok], one_sided[ok]
     u, n_t, phi = u[ok], n_t[ok], phi[ok]
     v_hat = v[ok] / v_norm[ok, None]
     w = np.cross(u, v_hat)
     alpha = np.einsum("ij,ij->i", v_hat, n_t)
     theta = np.arctan2(np.einsum("ij,ij->i", w, n_t), np.einsum("ij,ij->i", u, n_t))
-
     bins = np.column_stack(
         [
             _bin_index(alpha, -1.0, 1.0),
@@ -96,17 +98,24 @@ def compute_fpfh(cloud: PointCloud, radius: float) -> NDArray[F64]:
             _bin_index(theta, -np.pi, np.pi) + 2 * BINS_PER_FEATURE,
         ]
     )
-    spfh = np.zeros((n, DESCRIPTOR_SIZE))
-    for col in range(3):
-        np.add.at(spfh, (centers, bins[:, col]), 1.0)
-    spfh = _normalize_blocks(spfh)
+
+    # A shared description counts for both ends, a one-sided one for its
+    # source only.
+    both = ~one_sided
+    centers = np.concatenate([source, target[both]])
+    others = np.concatenate([target, source[both]])
+    bins = np.concatenate([bins, bins[both]])
+    dist = np.concatenate([dist, dist[both]])
+    flat = (centers[:, None] * DESCRIPTOR_SIZE + bins).ravel()
+    spfh = np.bincount(flat, minlength=n * DESCRIPTOR_SIZE).astype(np.float64)
+    spfh = _normalize_blocks(spfh.reshape(n, DESCRIPTOR_SIZE))
 
     # Second pass: blend each point with its neighbours, nearer ones weighing
     # more, then renormalise.
+    weights = csr_matrix((1.0 / dist, (centers, others)), shape=(n, n))
     used = np.bincount(centers, minlength=n).astype(np.float64)
-    blended = np.zeros_like(spfh)
-    np.add.at(blended, centers, spfh[others] / dist[:, None])
     has_neighbours = used > 0
+    blended = weights @ spfh
     blended[has_neighbours] /= used[has_neighbours, None]
     fpfh = np.where(has_neighbours[:, None], spfh + blended, 0.0)
     return _normalize_blocks(fpfh)

@@ -154,18 +154,23 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     if voxel_size <= 0.0 or not np.isfinite(voxel_size):
         raise InvalidParameterError(f"voxel_size must be positive and finite, got {voxel_size}")
     cells = np.floor(cloud.points / voxel_size).astype(np.int64)
-    _, first_index, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
-    n_cells = first_index.shape[0]
+    order = np.lexsort(cells.T[::-1])
+    ordered = cells[order]
+    starts = np.ones(len(cloud), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(cloud), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    n_cells = int(starts.sum())
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
-    centroids = np.zeros((n_cells, 3))
-    np.add.at(centroids, inverse, cloud.points)
-    centroids /= counts[:, None]
 
+    def cell_means(values: Points) -> Points:
+        sums = [np.bincount(inverse, weights=col, minlength=n_cells) for col in values.T]
+        return np.column_stack(sums) / counts[:, None]
+
+    centroids = cell_means(cloud.points)
     normals = None
     if cloud.normals is not None:
-        sums = np.zeros((n_cells, 3))
-        np.add.at(sums, inverse, cloud.normals)
-        means = sums / counts[:, None]
+        means = cell_means(cloud.normals)
         lengths = np.linalg.norm(means, axis=1)
         if lengths.min() >= _DEGENERATE_NORM:
             normals = means / lengths[:, None]

@@ -62,6 +62,46 @@ def oracle_single_pair_histogram(alpha: float, phi: float, theta: float) -> np.n
     return hist
 
 
+def oracle_fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
+    """Descriptors from ``pair_features`` over every ordered neighbour pair.
+
+    ``pair_features`` keeps its first argument as the anchor when both
+    normals make the same angle with the connecting line, so passing the
+    centre first anchors exact ties at the centre.
+    """
+    pts, nrm = cloud.points, cloud.normals
+    n = len(cloud)
+    spfh = np.zeros((n, DESCRIPTOR_SIZE))
+    neighbours: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for c in range(n):
+        for o in range(n):
+            dist = float(np.linalg.norm(pts[o] - pts[c]))
+            if o == c or dist > radius:
+                continue
+            feats = pair_features(pts[c], nrm[c], pts[o], nrm[o])
+            if feats is None:
+                continue
+            spfh[c] += oracle_single_pair_histogram(*feats) / 100.0
+            neighbours[c].append((o, dist))
+
+    def percentages(hist: np.ndarray) -> np.ndarray:
+        out = hist.copy()
+        for block in range(3):
+            sl = slice(block * BINS_PER_FEATURE, (block + 1) * BINS_PER_FEATURE)
+            total = out[sl].sum()
+            if total > 0.0:
+                out[sl] *= 100.0 / total
+        return out
+
+    spfh = np.array([percentages(row) for row in spfh])
+    fpfh = np.zeros_like(spfh)
+    for c in range(n):
+        if neighbours[c]:
+            blend = sum(spfh[o] / dist for o, dist in neighbours[c]) / len(neighbours[c])
+            fpfh[c] = percentages(spfh[c] + blend)
+    return fpfh
+
+
 def random_cloud_with_normals(seed: int, n: int = 120) -> PointCloud:
     rng = np.random.default_rng(seed)
     pts = rng.uniform(size=(n, 3))
@@ -164,6 +204,27 @@ class TestComputeFpfh:
         cloud = random_cloud_with_normals(46, n=5)
         with pytest.raises(InvalidParameterError):
             compute_fpfh(cloud, radius=0.0)
+
+    @pytest.mark.parametrize("seed", [47, 48, 49])
+    def test_matches_ordered_pair_oracle(self, seed):
+        cloud = random_cloud_with_normals(seed, n=70)
+        np.testing.assert_allclose(
+            compute_fpfh(cloud, radius=0.35), oracle_fpfh(cloud, radius=0.35), rtol=0.0, atol=1e-9
+        )
+
+    def test_tied_pairs_match_ordered_pair_oracle(self):
+        # Points sharing one normal make the same angle with every line
+        # between them, so each such pair is an exact tie and is described
+        # from each end; duplicated points add zero-length pairs.
+        cloud = random_cloud_with_normals(50, n=70)
+        normals = cloud.normals.copy()
+        normals[::2] = normals[0]
+        points = cloud.points.copy()
+        points[-5:] = points[:5]
+        tied = PointCloud(points, normals)
+        np.testing.assert_allclose(
+            compute_fpfh(tied, radius=0.35), oracle_fpfh(tied, radius=0.35), rtol=0.0, atol=1e-9
+        )
 
     @given(st.integers(0, 10_000), st.floats(0.1, 0.8))
     def test_descriptor_shape_and_range(self, seed, radius):

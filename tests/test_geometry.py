@@ -47,7 +47,34 @@ def brute_force_voxel_centroids(points: np.ndarray, voxel: float) -> dict[tuple,
     return {k: np.mean(v, axis=0) for k, v in cells.items()}
 
 
+def unique_rows_voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
+    """Cell grouping by ``np.unique(axis=0)`` and sums by ``np.add.at``:
+    the earlier implementation, kept as the oracle for the sort-based one."""
+    cells = np.floor(cloud.points / voxel).astype(np.int64)
+    _, inverse = np.unique(cells, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    n_cells = int(inverse.max()) + 1
+    counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
+    centroids = np.zeros((n_cells, 3))
+    np.add.at(centroids, inverse, cloud.points)
+    centroids /= counts[:, None]
+    normals = None
+    if cloud.normals is not None:
+        sums = np.zeros((n_cells, 3))
+        np.add.at(sums, inverse, cloud.normals)
+        means = sums / counts[:, None]
+        lengths = np.linalg.norm(means, axis=1)
+        if lengths.min() >= 1e-9:
+            normals = means / lengths[:, None]
+    return PointCloud(centroids, normals)
+
+
 finite_coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+# Coordinates drawn partly from a small pool, so points share cells and
+# repeat exactly.
+pooled_coords = st.one_of(
+    st.sampled_from([-2.5, -1.0, -0.3, 0.0, 0.3, 1.0]), st.floats(-5.0, 5.0)
+)
 
 
 def cloud_strategy(min_points: int = 1, max_points: int = 24):
@@ -191,6 +218,26 @@ class TestVoxelDownsample:
         cloud = PointCloud(np.zeros((1, 3)))
         with pytest.raises(InvalidParameterError):
             voxel_downsample(cloud, 0.0)
+
+    @given(
+        st.lists(st.tuples(pooled_coords, pooled_coords, pooled_coords), min_size=1, max_size=40),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.one_of(st.sampled_from([1e-9, 0.25, 1.0]), st.floats(1e-3, 8.0)),
+    )
+    def test_matches_unique_rows_implementation(self, rows, seed, with_normals, voxel):
+        points = np.asarray(rows + rows[: len(rows) // 2], dtype=np.float64)
+        normals = None
+        if with_normals:
+            normals = np.random.default_rng(seed).normal(size=points.shape)
+            normals /= np.linalg.norm(normals, axis=1)[:, None]
+        cloud = PointCloud(points, normals)
+        got = voxel_downsample(cloud, voxel)
+        expected = unique_rows_voxel_downsample(cloud, voxel)
+        np.testing.assert_array_equal(got.points, expected.points)
+        assert (got.normals is None) == (expected.normals is None)
+        if expected.normals is not None:
+            np.testing.assert_array_equal(got.normals, expected.normals)
 
     @given(cloud_strategy(min_points=1, max_points=20), st.floats(0.05, 3.0))
     def test_never_grows_and_stays_in_bounds(self, cloud, voxel):
