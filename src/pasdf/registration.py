@@ -2,7 +2,7 @@
 
 The alignment loop mirrors a classic global-registration recipe: voxel
 downsample, describe with FPFH, hypothesise a coarse transform with RANSAC
-over descriptor correspondences, polish with point-to-point ICP, then judge
+over descriptor correspondences, polish with point-to-plane ICP, then judge
 the round by symmetric chamfer discrepancy.  Rounds repeat with a loosening
 acceptance threshold until the discrepancy drops below it or the round budget
 runs out; the best state seen is returned either way.
@@ -28,6 +28,7 @@ from .geometry import (
     chamfer_loss,
     compose,
     estimate_normals,
+    rotation_about_axis,
     voxel_downsample,
 )
 from .rng import derive_seed
@@ -54,6 +55,9 @@ _RANSAC_EDGE_RATIO = 0.9
 _RANSAC_CONFIDENCE = 0.999
 _ICP_MAX_ITERATIONS = 50
 _ICP_TOLERANCE = 1e-10
+# Singular values of the point-to-plane normal equations below this share
+# of the largest count as unconstrained directions.
+_ICP_RCOND = 1e-12
 
 
 def fit_rigid(source: Points, target: Points) -> RigidTransform:
@@ -226,17 +230,42 @@ class IcpResult:
     mse_history: tuple[float, ...]
 
 
+def _plane_step(current: Points, matched: Points, normals: Points) -> RigidTransform:
+    """Linearised point-to-plane step: the small motion (rotation vector w,
+    translation t) minimising sum(((x + w x x + t - q) . n)^2).
+
+    The 6x6 normal equations are identical under a sign flip of any
+    normal, and least squares leaves directions the target does not
+    constrain (sliding on a plane, turning on a sphere) at zero.
+    """
+    rows = np.hstack([np.cross(current, normals), normals])
+    residual = np.einsum("ij,ij->i", matched - current, normals)
+    step = np.linalg.lstsq(rows.T @ rows, rows.T @ residual, rcond=_ICP_RCOND)[0]
+    angle = float(np.linalg.norm(step[:3]))
+    rotation = np.eye(3) if angle < 1e-12 else rotation_about_axis(step[:3], angle)
+    return RigidTransform(rotation, step[3:])
+
+
 def icp_refine(
     src: PointCloud,
     tgt: PointCloud,
     init: RigidTransform,
 ) -> IcpResult:
-    """Point-to-point ICP started from ``init``.
+    """Point-to-plane ICP started from ``init``.
 
-    Alternates exact nearest-neighbour correspondence with a closed-form rigid
-    fit; stops once the mean-squared residual improves by less than the
-    tolerance.  The returned transform includes ``init``.
+    Alternates exact nearest-neighbour correspondence with a linearised
+    point-to-plane step against the target normals (estimated, unoriented,
+    when the target carries none); the step's rotation vector becomes a
+    rotation by Rodrigues' formula.  The point-to-point mean-squared
+    residual judges each step: one that raises it is discarded and ends the
+    loop, and the loop stops once it improves by less than the tolerance.
+    ``iterations`` counts the steps kept.  The returned transform includes
+    ``init``.
     """
+    target_normals = tgt.normals
+    if target_normals is None:
+        k = min(_NORMALS_K, len(tgt))
+        target_normals = estimate_normals(tgt, k=k, viewpoint=tgt.centroid())[0].normals
     tree = cKDTree(tgt.points)
     workers = worker_count()
     transform = init
@@ -246,13 +275,16 @@ def icp_refine(
     history = [mse]
     iterations = 0
     for _ in range(_ICP_MAX_ITERATIONS):
-        delta = fit_rigid(current, tgt.points[idx])
-        transform = compose(delta, transform)
-        current = apply_points(delta, current)
-        dists, idx = tree.query(current, k=1, workers=workers)
+        delta = _plane_step(current, tgt.points[idx], target_normals[idx])
+        moved = apply_points(delta, current)
+        dists, new_idx = tree.query(moved, k=1, workers=workers)
         new_mse = float(np.mean(dists**2))
-        history.append(new_mse)
+        if new_mse > mse:
+            break
         iterations += 1
+        transform = compose(delta, transform)
+        current, idx = moved, new_idx
+        history.append(new_mse)
         improved = mse - new_mse
         mse = new_mse
         if improved < _ICP_TOLERANCE:

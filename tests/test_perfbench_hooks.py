@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from field_oracle import dense_field
+from pasdf import registration, scoring
 from pasdf.marching import GridSpec, marching_cubes
 from pasdf.repair import repair
 from pasdf.training import TrainConfig
@@ -66,6 +67,34 @@ def test_workloads_set_up_and_run_a_case(monkeypatch) -> None:
     case = states["detect"]["cases"][0]
     output = workloads.WORKLOADS["detect"].run_case(states["detect"], case)
     assert output.samples == len(case.cloud)
+
+
+def test_detect_clouds_align_in_one_round_of_short_icp(monkeypatch) -> None:
+    # Point-to-plane ICP settles the benchmark's posed clouds in a few
+    # steps; point-to-point ICP ran into its 50-iteration budget here.
+    load_by_path("inputs", monkeypatch)
+    workloads = load_by_path("workloads", monkeypatch)
+    detect = workloads.WORKLOADS["detect"]
+    state = detect.setup(seed=0)
+    pose_align, icp_refine = scoring.pose_align, registration.icp_refine
+    alignments, icp_iterations = [], []
+
+    def record_align(*args, **kwargs):
+        alignments.append(pose_align(*args, **kwargs))
+        return alignments[-1]
+
+    def record_icp(*args, **kwargs):
+        result = icp_refine(*args, **kwargs)
+        icp_iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(scoring, "pose_align", record_align)
+    monkeypatch.setattr(registration, "icp_refine", record_icp)
+    for case in state["cases"][:8]:
+        detect.run_case(state, case)
+    assert [(a.rounds, a.converged) for a in alignments] == [(1, True)] * 8
+    assert len(icp_iterations) == 8
+    assert max(icp_iterations) <= 15
 
 
 def test_repair_mesh_equals_dense_field_mesh(monkeypatch) -> None:

@@ -11,6 +11,7 @@ from pasdf.geometry import (
     RigidTransform,
     apply_transform,
     compose,
+    estimate_normals,
     random_rigid,
     rotation_about_axis,
     rotation_angle,
@@ -181,6 +182,54 @@ class TestIcpRefine:
         result = icp_refine(src, cloud, init=init)
         moved = apply_transform(result.transform, src)
         assert np.abs(moved.points - cloud.points).max() < 1e-6
+
+
+    def test_normal_signs_do_not_matter(self):
+        tgt, _ = estimate_normals(lumpy_blob(77, n=800), k=16, viewpoint=np.zeros(3))
+        flipped_normals = tgt.normals.copy()
+        flipped_normals[::2] *= -1.0
+        flipped = PointCloud(tgt.points, flipped_normals)
+        rng = np.random.default_rng(78)
+        perturb = RigidTransform(
+            rotation_about_axis(rng.normal(size=3), 0.2), rng.normal(scale=0.03, size=3)
+        )
+        src = apply_transform(perturb, lumpy_blob(79, n=800))
+        a = icp_refine(src, tgt, init=RigidTransform.identity())
+        b = icp_refine(src, flipped, init=RigidTransform.identity())
+        np.testing.assert_allclose(a.transform.rotation, b.transform.rotation, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            a.transform.translation, b.transform.translation, rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("with_normals", [True, False])
+    def test_planar_target_is_rank_deficient_but_safe(self, with_normals):
+        # A plane constrains only its normal offset and two tilts; the
+        # in-plane slide and the turn about the normal are left unsolved.
+        rng = np.random.default_rng(93)
+        tilt = RigidTransform(rotation_about_axis(np.array([1.0, 2.0, 0.5]), 0.4), np.zeros(3))
+        flat = np.column_stack([rng.uniform(-1.0, 1.0, (2, 400)).T, np.zeros(400)])
+        normals = np.tile([0.0, 0.0, 1.0], (400, 1)) if with_normals else None
+        tgt = apply_transform(tilt, PointCloud(flat, normals))
+        lifted = RigidTransform(rotation_about_axis(np.array([0.0, 1.0, 0.0]), 0.05), [0.0, 0.0, 0.05])
+        src = apply_transform(compose(tilt, lifted), PointCloud(flat[::2]))
+        result = icp_refine(src, tgt, init=RigidTransform.identity())
+        history = np.asarray(result.mse_history)
+        assert (np.diff(history) <= 0.0).all()
+        assert history[-1] < history[0]
+        assert np.isfinite(result.transform.translation).all()
+
+    def test_target_without_normals_still_aligns(self):
+        tgt = lumpy_blob(94, n=1500)
+        assert tgt.normals is None
+        small = RigidTransform(
+            rotation_about_axis(np.array([1.0, -1.0, 0.5]), np.radians(6.0)),
+            np.array([0.02, 0.01, -0.015]),
+        )
+        src = apply_transform(small, lumpy_blob(95, n=1500))
+        result = icp_refine(src, tgt, init=RigidTransform.identity())
+        err = compose(result.transform, small)
+        assert np.degrees(rotation_angle(err.rotation)) < 0.5
+        assert np.linalg.norm(err.translation) < 0.005
 
 
 class TestPoseAlign:
