@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -431,6 +431,19 @@ def cmd_eval(config: RunConfig) -> EvalSummary:
         raise InvalidInputError(
             f"{source}: detect results are not a list of DetectCase rows: {error}"
         ) from error
+    # JSON has one number type, so a float field also takes an integer.
+    field_types = {
+        name: (int, float) if kind is float else kind
+        for name, kind in get_type_hints(DetectCase).items()
+    }
+    for case in cases:
+        wrong = [
+            name for name, kind in field_types.items() if not isinstance(getattr(case, name), kind)
+        ]
+        if wrong:
+            raise InvalidInputError(
+                f"{source}: case {case.id!r} has fields of the wrong type: {', '.join(wrong)}"
+            )
     n_cases = len(_labelled_cases(cases, labels))
     if not n_cases:
         raise InvalidInputError("labels manifest covers none of the detected cases")
@@ -537,8 +550,14 @@ def _load_model_artifacts(
         raise CheckpointMismatchError(
             f"checkpoint network {model.config} does not match configured {config.network}"
         )
-    prepare_meta = read_json(out_dir / PREPARE_FILE, "prepare metadata")
-    record = NormalizationRecord.from_dict(prepare_meta["record"])
+    prepare_path = out_dir / PREPARE_FILE
+    prepare_meta = read_json(prepare_path, "prepare metadata")
+    try:
+        record = NormalizationRecord.from_dict(prepare_meta["record"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise InvalidInputError(
+            f"{prepare_path}: prepare metadata has no valid normalisation record: {error!r}"
+        ) from error
     canonical = _cloud_from_ply(read_ply(out_dir / CANONICAL_FILE))
     return model, encoding, canonical, record
 

@@ -495,6 +495,18 @@ def _truncated(text: str) -> str:
     return text[: len(text) // 2]
 
 
+def _score_map_not_a_path(text: str) -> str:
+    document = json.loads(text)
+    document["cases"][0]["score_map"] = 5
+    return json.dumps(document)
+
+
+def _without_record(text: str) -> str:
+    document = json.loads(text)
+    del document["record"]
+    return json.dumps(document)
+
+
 def _without_object_score(text: str) -> str:
     document = json.loads(text)
     del document["cases"][0]["object_score"]
@@ -509,10 +521,21 @@ class TestMalformedArtifacts:
         [
             ("eval", "detect/results.json", _truncated),
             ("eval", "detect/results.json", _without_object_score),
+            ("eval", "detect/results.json", _score_map_not_a_path),
             ("train", "samples.json", _truncated),
             ("train", "samples.json", lambda text: "[1, 2]\n"),
+            ("detect", "prepare.json", _without_record),
+            ("repair", "prepare.json", _without_record),
         ],
-        ids=["truncated-results", "row-missing-field", "truncated-sidecar", "list-sidecar"],
+        ids=[
+            "truncated-results",
+            "row-missing-field",
+            "row-field-wrong-type",
+            "truncated-sidecar",
+            "list-sidecar",
+            "detect-prepare-without-record",
+            "repair-prepare-without-record",
+        ],
     )
     def test_exits_with_input_error(self, world, tmp_path, capsys, command, name, corrupt):
         out = tmp_path / "out"
