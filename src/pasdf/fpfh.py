@@ -69,16 +69,15 @@ def compute_fpfh(cloud: PointCloud, radius: float) -> NDArray[F64]:
     dot_first = np.abs(np.einsum("ij,ij->i", nrm[first], d_hat))
     dot_second = np.abs(np.einsum("ij,ij->i", nrm[second], d_hat))
     at_first = dot_first >= dot_second
-    tied = np.flatnonzero(dot_first == dot_second)
+    is_tied = dot_first == dot_second
+    tied = np.flatnonzero(is_tied)
     # One directed pair (source -> target) per unordered pair, plus the
     # second-anchored direction of every tied pair.
     source = np.concatenate([np.where(at_first, first, second), second[tied]])
     target = np.concatenate([np.where(at_first, second, first), first[tied]])
     d_st = np.concatenate([np.where(at_first[:, None], d_hat, -d_hat), -d_hat[tied]])
     dist = np.concatenate([dist, dist[tied]])
-    one_sided = np.zeros(source.shape[0], dtype=bool)
-    one_sided[tied] = True
-    one_sided[first.shape[0] :] = True
+    one_sided = np.concatenate([is_tied, np.ones(tied.size, dtype=bool)])
 
     u, n_t = nrm[source], nrm[target]
     phi = np.einsum("ij,ij->i", u, d_st)

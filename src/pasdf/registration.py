@@ -232,7 +232,7 @@ class IcpResult:
 
 def _plane_step(current: Points, matched: Points, normals: Points) -> RigidTransform:
     """Linearised point-to-plane step: the small motion (rotation vector w,
-    translation t) minimising sum(((x + w x x + t - q) . n)^2).
+    translation t) minimising the sum of ((x + cross(w, x) + t - q) . n)^2.
 
     The 6x6 normal equations are identical under a sign flip of any
     normal, and least squares leaves directions the target does not
