@@ -56,8 +56,11 @@ _RANSAC_CONFIDENCE = 0.999
 _ICP_MAX_ITERATIONS = 50
 _ICP_TOLERANCE = 1e-10
 # Singular values of the point-to-plane normal equations below this share
-# of the largest count as unconstrained directions.
+# of the largest count as unconstrained directions.  Pairs whose distance
+# to the target plane exceeds the median by more than the reject factor
+# sit on a defect or a missing part and are left out of the step.
 _ICP_RCOND = 1e-12
+_ICP_REJECT_FACTOR = 3.0
 
 
 def fit_rigid(source: Points, target: Points) -> RigidTransform:
@@ -232,7 +235,8 @@ class IcpResult:
 
 def _plane_step(current: Points, matched: Points, normals: Points) -> RigidTransform:
     """Linearised point-to-plane step: the small motion (rotation vector w,
-    translation t) minimising the sum of ((x + cross(w, x) + t - q) . n)^2.
+    translation t) minimising the sum of ((x + cross(w, x) + t - q) . n)^2
+    over the pairs within the reject factor of the median plane distance.
 
     The 6x6 normal equations are identical under a sign flip of any
     normal, and least squares leaves directions the target does not
@@ -240,6 +244,9 @@ def _plane_step(current: Points, matched: Points, normals: Points) -> RigidTrans
     """
     rows = np.hstack([np.cross(current, normals), normals])
     residual = np.einsum("ij,ij->i", matched - current, normals)
+    offset = np.abs(residual)
+    keep = offset <= _ICP_REJECT_FACTOR * np.median(offset)
+    rows, residual = rows[keep], residual[keep]
     step = np.linalg.lstsq(rows.T @ rows, rows.T @ residual, rcond=_ICP_RCOND)[0]
     angle = float(np.linalg.norm(step[:3]))
     rotation = np.eye(3) if angle < 1e-12 else rotation_about_axis(step[:3], angle)
@@ -256,7 +263,9 @@ def icp_refine(
     Alternates exact nearest-neighbour correspondence with a linearised
     point-to-plane step against the target normals (estimated, unoriented,
     when the target carries none); the step's rotation vector becomes a
-    rotation by Rodrigues' formula.  The point-to-point mean-squared
+    rotation by Rodrigues' formula.  Pairs far off their target plane
+    compared with the median pair are rejected from each step, so a local
+    defect does not pull the whole cloud.  The point-to-point mean-squared
     residual judges each step: one that raises it is discarded and ends the
     loop, and the loop stops once it improves by less than the tolerance.
     ``iterations`` counts the steps kept.  The returned transform includes
