@@ -183,7 +183,6 @@ class TestIcpRefine:
         moved = apply_transform(result.transform, src)
         assert np.abs(moved.points - cloud.points).max() < 1e-6
 
-
     def test_normal_signs_do_not_matter(self):
         tgt, _ = estimate_normals(lumpy_blob(77, n=800), k=16, viewpoint=np.zeros(3))
         flipped_normals = tgt.normals.copy()
@@ -210,13 +209,34 @@ class TestIcpRefine:
         flat = np.column_stack([rng.uniform(-1.0, 1.0, (2, 400)).T, np.zeros(400)])
         normals = np.tile([0.0, 0.0, 1.0], (400, 1)) if with_normals else None
         tgt = apply_transform(tilt, PointCloud(flat, normals))
-        lifted = RigidTransform(rotation_about_axis(np.array([0.0, 1.0, 0.0]), 0.05), [0.0, 0.0, 0.05])
+        lifted = RigidTransform(
+            rotation_about_axis(np.array([0.0, 1.0, 0.0]), 0.05), np.array([0.0, 0.0, 0.05])
+        )
         src = apply_transform(compose(tilt, lifted), PointCloud(flat[::2]))
         result = icp_refine(src, tgt, init=RigidTransform.identity())
         history = np.asarray(result.mse_history)
         assert (np.diff(history) <= 0.0).all()
         assert history[-1] < history[0]
         assert np.isfinite(result.transform.translation).all()
+
+    @pytest.mark.parametrize("seed", [96, 97, 98])
+    def test_local_bulge_does_not_pull_the_fit(self, seed):
+        # About 50 of 1500 points sit 12% further out than the surface.
+        # Pairs that far off their plane are rejected from each step, so
+        # the rest of the cloud sets the pose.
+        tgt, _ = estimate_normals(lumpy_blob(seed, n=1500), k=16, viewpoint=np.zeros(3))
+        points = lumpy_blob(seed + 10, n=1500).points.copy()
+        bulge = np.linalg.norm(points - points[0], axis=1) < 0.2
+        points[bulge] *= 1.12
+        small = RigidTransform(
+            rotation_about_axis(np.array([1.0, -1.0, 0.5]), np.radians(4.0)),
+            np.array([0.02, 0.01, -0.015]),
+        )
+        src = apply_transform(small, PointCloud(points))
+        result = icp_refine(src, tgt, init=RigidTransform.identity())
+        err = compose(result.transform, small)
+        assert np.degrees(rotation_angle(err.rotation)) < 0.5
+        assert np.linalg.norm(err.translation) < 0.002
 
     def test_target_without_normals_still_aligns(self):
         tgt = lumpy_blob(94, n=1500)
