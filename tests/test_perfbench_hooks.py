@@ -71,7 +71,7 @@ def test_workloads_set_up_and_run_a_case(monkeypatch) -> None:
 
 def test_detect_clouds_align_in_one_round_of_short_icp(monkeypatch) -> None:
     # Point-to-plane ICP settles the benchmark's posed clouds in a few
-    # steps; point-to-point ICP ran into its 50-iteration budget here.
+    # steps, far inside its 50-iteration budget.
     load_by_path("inputs", monkeypatch)
     workloads = load_by_path("workloads", monkeypatch)
     detect = workloads.WORKLOADS["detect"]
