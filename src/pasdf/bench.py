@@ -23,7 +23,7 @@ from .meshio import write_cloud_ply, write_json
 from .queries import label_queries, sample_queries
 from .repair import repair, repair_quality
 from .rng import derive_seed, stream
-from .scoring import auroc, evaluate, score_points
+from .scoring import auroc, pooled_auroc, score_points
 from .shapes import box, capsule, sphere, torus
 from .training import train_model
 
@@ -309,9 +309,10 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
     object_labels = np.array(
         [0 if cases[index].kind == "normal" else 1 for index in pool], dtype=np.int64
     )
-    point_labels = [cases[index].labels for index in pool]
-    o_auroc, p_auroc = evaluate(
-        [reports[index] for index in pool], object_labels, point_labels
+    o_auroc = auroc(np.array([reports[index].object_score for index in pool]), object_labels)
+    p_auroc = pooled_auroc(
+        [reports[index].per_point_scores for index in pool],
+        [cases[index].labels for index in pool],
     )
     o_auroc_no_pam = auroc(
         np.array([identity_reports[index].object_score for index in pool]),

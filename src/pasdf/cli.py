@@ -1,9 +1,9 @@
 """Command line entry point.
 
-Exit codes: 0 success, 2 input error, 3 numeric failure, 4 artifact
-mismatch, 5 validation error.  Log lines go to stderr; every artifact
-the commands write is timestamp-free, so reruns with the same config
-and seed reproduce outputs byte for byte.
+Exit codes: 0 success, 1 any other pasdf error, 2 input error, 3 numeric
+failure, 4 artifact mismatch, 5 validation error.  Log lines go to
+stderr; every artifact the commands write is timestamp-free, so reruns
+with the same config and seed reproduce outputs byte for byte.
 """
 from __future__ import annotations
 
@@ -34,6 +34,15 @@ EXIT_NUMERIC = 3
 EXIT_ARTIFACT = 4
 EXIT_VALIDATION = 5
 
+# Exit code per error kind; the first matching row wins.
+_EXIT_CODES = (
+    ((FileNotFoundError, InvalidInputError, UndefinedMetricError), EXIT_INPUT),
+    ((TrainingDivergedError,), EXIT_NUMERIC),
+    ((CheckpointMismatchError,), EXIT_ARTIFACT),
+    ((ConfigValidationError, InvalidParameterError), EXIT_VALIDATION),
+    ((PasdfError,), EXIT_FAILURE),
+)
+
 _COMMANDS = (
     ("prepare", "align training clouds and write the labelled sample file"),
     ("train", "fit the distance field and write a checkpoint"),
@@ -56,24 +65,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out is not None:
             config = replace(config, io=replace(config.io, out_dir=args.out))
         return _run(args, config)
-    except FileNotFoundError as error:
+    except (FileNotFoundError, PasdfError) as error:
         print(f"error: {error}", file=sys.stderr)
-        return EXIT_INPUT
-    except (InvalidInputError, UndefinedMetricError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_INPUT
-    except TrainingDivergedError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except CheckpointMismatchError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ARTIFACT
-    except (ConfigValidationError, InvalidParameterError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except PasdfError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(error, kinds))
 
 
 def _run(args: argparse.Namespace, config) -> int:

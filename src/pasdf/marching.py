@@ -10,9 +10,11 @@ cells sharing a face always agree on its isolines and the extracted
 surface is crack-free.  Triangles wind so normals point toward
 increasing field values.
 
-Extraction itself is vectorized: cells are grouped by case index, edge
-crossings are welded through canonical (cell, axis) grid-edge keys, and
-positions come from linear interpolation along each crossed edge.
+Extraction itself is vectorized: active cells, stably sorted by case,
+gather edge triples from one padded (256, 5, 3) table; each triangle
+corner is keyed by its grid edge (cell key plus the cube edge's offset)
+so shared edges weld in one ``np.unique``; and positions come from
+linear interpolation along each crossed edge.
 
 ``evaluate_field`` samples a model only where its zero level set can
 cross the lattice: block corners first, then every vertex of the blocks
@@ -116,6 +118,13 @@ for _a, _b in _EDGES:
     _axis = int(np.flatnonzero(_CORNERS[_a] != _CORNERS[_b])[0])
     _EDGE_CANONICAL.append((_lo[0], _lo[1], _lo[2], _axis))
 _EDGE_CANONICAL = np.array(_EDGE_CANONICAL, dtype=np.int64)
+
+# CASE_TRIANGLES as one (256, most triangles of any case, 3) array of
+# edge triples, padded with rows of -1.
+_CASE_TABLE = np.full((256, max(map(len, CASE_TRIANGLES)), 3), -1, dtype=np.int64)
+for _case, _triangles in enumerate(CASE_TRIANGLES):
+    if _triangles:
+        _CASE_TABLE[_case, : len(_triangles)] = _triangles
 
 
 @dataclass(frozen=True)
@@ -357,46 +366,26 @@ def marching_cubes(
             << corner
         )
 
-    active = np.argwhere((case_index != 0) & (case_index != 255))
-    if active.size == 0:
-        return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-
-    cases = case_index[active[:, 0], active[:, 1], active[:, 2]]
-    # Gather (cell, edge) triangle corners grouped by case value.
-    tri_cells: list[NDArray[np.int_]] = []
-    tri_edges: list[NDArray[np.int_]] = []
-    for case in np.unique(cases):
-        triangles = CASE_TRIANGLES[case]
-        if not triangles:
-            continue
-        cells_here = active[cases == case]
-        edge_triples = np.asarray(triangles, dtype=np.int64)
-        tri_cells.append(np.repeat(cells_here, len(edge_triples), axis=0))
-        tri_edges.append(np.tile(edge_triples, (len(cells_here), 1)))
-    if not tri_cells:
-        return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    cells = np.concatenate(tri_cells)
-    edges = np.concatenate(tri_edges)
-
-    # Canonical global key for every referenced grid edge: the lattice
-    # index of its low corner plus the axis it runs along.
-    canon = _EDGE_CANONICAL[edges.ravel()]
-    corner_index = cells[:, None, :].repeat(3, axis=1).reshape(-1, 3) + canon[:, :3]
-    keys = (
-        (corner_index[:, 0] * r + corner_index[:, 1]) * r + corner_index[:, 2]
-    ) * 3 + canon[:, 3]
+    i, j, k = np.nonzero((case_index != 0) & (case_index != 255))
+    cases = case_index[i, j, k]
+    # Triangles in (case, cell, triangle) order: a stable sort by case
+    # keeps cells in lattice order within each case.
+    order = np.argsort(cases, kind="stable")
+    triangles = _CASE_TABLE[cases[order]]
+    cell, slot = np.nonzero(triangles[:, :, 0] >= 0)
+    # Every triangle corner keyed by its grid edge, ((i*r + j)*r + k)*3 +
+    # axis with (i, j, k) the edge's low lattice corner: the cell's key
+    # plus the cube edge's offset, so shared edges weld to one vertex.
+    cell_key = ((i * r + j) * r + k)[order] * 3
+    edge_offset = (_EDGE_CANONICAL[:, :3] @ (r * r, r, 1)) * 3 + _EDGE_CANONICAL[:, 3]
+    keys = cell_key[cell, None] + edge_offset[triangles[cell, slot]]
     unique_keys, face_indices = np.unique(keys, return_inverse=True)
     faces = face_indices.reshape(-1, 3)
 
     # Interpolate one vertex per unique crossed edge.
-    axis = (unique_keys % 3).astype(np.int64)
-    flat = unique_keys // 3
-    k_idx = flat % r
-    j_idx = (flat // r) % r
-    i_idx = flat // (r * r)
-    low = np.stack([i_idx, j_idx, k_idx], axis=1)
-    step = np.zeros_like(low)
-    step[np.arange(len(low)), axis] = 1
+    *low, axis = np.unravel_index(unique_keys, (r, r, r, 3))
+    low = np.stack(low, axis=1)
+    step = np.eye(3, dtype=np.int64)[axis]
     high = low + step
     f_low = values[low[:, 0], low[:, 1], low[:, 2]]
     f_high = values[high[:, 0], high[:, 1], high[:, 2]]

@@ -51,7 +51,7 @@ from .queries import QuerySet, label_queries, read_samples, sample_queries_from_
 from .registration import pose_align
 from .repair import repair, repair_quality
 from .rng import derive_seed
-from .scoring import auroc, score_points
+from .scoring import auroc, pooled_auroc, score_points
 from .training import train_model
 
 log = logging.getLogger(__name__)
@@ -526,7 +526,7 @@ def _dataset_metrics(
             log.warning("object AUROC left out: %s", error)
     if pooled_labels:
         try:
-            p_auroc = auroc(np.concatenate(pooled_scores), np.concatenate(pooled_labels))
+            p_auroc = pooled_auroc(pooled_scores, pooled_labels)
         except UndefinedMetricError as error:
             if strict:
                 raise

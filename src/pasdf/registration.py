@@ -230,7 +230,6 @@ class IcpResult:
     transform: RigidTransform
     mse: float
     iterations: int
-    mse_history: tuple[float, ...]
 
 
 def _plane_step(current: Points, matched: Points, normals: Points) -> RigidTransform:
@@ -281,7 +280,6 @@ def icp_refine(
     current = apply_points(transform, src.points)
     dists, idx = tree.query(current, k=1, workers=workers)
     mse = float(np.mean(dists**2))
-    history = [mse]
     iterations = 0
     for _ in range(_ICP_MAX_ITERATIONS):
         delta = _plane_step(current, tgt.points[idx], target_normals[idx])
@@ -293,14 +291,11 @@ def icp_refine(
         iterations += 1
         transform = compose(delta, transform)
         current, idx = moved, new_idx
-        history.append(new_mse)
         improved = mse - new_mse
         mse = new_mse
         if improved < _ICP_TOLERANCE:
             break
-    return IcpResult(
-        transform=transform, mse=mse, iterations=iterations, mse_history=tuple(history)
-    )
+    return IcpResult(transform=transform, mse=mse, iterations=iterations)
 
 
 @dataclass(frozen=True)

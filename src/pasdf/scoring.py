@@ -128,28 +128,15 @@ def auroc(scores: NDArray[F64], labels: NDArray[np.int_]) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate(
-    reports: list[AnomalyReport],
-    object_labels: NDArray[np.int_],
-    point_labels: list[NDArray[np.int_]],
-) -> tuple[float, float]:
-    """Dataset-level metrics: object AUROC and pooled point AUROC.
+def pooled_auroc(scores: list[NDArray[F64]], labels: list[NDArray[np.int_]]) -> float:
+    """Point AUROC over the points of every object: ``scores[i]`` and
+    ``labels[i]`` belong to object i.
 
-    Point scores are pooled across every test object into one global
-    ranking rather than averaged per object.
+    All points are pooled into one global ranking rather than ranked per
+    object and averaged.
     """
-    if len(reports) != len(object_labels) or len(reports) != len(point_labels):
-        raise InvalidInputError("reports and labels must align 1:1")
-    obj_scores = []
-    for report in reports:
-        if report.object_score is None:
-            raise InvalidInputError("object scores must be filled before evaluation")
-        obj_scores.append(report.object_score)
-    for report, marks in zip(reports, point_labels):
-        if len(marks) != report.per_point_scores.size:
-            raise InvalidInputError("point labels must align with per-point scores")
-    o_auroc = auroc(np.asarray(obj_scores), np.asarray(object_labels))
-    pooled_scores = np.concatenate([r.per_point_scores for r in reports])
-    pooled_labels = np.concatenate([np.asarray(m) for m in point_labels])
-    p_auroc = auroc(pooled_scores, pooled_labels)
-    return o_auroc, p_auroc
+    if len(scores) != len(labels) or any(
+        len(values) != len(marks) for values, marks in zip(scores, labels)
+    ):
+        raise InvalidInputError("point labels must align with per-point scores")
+    return auroc(np.concatenate(scores), np.concatenate(labels))

@@ -1,0 +1,65 @@
+"""Exit codes and error lines of the command-line front end."""
+from __future__ import annotations
+
+import pytest
+
+from pasdf import cli, pipeline
+from pasdf.config import RunConfig, save_config
+from pasdf.errors import (
+    CheckpointMismatchError,
+    CoarseAlignmentError,
+    ConfigValidationError,
+    InvalidInputError,
+    InvalidParameterError,
+    RepairFailedError,
+    TrainingDivergedError,
+    UndefinedMetricError,
+)
+
+
+@pytest.fixture
+def config_path(tmp_path):
+    path = tmp_path / "run.json"
+    save_config(RunConfig(), path)
+    return path
+
+
+def run_train_raising(monkeypatch, config_path, error: Exception) -> int:
+    def fail(config):
+        raise error
+
+    monkeypatch.setattr(pipeline, "cmd_train", fail)
+    return cli.main(["train", "--config", str(config_path)])
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (FileNotFoundError("no such file"), cli.EXIT_INPUT),
+        (InvalidInputError("bad input"), cli.EXIT_INPUT),
+        (UndefinedMetricError("one class"), cli.EXIT_INPUT),
+        (
+            TrainingDivergedError("nan loss", epoch=1, batch=2, param_norm=3.0),
+            cli.EXIT_NUMERIC,
+        ),
+        (CheckpointMismatchError("other architecture"), cli.EXIT_ARTIFACT),
+        (ConfigValidationError("bad field"), cli.EXIT_VALIDATION),
+        (InvalidParameterError("out of range"), cli.EXIT_VALIDATION),
+        (CoarseAlignmentError("no hypothesis"), cli.EXIT_FAILURE),
+        (RepairFailedError("no surface"), cli.EXIT_FAILURE),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+)
+def test_error_maps_to_exit_code(monkeypatch, config_path, capsys, error, code):
+    capsys.readouterr()
+    assert run_train_raising(monkeypatch, config_path, error) == code
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {error}"]
+
+
+def test_other_errors_propagate(monkeypatch, config_path):
+    with pytest.raises(RuntimeError, match="not ours"):
+        run_train_raising(monkeypatch, config_path, RuntimeError("not ours"))
+

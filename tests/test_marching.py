@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from field_oracle import dense_field, vertex_positions
+from field_oracle import dense_field, grouped_marching_cubes, vertex_positions
 from pasdf import marching
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.marching import (
@@ -336,6 +336,46 @@ class TestCloseBoundary:
                 np.full((8, 8, 8), value), grid, close_boundary=True
             )
             assert mesh.is_empty
+
+
+class TestWeldOrder:
+    """Vertex numbering and face order equal the case-by-case weld's.
+
+    Faces come in (case, cell, triangle) order and vertices in grid-edge
+    key order; both decide which points ``sample_surface`` draws.
+    """
+
+    @pytest.mark.parametrize("close_boundary", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_signs_with_exact_zeros(self, seed: int, close_boundary: bool) -> None:
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(8, 20))
+        # Whole-number levels put exact zeros on many nodes, so slivers
+        # get contracted too.
+        field = rng.integers(-2, 3, size=(r, r, r)) * rng.random((r, r, r))
+        grid = GridSpec(r, (0.1, 0.2, 0.0), (0.9, 0.7, 1.0))
+        mesh = marching_cubes(field, grid, close_boundary=close_boundary)
+        assert len(mesh.faces) > 0
+        assert_same_mesh(mesh, grouped_marching_cubes(field, grid, close_boundary))
+
+    @pytest.mark.parametrize("close_boundary", [False, True])
+    def test_noisy_sphere(self, close_boundary: bool) -> None:
+        grid = GridSpec(24)
+        field = sphere_field(grid, np.array([0.5, 0.4, 0.6]), 0.45)
+        field += 0.02 * np.random.default_rng(7).standard_normal(field.shape)
+        assert_same_mesh(
+            marching_cubes(field, grid, close_boundary=close_boundary),
+            grouped_marching_cubes(field, grid, close_boundary),
+        )
+
+    @pytest.mark.parametrize("close_boundary", [False, True])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, 1.0])
+    def test_uniform_field(self, value: float, close_boundary: bool) -> None:
+        grid = GridSpec(9)
+        field = np.full((9, 9, 9), value)
+        mesh = marching_cubes(field, grid, close_boundary=close_boundary)
+        assert mesh.is_empty
+        assert_same_mesh(mesh, grouped_marching_cubes(field, grid, close_boundary))
 
 
 def evaluate_recording_samples(monkeypatch, model, encoding, grid, **kwargs):

@@ -16,8 +16,8 @@ from pasdf.registration import AlignConfig
 from pasdf.scoring import (
     AnomalyReport,
     auroc,
-    evaluate,
     object_score,
+    pooled_auroc,
     score_points,
 )
 
@@ -230,26 +230,14 @@ class TestScorePoints:
 
 
 class TestEvaluate:
-    def make_report(self, scores, object_score_value) -> AnomalyReport:
-        report = AnomalyReport(np.asarray(scores, float), RigidTransform.identity(), True)
-        return report.with_object_score(k=len(scores)) if object_score_value is None else (
-            AnomalyReport(
-                np.asarray(scores, float),
-                RigidTransform.identity(),
-                True,
-                object_score=object_score_value,
-                k_used=len(scores),
-            )
-        )
+    """Dataset metrics as bench, detect and eval compute them: ``auroc``
+    over object scores and ``pooled_auroc`` over every object's points."""
 
     def test_object_and_point_aurocs(self) -> None:
-        normal = self.make_report([0.1, 0.1, 0.2], 0.1)
-        anomalous = self.make_report([0.1, 0.9, 0.8], 0.9)
-        o_auroc, p_auroc = evaluate(
-            [normal, anomalous],
-            np.array([0, 1]),
-            [np.zeros(3, int), np.array([0, 1, 1])],
-        )
+        normal = np.array([0.1, 0.1, 0.2])
+        anomalous = np.array([0.1, 0.9, 0.8])
+        o_auroc = auroc(np.array([normal.max(), anomalous.max()]), np.array([0, 1]))
+        p_auroc = pooled_auroc([normal, anomalous], [np.zeros(3, int), np.array([0, 1, 1])])
         assert o_auroc == pytest.approx(1.0)
         expect = oracle_auroc(
             np.array([0.1, 0.1, 0.2, 0.1, 0.9, 0.8]),
@@ -260,27 +248,18 @@ class TestEvaluate:
     def test_pooling_is_global_not_per_object(self) -> None:
         # Point scores overlap across objects; pooled ranking sees all six
         # points together, which a per-object average would hide.
-        low = self.make_report([0.3, 0.35, 0.4], 0.4)
-        high = self.make_report([0.5, 0.55, 0.6], 0.6)
-        _, p_auroc = evaluate(
-            [low, high],
-            np.array([0, 1]),
-            [np.array([0, 0, 1]), np.array([0, 1, 1])],
-        )
-        pooled = oracle_auroc(
-            np.array([0.3, 0.35, 0.4, 0.5, 0.55, 0.6]),
-            np.array([0, 0, 1, 0, 1, 1]),
-        )
+        scores = [np.array([0.3, 0.35, 0.4]), np.array([0.5, 0.55, 0.6])]
+        labels = [np.array([0, 0, 1]), np.array([0, 1, 1])]
+        p_auroc = pooled_auroc(scores, labels)
+        pooled = oracle_auroc(np.concatenate(scores), np.concatenate(labels))
         assert p_auroc == pytest.approx(pooled, abs=1e-12)
-
-    def test_requires_filled_object_scores(self) -> None:
-        bare = AnomalyReport(np.array([0.1]), RigidTransform.identity(), True)
-        with pytest.raises(InvalidInputError, match="object scores"):
-            evaluate([bare], np.array([1]), [np.array([1])])
+        # Each object alone ranks perfectly; pooled, 0.4 falls below 0.5.
+        assert [oracle_auroc(*pair) for pair in zip(scores, labels)] == [1.0, 1.0]
+        assert p_auroc == pytest.approx(8 / 9, abs=1e-12)
 
     def test_rejects_misaligned_labels(self) -> None:
-        report = self.make_report([0.1, 0.2], 0.2)
+        scores = np.array([0.1, 0.2])
         with pytest.raises(InvalidInputError):
-            evaluate([report], np.array([1, 0]), [np.array([0, 1])])
+            pooled_auroc([scores], [np.array([0, 1]), np.array([1, 0])])
         with pytest.raises(InvalidInputError):
-            evaluate([report], np.array([1]), [np.array([0, 1, 0])])
+            pooled_auroc([scores], [np.array([0, 1, 0])])
