@@ -7,12 +7,13 @@ are ReLU, and the encoded input is concatenated back in at a
 configurable skip layer.  Gradients are exact reverse-mode derivatives
 computed by hand; no autograd framework is involved anywhere.
 
-Two forward passes exist.  ``SdfModel.forward`` is inference only: no
-dropout, no kept activations, at the precision of the model's
-parameters (float64 for a freshly trained model, float32 for one loaded
-from a checkpoint, which stores exactly that precision).
-``loss_and_gradients`` runs the float64 training pass, which applies
-inverted dropout and keeps what backpropagation needs.
+There is one inference pass and one training pass, and both compute
+at the precision of the model's parameters: float64 for a freshly
+trained model, float32 for one loaded from a checkpoint, which stores
+exactly that precision.
+``SdfModel.forward`` is inference only: no dropout, no kept
+activations.  ``loss_and_gradients`` is the training pass: it applies
+inverted dropout and keeps only each layer's input for backpropagation.
 """
 from __future__ import annotations
 
@@ -170,58 +171,12 @@ class SdfModel:
                 np.maximum(h, 0.0, out=h)
         return h[:rows, 0].astype(np.float64)
 
-    def _forward_cached(
-        self, encoded: NDArray[F64], rng: np.random.Generator | None
-    ) -> tuple[NDArray[F64], "_ForwardCache"]:
-        cfg = self.config
-        x = np.ascontiguousarray(encoded, dtype=np.float64)
-        _check_encoded(x, cfg)
-        use_dropout = cfg.dropout > 0.0
-        if use_dropout and rng is None:
-            raise InvalidParameterError("forward with dropout needs an rng")
-
-        weights = self.effective_weights()
-        keep = 1.0 - cfg.dropout
-        inputs: list[NDArray[F64]] = []
-        pre_acts: list[NDArray[F64]] = []
-        masks: list[NDArray[F64] | None] = []
-        h = x
-        for layer in range(cfg.num_layers):
-            if layer == cfg.skip_layer:
-                h = np.concatenate([h, x], axis=1)
-            inputs.append(h)
-            z = h @ weights[layer].T + self.params.biases[layer]
-            pre_acts.append(z)
-            if layer == cfg.num_layers - 1:
-                h = z
-                masks.append(None)
-            else:
-                a = np.maximum(z, 0.0)
-                if use_dropout:
-                    mask = (rng.random(a.shape) < keep).astype(np.float64)
-                    a = a * mask / keep
-                    masks.append(mask)
-                else:
-                    masks.append(None)
-                h = a
-        out = h[:, 0]
-        cache = _ForwardCache(inputs, pre_acts, masks, weights)
-        return out, cache
-
 
 def _check_encoded(x: np.ndarray, config: NetworkConfig) -> None:
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise InvalidInputError(
             f"encoded input must have shape (n, {config.input_dim}), got {x.shape}"
         )
-
-
-@dataclass
-class _ForwardCache:
-    inputs: list[NDArray[F64]]
-    pre_acts: list[NDArray[F64]]
-    masks: list[NDArray[F64] | None]
-    weights: list[NDArray[F64]]
 
 
 def clamped_l1_loss(
@@ -248,8 +203,14 @@ def loss_and_gradients(
 ) -> tuple[float, ParameterSet]:
     """Mean clamped L1 loss and its exact gradients for every parameter.
 
-    The forward pass applies dropout whenever the config sets a rate,
-    drawing its masks from ``rng``, which is then required.
+    The training pass.  Like ``SdfModel.forward`` it folds the weight
+    normalization once and computes in the dtype of the parameters; the
+    loss itself is taken in float64.  It applies inverted dropout
+    whenever the config sets a rate, drawing each hidden layer's mask as
+    ``rng.random((rows, width)) < 1 - dropout`` from ``rng``, which is
+    then required.  Only each layer's input is kept: a hidden unit passes
+    gradient back exactly where its activation is positive, i.e. where
+    the ReLU was active and dropout kept it.
 
     Subgradient conventions: sign(0) = 0 for the absolute value, zero
     gradient where the clamp saturates (strictly outside [-d_max, d_max]),
@@ -258,26 +219,47 @@ def loss_and_gradients(
     """
     if d_max <= 0.0:
         raise InvalidParameterError("d_max must be > 0")
-    y = np.ascontiguousarray(targets, dtype=np.float64)
-    if y.size == 0:
+    cfg = model.config
+    x = np.asarray(encoded)
+    _check_encoded(x, cfg)
+    rows = len(x)
+    y = np.asarray(targets, dtype=np.float64)
+    if rows == 0:
         raise InvalidInputError("gradient batch must be non-empty")
-    out, cache = model._forward_cached(encoded, rng)
-    if y.shape != out.shape:
+    if y.shape != (rows,):
         raise InvalidInputError("targets must pair 1:1 with inputs")
+    use_dropout = cfg.dropout > 0.0
+    if use_dropout and rng is None:
+        raise InvalidParameterError("training with dropout needs an rng")
 
-    n = out.shape[0]
+    keep = 1.0 - cfg.dropout
+    weights = model.effective_weights()
+    x = np.ascontiguousarray(x, dtype=model.dtype)
+    uniforms = np.empty((rows, cfg.hidden_width)) if use_dropout else None
+    inputs: list[np.ndarray] = []
+    h = x
+    for layer, (weight, bias) in enumerate(zip(weights, model.params.biases)):
+        if layer == cfg.skip_layer:
+            h = np.concatenate([h, x], axis=1)
+        inputs.append(h)
+        h = h @ weight.T
+        h += bias
+        if layer < cfg.num_layers - 1:
+            np.maximum(h, 0.0, out=h)
+            if use_dropout:
+                h *= rng.random(out=uniforms) < keep
+                h /= keep
+
+    out = h[:, 0].astype(np.float64)
     clamped = np.clip(out, -d_max, d_max)
     loss = float(np.mean(np.abs(clamped - y)))
-    d_out = np.sign(clamped - y) / n
+    d_out = np.sign(clamped - y) / rows
     d_out *= np.abs(out) <= d_max
 
-    cfg = model.config
-    keep = 1.0 - cfg.dropout
     grads = ParameterSet.zeros_like(model.params)
-    dz = d_out[:, None]
+    dz = d_out.astype(h.dtype, copy=False)[:, None]
     for layer in reversed(range(cfg.num_layers)):
-        h = cache.inputs[layer]
-        d_weight = dz.T @ h
+        d_weight = dz.T @ inputs[layer]
         grads.biases[layer][...] = dz.sum(axis=0)
         v = model.params.directions[layer]
         norms = np.linalg.norm(v, axis=1)
@@ -288,11 +270,10 @@ def loss_and_gradients(
         grads.directions[layer][...] = scale * (d_weight - d_gain[:, None] * unit)
         if layer == 0:
             break
-        dh = dz @ cache.weights[layer]
+        dz = dz @ weights[layer]
         if layer == cfg.skip_layer:
-            dh = dh[:, : dh.shape[1] - cfg.input_dim]
-        mask = cache.masks[layer - 1]
-        if mask is not None:
-            dh = dh * mask / keep
-        dz = dh * (cache.pre_acts[layer - 1] > 0.0)
+            dz = dz[:, : cfg.hidden_width]
+        if use_dropout:
+            dz /= keep
+        dz *= inputs[layer][:, : cfg.hidden_width] > 0.0
     return loss, grads

@@ -2,9 +2,12 @@
 
 Adam over shuffled mini-batches of labelled query samples.  Everything is
 driven by named sub-streams of one seed (initialization, epoch shuffles,
-dropout masks), so a run is bitwise-reproducible regardless of worker
-count.  A non-finite loss aborts immediately with the epoch, batch, and
-parameter norm at the point of failure.
+dropout masks), so a run is bitwise-reproducible for a seed at a fixed
+BLAS thread count.  It is not across BLAS thread counts: the float64
+weight-gradient products that sum over a batch round differently when
+BLAS splits them over another number of threads.  A non-finite loss
+aborts immediately with the epoch, batch, and parameter norm at the
+point of failure.
 """
 from __future__ import annotations
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import network_oracle as oracle
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.network import (
     NetworkConfig,
@@ -50,12 +51,18 @@ def gradient_check_draw(
     return model, encoded, targets
 
 
-def kink_distance(config: NetworkConfig, seed: int, batch: int, d_max: float = 5.0) -> float:
+def kink_distance(
+    config: NetworkConfig,
+    seed: int,
+    batch: int,
+    d_max: float = 5.0,
+    rng: np.random.Generator | None = None,
+) -> float:
     """How close the draw sits to a kink of the loss: the smallest
     |hidden pre-activation| (ReLU), |prediction - target| (L1) and
-    ||prediction| - d_max| (clamp)."""
+    ||prediction| - d_max| (clamp), with dropout masks from ``rng``."""
     model, encoded, targets = gradient_check_draw(config, seed, batch)
-    out, cache = model._forward_cached(encoded, None)
+    out, cache = oracle.forward_cached(model, encoded, rng)
     hidden = np.concatenate([z.ravel() for z in cache.pre_acts[:-1]])
     return float(
         min(
@@ -134,7 +141,7 @@ class TestForward:
     def test_eval_forward_equals_cached_forward_bitwise(self) -> None:
         model = SdfModel.init(tiny_config(num_layers=4, skip_layer=2), seed=5)
         x = np.random.default_rng(6).normal(size=(300, 9))
-        cached, _ = model._forward_cached(x, None)
+        cached, _ = oracle.forward_cached(model, x, None)
         np.testing.assert_array_equal(model.forward(x), cached)
 
     def test_direction_row_scaling_leaves_output_unchanged(self) -> None:
@@ -147,12 +154,12 @@ class TestForward:
 
     def test_training_mode_requires_rng_with_dropout(self) -> None:
         model = SdfModel.init(tiny_config(dropout=0.5), seed=0)
-        x = np.zeros((2, 9))
+        x, y = np.zeros((2, 9)), np.zeros(2)
         with pytest.raises(InvalidParameterError, match="rng"):
-            model._forward_cached(x, None)
+            loss_and_gradients(model, x, y, 0.1)
         # Without dropout the rng is not needed.
         no_drop = SdfModel.init(tiny_config(), seed=0)
-        no_drop._forward_cached(x, None)
+        loss_and_gradients(no_drop, x, y, 0.1)
 
     def test_dropout_expectation_matches_eval_forward(self) -> None:
         # With one hidden layer the output is linear in the masked
@@ -160,7 +167,7 @@ class TestForward:
         model = SdfModel.init(tiny_config(hidden_width=16, dropout=0.3), seed=5)
         x = np.random.default_rng(4).normal(size=(4, 9))
         rng = np.random.default_rng(99)
-        draws = np.stack([model._forward_cached(x, rng)[0] for _ in range(4000)])
+        draws = np.stack([oracle.forward_cached(model, x, rng)[0] for _ in range(4000)])
         np.testing.assert_allclose(draws.mean(axis=0), model.forward(x), atol=0.05)
 
     def test_rejects_wrong_input_width(self) -> None:
@@ -278,6 +285,84 @@ class TestGradients:
         assert kink_distance(config, 4676, batch=6) < 1e-5
         with pytest.raises(AssertionError, match="gradient mismatch"):
             assert_matches_finite_differences(config, seed=4676, batch=6)
+
+
+def with_dtype(model: SdfModel, dtype: type) -> SdfModel:
+    """A copy of ``model`` with its parameters cast to ``dtype``."""
+    p = model.params
+    return SdfModel(
+        model.config,
+        ParameterSet(
+            [a.astype(dtype) for a in p.directions],
+            [a.astype(dtype) for a in p.gains],
+            [a.astype(dtype) for a in p.biases],
+        ),
+    )
+
+
+def assert_gradients_close(
+    got: ParameterSet, want: ParameterSet, tolerance: float
+) -> None:
+    """Each gradient array within ``tolerance`` of its largest entry."""
+    for index, (a, b) in enumerate(zip(got.arrays(), want.arrays(), strict=True)):
+        error = np.abs(a.astype(np.float64) - b).max()
+        assert error <= tolerance * np.abs(b).max(), f"array {index}: error {error:.3e}"
+
+
+batch_sizes = st.integers(1, 3).map(lambda k: 64 * k) | st.integers(1, 200)
+
+
+class TestTrainingPass:
+    """The lean training pass against the stored-activation oracle, and
+    float32 against float64."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        skip=st.booleans(),
+        dropout=st.sampled_from([0.0, 0.3]),
+        batch=batch_sizes,
+    )
+    def test_matches_oracle(self, seed: int, skip: bool, dropout: float, batch: int) -> None:
+        config = tiny_config(
+            num_layers=4, hidden_width=16, skip_layer=2 if skip else None, dropout=dropout
+        )
+        model, encoded, targets = gradient_check_draw(config, seed, batch)
+        # d_max inside the spread of predictions saturates some rows.
+        loss, grads = loss_and_gradients(
+            model, encoded, targets, 0.5, rng=np.random.default_rng(seed)
+        )
+        want_loss, want = oracle.loss_and_gradients(
+            model, encoded, targets, 0.5, rng=np.random.default_rng(seed)
+        )
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert_gradients_close(grads, want, 1e-12)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        skip=st.booleans(),
+        dropout=st.sampled_from([0.0, 0.3]),
+    )
+    def test_float32_matches_float64(self, seed: int, skip: bool, dropout: float) -> None:
+        # A float32 rounding can only flip a ReLU, sign or clamp branch
+        # that sits within its error of the kink; such draws are skipped.
+        config = tiny_config(
+            num_layers=4, hidden_width=16, skip_layer=2 if skip else None, dropout=dropout
+        )
+        batch, d_max = 16, 0.5
+        assume(
+            kink_distance(config, seed, batch, d_max, rng=np.random.default_rng(seed)) >= 1e-4
+        )
+        model, encoded, targets = gradient_check_draw(config, seed, batch)
+        single = with_dtype(model, np.float32)
+        loss, grads = loss_and_gradients(
+            single, encoded, targets, d_max, rng=np.random.default_rng(seed)
+        )
+        want_loss, want = loss_and_gradients(
+            model, encoded, targets, d_max, rng=np.random.default_rng(seed)
+        )
+        assert all(a.dtype == np.float32 for a in grads.arrays())
+        assert loss == pytest.approx(want_loss, rel=1e-6)
+        assert_gradients_close(grads, want, 1e-3)
 
 
 class TestParameterSet:
