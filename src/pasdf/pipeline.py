@@ -268,9 +268,7 @@ def cmd_train(config: RunConfig) -> TrainSummary:
     )
 
 
-def cmd_detect(
-    config: RunConfig, inputs: Sequence[str | Path] | None = None
-) -> DetectSummary:
+def cmd_detect(config: RunConfig) -> DetectSummary:
     """Score test clouds against the trained field.
 
     Each input gets a score-map PLY (the cloud in its original pose
@@ -278,7 +276,7 @@ def cmd_detect(
     manifest covers the inputs, dataset AUROCs are attached.
     """
     model, encoding, canonical, record = _load_model_artifacts(config)
-    paths = _resolve_inputs(inputs, config.io.test_dir)
+    paths = _scan_clouds(config.io.test_dir)
     labels = _read_labels(config.io.labels) if config.io.labels else None
 
     detect_dir = Path(config.io.out_dir) / DETECT_DIR
@@ -333,9 +331,7 @@ def cmd_detect(
     )
 
 
-def cmd_repair(
-    config: RunConfig, inputs: Sequence[str | Path] | None = None
-) -> RepairSummary:
+def cmd_repair(config: RunConfig) -> RepairSummary:
     """Reconstruct a clean stand-in for each test cloud.
 
     A failed repair marks its row and the batch continues.  Repaired
@@ -344,7 +340,7 @@ def cmd_repair(
     frame, where the reference lives.
     """
     model, encoding, canonical, record = _load_model_artifacts(config)
-    paths = _resolve_inputs(inputs, config.io.test_dir)
+    paths = _scan_clouds(config.io.test_dir)
     labels = _read_labels(config.io.labels) if config.io.labels else None
     labels_root = Path(config.io.labels).parent if config.io.labels else None
 
@@ -560,18 +556,6 @@ def _load_model_artifacts(
         ) from error
     canonical = _cloud_from_ply(read_ply(out_dir / CANONICAL_FILE))
     return model, encoding, canonical, record
-
-
-def _resolve_inputs(
-    inputs: Sequence[str | Path] | None, directory: str | Path
-) -> list[Path]:
-    if inputs is None:
-        return _scan_clouds(directory)
-    paths = [Path(p) for p in inputs]
-    for path in paths:
-        if not path.is_file():
-            raise FileNotFoundError(f"input cloud not found: {path}")
-    return paths
 
 
 def _scan_clouds(directory: str | Path) -> list[Path]:

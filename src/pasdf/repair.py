@@ -2,10 +2,10 @@
 
 The anomalous cloud is pose-aligned into the canonical frame, the
 model's zero level set is extracted over an evaluation grid covering the
-aligned footprint, and the extracted mesh is resampled into a repaired
-cloud.  Quality is reported against a reference cloud with the summed
-chamfer distance and an exact earth mover's distance on a matched
-subsample.
+aligned footprint, and the repaired cloud is an area-uniform sample of
+the extracted mesh in original units.  Quality is reported against a
+reference cloud with the summed chamfer distance and an exact earth
+mover's distance on a matched subsample.
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import solve_assignment
-from .encoding import EncodingConfig, positional_encode
+# perfbench/layers.py hooks pasdf.repair.positional_encode, so the name stays.
+from .encoding import EncodingConfig, positional_encode  # noqa: F401
 from .errors import InvalidInputError, InvalidParameterError, RepairFailedError
 from .geometry import (
     PointCloud,
@@ -31,57 +32,6 @@ from .rng import derive_seed
 
 DEFAULT_REPAIR_POINTS = 20000
 DEFAULT_EMD_SUBSAMPLE = 512
-
-# Newton refinement of sampled repair points onto the zero level set.
-_PROJECTION_STEPS = 2
-_PROJECTION_FD_STEP = 1e-4
-_PROJECTION_GRAD_FLOOR = 1e-12
-
-
-def _project_to_level_set(
-    points: np.ndarray,
-    model: SdfModel,
-    encoding: EncodingConfig,
-    step_cap: float,
-) -> np.ndarray:
-    """Pull points sampled off the extracted mesh onto the field's zero set.
-
-    Linear interpolation and triangle flattening leave samples a small
-    distance off the true level set; a couple of damped Newton steps
-    along the finite-difference gradient removes that bias.  Steps are
-    capped so a near-zero gradient cannot fling a point, points where
-    the gradient vanishes are left in place, and a step only lands if
-    it does not grow |f|, so a kink in the field cannot make a sample
-    worse than where it started.
-    """
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        return model.forward(positional_encode(x, encoding))
-
-    x = np.array(points, dtype=np.float64)
-    f = evaluate(x)
-    for _ in range(_PROJECTION_STEPS):
-        grad = np.empty_like(x)
-        for axis in range(3):
-            offset = np.zeros(3)
-            offset[axis] = _PROJECTION_FD_STEP
-            grad[:, axis] = (evaluate(x + offset) - evaluate(x - offset)) / (
-                2.0 * _PROJECTION_FD_STEP
-            )
-        norm_sq = np.einsum("ij,ij->i", grad, grad)
-        safe = norm_sq > _PROJECTION_GRAD_FLOOR
-        step = np.zeros_like(x)
-        step[safe] = grad[safe] * (f[safe] / norm_sq[safe])[:, None]
-        lengths = np.linalg.norm(step, axis=1)
-        over = lengths > step_cap
-        step[over] *= (step_cap / lengths[over])[:, None]
-        candidate = x - step
-        candidate_f = evaluate(candidate)
-        better = np.abs(candidate_f) <= np.abs(f)
-        x[better] = candidate[better]
-        f[better] = candidate_f[better]
-    return x
-
 
 def emd(a: PointCloud, b: PointCloud) -> float:
     """Exact earth mover's distance between equal-size clouds.
@@ -153,10 +103,10 @@ def repair(
     yields the dense-sweep mesh except for closed components smaller
     than a block that no refined block touches.  Extraction closes the
     level set at the grid boundary, so shapes whose normalized surface
-    touches the unit cube keep those faces, and the sampled points are
-    Newton-projected onto the zero set before being returned in original
-    units.  Extraction yielding no surface raises RepairFailedError
-    rather than returning an empty cloud.
+    touches the unit cube keep those faces.  The mesh is returned in
+    original units, and the repaired cloud is an area-uniform sample of
+    it.  Extraction yielding no surface raises RepairFailedError rather
+    than returning an empty cloud.
     """
     if n_points < 1:
         raise InvalidParameterError("n_points must be positive")
@@ -179,12 +129,8 @@ def repair(
         raise RepairFailedError(
             "model level set does not cross the evaluation grid"
         )
-    sampled = sample_surface(surface, n_points, derive_seed(seed, "repair-sample"))
-    projected = _project_to_level_set(
-        sampled.points, model, encoding, step_cap=2.0 * float(grid.spacing().max())
-    )
     world_mesh = TriMesh(record.denormalize(surface.vertices), surface.faces)
-    repaired = PointCloud(record.denormalize(projected), sampled.normals)
+    repaired = sample_surface(world_mesh, n_points, derive_seed(seed, "repair-sample"))
     return RepairResult(
         repaired=repaired, mesh=world_mesh, transform=transform, converged=converged
     )

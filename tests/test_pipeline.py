@@ -334,9 +334,15 @@ class TestDetect:
         with pytest.raises(CheckpointMismatchError, match="network"):
             cmd_detect(config)
 
-    def test_explicit_missing_input_names_path(self, world):
-        with pytest.raises(FileNotFoundError, match="ghost.ply"):
-            cmd_detect(world["config"], inputs=["ghost.ply"])
+    def test_explicit_missing_input_names_path(self, world, tmp_path):
+        ghost = tmp_path / "ghost"
+        config = replace(
+            world["config"], io=replace(world["config"].io, test_dir=str(ghost))
+        )
+        for command in (cmd_detect, cmd_repair):
+            with pytest.raises(FileNotFoundError) as raised:
+                command(config)
+            assert str(ghost) in str(raised.value)
 
 
 class TestRepair:

@@ -14,37 +14,10 @@ from pasdf.geometry import (
     chamfer_metric,
     random_rigid,
 )
-from pasdf.encoding import EncodingConfig
 from pasdf.marching import GridSpec
-from pasdf.repair import (
-    RepairResult,
-    _project_to_level_set,
-    emd,
-    repair,
-    repair_quality,
-)
-
-# With zero frequencies the positional encoding is the identity, so a
-# stub whose forward consumes raw coordinates stands in for a trained
-# model when exercising the level-set projection.
-IDENTITY_ENCODING = EncodingConfig(num_frequencies=0, include_input=True)
-
-
-class AnalyticSphereModel:
-    def __init__(self, center: np.ndarray, radius: float) -> None:
-        self.center = center
-        self.radius = radius
-
-    def forward(self, encoded: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(encoded - self.center, axis=1) - self.radius
-
-
-class ConstantModel:
-    def __init__(self, value: float) -> None:
-        self.value = value
-
-    def forward(self, encoded: np.ndarray) -> np.ndarray:
-        return np.full(len(encoded), self.value)
+from pasdf.mesh import sample_surface
+from pasdf.repair import RepairResult, emd, repair, repair_quality
+from pasdf.rng import derive_seed
 
 
 def brute_force_emd(a: np.ndarray, b: np.ndarray) -> float:
@@ -167,54 +140,6 @@ class TestRepairQuality:
             repair_quality(a, a, seed=0, emd_subsample=0)
 
 
-class TestProjection:
-    def test_converges_onto_analytic_sphere(self) -> None:
-        center = np.array([0.5, 0.5, 0.5])
-        model = AnalyticSphereModel(center, 0.3)
-        rng = np.random.default_rng(3)
-        directions = rng.normal(size=(200, 3))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        # Start up to 0.02 off the surface, comparable to a coarse grid's
-        # interpolation error.
-        points = center + directions * (0.3 + rng.uniform(-0.02, 0.02, 200))[:, None]
-        projected = _project_to_level_set(
-            points, model, IDENTITY_ENCODING, step_cap=0.05
-        )
-        radii = np.linalg.norm(projected - center, axis=1)
-        assert np.abs(radii - 0.3).max() < 1e-9
-
-    def test_zero_gradient_leaves_points_in_place(self) -> None:
-        points = np.random.default_rng(0).random((50, 3))
-        projected = _project_to_level_set(
-            points, ConstantModel(0.25), IDENTITY_ENCODING, step_cap=0.05
-        )
-        np.testing.assert_array_equal(projected, points)
-
-    def test_step_cap_bounds_movement(self) -> None:
-        center = np.array([0.5, 0.5, 0.5])
-        model = AnalyticSphereModel(center, 0.3)
-        rng = np.random.default_rng(4)
-        directions = rng.normal(size=(50, 3))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        # Far off the surface: each of the two steps is clipped to the cap.
-        points = center + directions * 0.6
-        cap = 0.01
-        projected = _project_to_level_set(
-            points, model, IDENTITY_ENCODING, step_cap=cap
-        )
-        moved = np.linalg.norm(projected - points, axis=1)
-        assert moved.max() <= 2 * cap + 1e-12
-
-    def test_does_not_mutate_input(self) -> None:
-        center = np.array([0.5, 0.5, 0.5])
-        points = np.full((10, 3), 0.9)
-        copy = points.copy()
-        _project_to_level_set(
-            points, AnalyticSphereModel(center, 0.3), IDENTITY_ENCODING, step_cap=0.05
-        )
-        np.testing.assert_array_equal(points, copy)
-
-
 class TestRepair:
     def test_self_repair_recovers_sphere(self, sphere_world) -> None:
         result = repair(
@@ -287,33 +212,26 @@ class TestRepair:
         assert after.chamfer_per_point < 0.5 * before.chamfer_per_point
         assert after.emd < 1.5 * before.emd
 
-    def test_projection_does_not_worsen_samples(self, sphere_world) -> None:
-        from pasdf.encoding import positional_encode
-        from pasdf.mesh import sample_surface
-        from pasdf.rng import derive_seed
-
+    def test_repaired_cloud_is_a_sample_of_its_mesh(self, sphere_world) -> None:
+        transform = random_rigid(np.random.default_rng(12), 1.5)
+        posed = apply_transform(transform, sphere_world.canonical)
         result = repair(
-            sphere_world.canonical,
+            posed,
             sphere_world.model,
             sphere_world.encoding,
             sphere_world.canonical,
             sphere_world.record,
             seed=7,
-            resolution=48,
-            n_points=2000,
-            align=False,
+            resolution=32,
+            n_points=1500,
         )
-
-        def field_at(points: np.ndarray) -> np.ndarray:
-            normalized = sphere_world.record.normalize(points)
-            return sphere_world.model.forward(
-                positional_encode(normalized, sphere_world.encoding)
-            )
-
-        raw = sample_surface(result.mesh, 2000, derive_seed(7, "repair-sample"))
-        raw_mean = np.abs(field_at(raw.points)).mean()
-        projected_mean = np.abs(field_at(result.repaired.points)).mean()
-        assert projected_mean <= raw_mean + 1e-12
+        sample = sample_surface(result.mesh, 1500, derive_seed(7, "repair-sample"))
+        np.testing.assert_array_equal(result.repaired.points, sample.points)
+        np.testing.assert_array_equal(result.repaired.normals, sample.normals)
+        back = apply_transform(result.transform.inverse(), sample)
+        in_input = result.in_input_frame()
+        np.testing.assert_array_equal(in_input.points, back.points)
+        np.testing.assert_array_equal(in_input.normals, back.normals)
 
     @pytest.mark.parametrize("expand", (1.0, 1.6))
     def test_grid_spans_the_expanded_shell(self, sphere_world, expand) -> None:
