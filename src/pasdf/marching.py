@@ -17,11 +17,16 @@ so shared edges weld in one ``np.unique``; and positions come from
 linear interpolation along each crossed edge.
 
 ``evaluate_field`` samples a model only where its zero level set can
-cross the lattice: block corners first, then every vertex of the blocks
-whose corners or faces show a sign change.  Values are exact within one
-refined block of any sign change and carry only the sign elsewhere,
-which is all extraction reads, so the mesh equals the one from a dense
-sweep unless a closed component fits inside blocks that never refine.
+cross the lattice, in two levels: the corners of 4-cell blocks first,
+then the corners of the 2-cell blocks inside every 4-cell block whose
+corners or faces show a sign change, and every vertex of the 2-cell
+blocks whose corners or faces show one, both levels repeated to one
+fixed point.  Values are exact within one refined 2-cell block of any
+sign change and carry only the sign elsewhere, which is all extraction
+reads, so the mesh equals the one from a dense sweep unless a closed
+component fits inside blocks that never refine: one smaller than a
+4-cell block away from refined 4-cell blocks, or one smaller than a
+2-cell block inside a refined 4-cell block.
 """
 from __future__ import annotations
 
@@ -159,7 +164,8 @@ class GridSpec:
 
         Points are expected in normalized coordinates.  With the
         ``bbox_expand`` the model's bbox-tier queries were drawn with, the
-        grid covers the same shell the model was trained on.
+        grid covers the same shell the model was trained on.  A cloud
+        whose expanded box misses the unit cube is an input error.
         """
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
@@ -169,6 +175,11 @@ class GridSpec:
         half = np.maximum((hi - lo) / 2.0 * expand, 1e-3)
         lower = np.clip(center - half, 0.0, 1.0)
         upper = np.clip(center + half, 0.0, 1.0)
+        if (upper - lower).min() <= 0.0:
+            raise InvalidInputError(
+                f"cloud spans {lo.tolist()} to {hi.tolist()} in normalized "
+                "coordinates, outside the unit cube"
+            )
         return cls(resolution, tuple(lower), tuple(upper))
 
     def axes(self) -> tuple[NDArray[F64], NDArray[F64], NDArray[F64]]:
@@ -184,30 +195,39 @@ class GridSpec:
         return (hi - lo) / (self.resolution - 1)
 
 
-# Edge length, in lattice cells, of the blocks that evaluate_field refines.
+# Edge length, in lattice cells, of the coarse blocks that evaluate_field
+# refines; a refined coarse block is judged again in blocks half as wide.
 _BLOCK = 4
+# Bits that mark a sampled lattice vertex by its sign.
+_INSIDE, _OUTSIDE = 1, 2
 
 
 def evaluate_field(
     model: SdfModel,
     encoding: EncodingConfig,
     grid: GridSpec,
-    chunk_size: int = 65536,
+    chunk_size: int = 8192,
 ) -> NDArray[F64]:
     """The model on the grid's lattice, shape (r, r, r).
 
-    Values are exact within one refined block of any sign change and
-    carry only the sign elsewhere (see ``_refine_field``).  That is all
-    ``marching_cubes`` reads: a crossed lattice edge always has both
+    Values are exact within one refined 2-cell block of any sign change
+    and carry only the sign elsewhere (see ``_refine_field``).  That is
+    all ``marching_cubes`` reads: a crossed lattice edge always has both
     ends evaluated.  The known limit is a closed level-set component
-    smaller than one block that touches no refined block: its vertices
-    take their block's sign and it is not extracted.
+    that shows the refinement no sign change: one smaller than a 4-cell
+    block that touches no refined 4-cell block, or one smaller than a
+    2-cell block inside a refined 4-cell block that touches no refined
+    2-cell block.  Its vertices take the sign of their block and it is
+    not extracted.
 
     The encoding acts on each coordinate alone, so the three axes are
     encoded once and the rows of every forward chunk are gathered from
     them, already cast to the model's precision: column ``c::3`` of a
     row comes from axis ``c``.  This equals encoding the vertex
-    positions bit for bit without building them.
+    positions bit for bit without building them.  ``SdfModel.forward``
+    pads every batch to 64 rows, so no value depends on the chunking;
+    the 8,192-row default keeps one float32 layer of width 64 at 2 MiB,
+    within a typical L2 cache.
     """
     if chunk_size < 1:
         raise InvalidParameterError("chunk_size must be positive")
@@ -235,48 +255,86 @@ def _refine_field(
 
     ``sample(i, j, k)`` returns the field at lattice index triples; it is
     called with at most ``chunk_size`` triples at a time.  The lattice is
-    cut into blocks of ``_BLOCK`` cells a side (the last one per axis
-    partial), and the block corners are sampled first.  Every vertex of
-    a block is then sampled when its corners disagree in sign or one of
-    its faces holds sampled vertices of both signs, repeated until no
-    new block qualifies.  Lattice vertices beyond the box count as
-    outside, so a block face on the box holding an inside vertex
-    qualifies too.  A vertex never sampled takes the value of a corner of
-    its block, all of which share one sign (multiresolution isosurface
-    extraction, Mescheder et al., "Occupancy Networks", CVPR 2019).
+    cut into blocks at two sizes, ``_BLOCK`` cells a side and half that
+    (the last block per axis partial), so every large block is a union
+    of small ones.  The corners of the large blocks are sampled first.
+    A block is crossed when one of its faces holds sampled vertices of
+    both signs; lattice vertices beyond the box count as outside, so a
+    block face on the box holding an inside vertex qualifies too.  A
+    crossed large block gets the corners of its small blocks sampled,
+    and a crossed small block all of its vertices.  Both sizes are
+    judged again after every round until no new block is crossed.
+
+    A vertex never sampled copies the corner at or below it of its small
+    block when that block's corners were sampled, and of its large block
+    otherwise; all corners of an uncrossed block share one sign
+    (multiresolution isosurface extraction, Mescheder et al., "Occupancy
+    Networks", CVPR 2019).  A closed level-set component none of whose
+    vertices is sampled is lost: one smaller than a large block that no
+    crossed large block touches, or one smaller than a small block, inside
+    a crossed large block, that no crossed small block touches.
     """
     r = resolution
-    bounds = np.append(np.arange(0, r - 1, _BLOCK), r - 1)
-    blocks = len(bounds) - 1
-    index = np.arange(r)
-    # The blocks whose closure holds each vertex index, and the corner
-    # index a vertex copies while its block stays coarse.
-    owner = np.minimum(index // _BLOCK, blocks - 1)
-    below = np.minimum(np.maximum(index - 1, 0) // _BLOCK, blocks - 1)
-    corner = index // _BLOCK
-    corner[-1] = blocks
-
-    ci, cj, ck = np.meshgrid(bounds, bounds, bounds, indexing="ij")
-    corner_flat = ((ci * r + cj) * r + ck).ravel()
-    corner_values = np.concatenate(
-        [sample(*ijk) for _, ijk in _chunks(corner_flat, r, chunk_size)]
-    ).reshape(blocks + 1, blocks + 1, blocks + 1)
-    values = corner_values[np.ix_(corner, corner, corner)]
-    sampled = np.zeros((r, r, r), dtype=bool)
-    sampled.reshape(-1)[corner_flat] = True
-
-    crossed = _blocks_at_sign_changes(corner_values < 0.0, np.arange(blocks + 1))
+    values = np.empty(r**3)
+    # The sign of every sampled vertex, and the lattice mask that
+    # deduplicates the vertices of each round's newly crossed blocks.
+    signs = np.zeros(r**3, dtype=np.uint8)
+    pending = np.zeros(r**3, dtype=bool)
+    strides = (_BLOCK, _BLOCK // 2)
+    # Lattice indices of the block faces along each axis, per size.
+    bounds = [np.append(np.arange(0, r - 1, stride), r - 1) for stride in strides]
+    coarse, fine = bounds
+    refined = [np.zeros((len(b) - 1,) * 3, dtype=bool) for b in bounds]
+    cube = (r, r, r)
+    todo = ((coarse[:, None, None] * r + coarse[:, None]) * r + coarse).ravel()
     while True:
-        todo = crossed
-        for axis in range(3):
-            todo = np.take(todo, owner, axis=axis) | np.take(todo, below, axis=axis)
-        todo[sampled] = False
-        if not todo.any():
-            return values, sampled
-        for part, ijk in _chunks(np.flatnonzero(todo), r, chunk_size):
-            values.reshape(-1)[part] = sample(*ijk)
-        sampled |= todo
-        crossed = _blocks_at_sign_changes(values < 0.0, bounds)
+        pending[todo[signs[todo] == 0]] = True
+        todo = np.flatnonzero(pending)
+        if todo.size == 0:
+            break
+        pending[todo] = False
+        for part, ijk in _chunks(todo, r, chunk_size):
+            values[part] = sample(*ijk)
+            signs[part] = np.where(values[part] < 0.0, _INSIDE, _OUTSIDE)
+        fresh = []
+        for stride, edges, done in zip(strides, bounds, refined):
+            crossed = _blocks_at_sign_changes(signs.reshape(cube), edges, stride)
+            fresh.append(_block_vertices(np.flatnonzero(crossed & ~done), edges, stride, r))
+            done |= crossed
+        todo = np.concatenate(fresh)
+
+    values = values.reshape(cube)
+    sampled = signs.reshape(cube) != 0
+    # Fill the fine lattice from the coarse corners, then every vertex
+    # from the fine lattice; sampled vertices keep their values.
+    below = coarse[np.searchsorted(coarse, fine, side="right") - 1]
+    corners = _take3(values, fine)
+    np.copyto(corners, _take3(values, below), where=~_take3(sampled, fine))
+    below = np.searchsorted(fine, np.arange(r), side="right") - 1
+    np.copyto(values, _take3(corners, below), where=~sampled)
+    return values, sampled
+
+
+def _take3(a: NDArray, index: NDArray[np.int_]) -> NDArray:
+    """``a[np.ix_(index, index, index)]``, gathered one axis at a time."""
+    for axis in range(3):
+        a = np.take(a, index, axis=axis)
+    return a
+
+
+def _block_vertices(
+    blocks: NDArray[np.int_], bounds: NDArray[np.int_], stride: int, r: int
+) -> NDArray[np.int_]:
+    """Flat lattice indices of the vertices half a block apart in each
+    block, 27 per block and cut at its far faces: the corners of its
+    half-size blocks, or all its vertices when it is 2 cells wide."""
+    n = len(bounds) - 1
+    offsets = np.arange(3) * (stride // 2)
+    i, j, k = (
+        np.minimum(bounds[b, None] + offsets, bounds[b + 1, None])
+        for b in np.unravel_index(blocks, (n, n, n))
+    )
+    return ((i[:, :, None, None] * r + j[:, None, :, None]) * r + k[:, None, None, :]).ravel()
 
 
 def _chunks(
@@ -289,37 +347,39 @@ def _chunks(
 
 
 def _blocks_at_sign_changes(
-    inside: NDArray[np.bool_], bounds: NDArray[np.int_]
+    signs: NDArray[np.uint8], bounds: NDArray[np.int_], stride: int
 ) -> NDArray[np.bool_]:
-    """Blocks with a face that holds lattice vertices of both signs.
+    """Blocks with a face that holds sampled vertices of both signs.
 
-    ``bounds`` are the lattice indices of the block faces along every
-    axis.  Beyond the lattice counts as outside, so a face on the box
-    with an inside vertex changes sign too.
+    ``signs`` is ``_INSIDE`` or ``_OUTSIDE`` at sampled vertices and 0
+    elsewhere; ``bounds`` are the lattice indices of the block faces
+    along every axis, ``stride`` apart.  Beyond the lattice counts as
+    outside, so a face on the box with an inside vertex changes sign too.
     """
     n = len(bounds) - 1
     found = np.zeros((n, n, n), dtype=bool)
     for axis in range(3):
-        faces = np.moveaxis(inside, axis, 0)[bounds]
-        any_inside = _reduce_face_windows(faces, bounds, np.logical_or)
-        all_inside = _reduce_face_windows(faces, bounds, np.logical_and)
-        changed = any_inside & ~all_inside
-        changed[[0, -1]] = any_inside[[0, -1]]
+        faces = np.take(signs, bounds, axis=axis)
+        for other in {0, 1, 2} - {axis}:
+            faces = _or_over_windows(faces, stride, other)
+        faces = np.moveaxis(faces, axis, 0)
+        changed = faces == _INSIDE | _OUTSIDE
+        changed[[0, -1]] = faces[[0, -1]] & _INSIDE != 0
         # Block b lies between faces b and b + 1.
         found |= np.moveaxis(changed[:-1] | changed[1:], 0, axis)
     return found
 
 
-def _reduce_face_windows(
-    faces: NDArray[np.bool_], bounds: NDArray[np.int_], op: np.ufunc
-) -> NDArray[np.bool_]:
-    """Reduce each face plane over the closed windows between ``bounds``."""
-    for axis in (1, 2):
-        faces = op(
-            op.reduceat(faces, bounds[:-1], axis=axis),
-            np.take(faces, bounds[1:], axis=axis),
-        )
-    return faces
+def _or_over_windows(a: NDArray[np.uint8], stride: int, axis: int) -> NDArray[np.uint8]:
+    """Bitwise OR along ``axis`` over the closed windows [s·b, s·b + s],
+    s = ``stride``, the last window cut at the end of the array."""
+    a = np.moveaxis(a, axis, 0)
+    n = -(-(len(a) - 1) // stride)
+    out = a[: stride * n : stride].copy()
+    for offset in range(1, stride + 1):
+        part = a[offset::stride][:n]
+        out[: len(part)] |= part
+    return np.moveaxis(out, 0, axis)
 
 
 def marching_cubes(
@@ -401,8 +461,9 @@ def marching_cubes(
     faces = _contract_slivers(positions, faces)
     if faces.size == 0:
         return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    used, renumbered = np.unique(faces.ravel(), return_inverse=True)
-    return TriMesh(positions[used], renumbered.reshape(-1, 3).astype(np.int64))
+    # Keep the vertices some face uses, numbered in their current order.
+    used = np.bincount(faces.ravel(), minlength=len(positions)) > 0
+    return TriMesh(positions[used], (np.cumsum(used) - 1)[faces])
 
 
 # Virtual node value for the layer just beyond a closed boundary.  Large
@@ -434,12 +495,8 @@ def _contract_slivers(positions: Points, faces: Faces) -> Faces:
     keeps the surface closed.  Contractions move vertices by at most the
     contracted edge length, which is bounded by the sliver size itself.
     """
-    while True:
-        tri = positions[faces]
-        cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        small = np.flatnonzero(0.5 * np.linalg.norm(cross, axis=1) < _SLIVER_AREA)
-        if small.size == 0:
-            return faces
+    small = _face_areas(positions, faces) < _SLIVER_AREA
+    while small.any():
         # One disjoint batch of contractions per pass; every pass retires
         # at least one vertex, so the loop terminates.
         merge_into = np.arange(len(positions))
@@ -454,11 +511,23 @@ def _contract_slivers(positions: Points, faces: Faces) -> Faces:
             keep_vertex, drop_vertex = pairs[int(np.argmin(lengths))]
             merge_into[drop_vertex] = keep_vertex
             touched[a] = touched[b] = touched[c] = True
-        faces = merge_into[faces]
-        faces = faces[
+        merged = merge_into[faces]
+        # Only faces that lost a vertex change shape, so only they are
+        # measured again.
+        moved = (merged != faces).any(axis=1)
+        faces = merged
+        small[moved] = _face_areas(positions, faces[moved]) < _SLIVER_AREA
+        keep = (
             (faces[:, 0] != faces[:, 1])
             & (faces[:, 1] != faces[:, 2])
             & (faces[:, 2] != faces[:, 0])
-        ]
-        if faces.size == 0:
-            return faces
+        )
+        faces, small = faces[keep], small[keep]
+    return faces
+
+
+def _face_areas(positions: Points, faces: Faces) -> NDArray[F64]:
+    tri = positions[faces]
+    return 0.5 * np.linalg.norm(
+        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
+    )

@@ -98,10 +98,12 @@ def repair(
     The grid covers the bounding box of the aligned cloud in normalized
     coordinates, expanded by ``expand``; pass the ``bbox_expand`` the
     model's queries were drawn with so the grid spans the shell it was
-    trained on.  The field is evaluated exactly within one block of any
-    sign change and only by sign elsewhere (``evaluate_field``), which
-    yields the dense-sweep mesh except for closed components smaller
-    than a block that no refined block touches.  Extraction closes the
+    trained on.  The field is evaluated exactly within one refined
+    2-cell block of any sign change and only by sign elsewhere
+    (``evaluate_field``), which yields the dense-sweep mesh except for
+    closed components that fit inside blocks that never refine: smaller
+    than a 4-cell block away from refined 4-cell blocks, or smaller than
+    a 2-cell block inside a refined 4-cell block.  Extraction closes the
     level set at the grid boundary, so shapes whose normalized surface
     touches the unit cube keep those faces.  The mesh is returned in
     original units, and the repaired cloud is an area-uniform sample of

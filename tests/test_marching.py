@@ -85,6 +85,11 @@ class TestGridSpec:
         assert clipped.lower[0] == 0.0
         assert clipped.upper[0] == 1.0
 
+    def test_for_cloud_rejects_a_cloud_beyond_the_unit_cube(self) -> None:
+        points = np.array([[10.25, 0.4, 0.4], [10.75, 0.6, 0.6]])
+        with pytest.raises(InvalidInputError, match=r"\[10\.25, 0\.4, 0\.4\] to \[10\.75"):
+            GridSpec.for_cloud(points, resolution=16)
+
     def test_for_cloud_covers_cloud(self) -> None:
         rng = np.random.default_rng(3)
         points = rng.uniform(0.2, 0.8, (50, 3))
@@ -579,7 +584,7 @@ class TestRefineField:
     def test_samples_only_near_the_surface(self) -> None:
         grid = GridSpec(65)
         values, sampled, dense = refine_analytic(ball((0.5, 0.5, 0.5), 0.3), grid)
-        assert sampled.sum() < 0.35 * 65**3
+        assert sampled.sum() < 0.11 * 65**3
         assert sampled[::4, ::4, ::4].all()
         # Far from the surface only the block corners are sampled: at the
         # center and at the box corner.
@@ -595,9 +600,9 @@ class TestRefineField:
             np.testing.assert_array_equal(sampled, reference_sampled)
 
     def test_bubble_inside_one_block_is_missed(self) -> None:
-        """The known limit: a closed component smaller than one block,
-        touching no refined block, keeps its block's sign and is not
-        extracted, though the dense field has it."""
+        """The known limit: a closed component smaller than one 4-cell
+        block, touching no refined block, keeps its block's sign and is
+        not extracted, though the dense field has it."""
         grid = GridSpec(33)  # blocks of 4 cells, 0.125 a side
         field = ball((0.5625, 0.5625, 0.5625), 0.05)
         values, sampled, dense = refine_analytic(field, grid)
@@ -605,3 +610,29 @@ class TestRefineField:
         assert (values > 0.0).all()
         assert marching_cubes(values, grid).is_empty
         assert sampled.sum() == 9**3
+
+    def test_bubble_inside_a_refined_block_is_missed_below_half_a_block(self) -> None:
+        """The limit inside refined blocks: a closed component smaller than
+        one 2-cell block, touching no refined 2-cell block, keeps its
+        block's sign too, though its 4-cell block is refined."""
+        grid = GridSpec(33)  # 4-cell blocks 0.125 a side, 2-cell blocks 0.0625
+
+        # The main surface cuts off only vertex (20, 20, 20), the far
+        # corner of the 4-cell block [16, 20]^3, so that block refines.
+        def main(x, y, z):
+            return 1.865 - (x + y + z)
+
+        # The bubble holds only vertex (17, 17, 17), the centre of the
+        # 2-cell block [16, 18]^3, whose corners are all outside.
+        bubble = ball((17 / 32, 17 / 32, 17 / 32), 0.02)
+        values, sampled, dense = refine_analytic(
+            lambda x, y, z: np.minimum(main(x, y, z), bubble(x, y, z)), grid
+        )
+        assert dense[17, 17, 17] < 0.0
+        assert sampled[16:21:2, 16:21:2, 16:21:2].all()
+        assert not sampled[17, 17, 17] and values[17, 17, 17] > 0.0
+        # The main surface is still extracted bit for bit.
+        assert_same_mesh(
+            marching_cubes(values, grid), marching_cubes(main(*sample_grid(grid)), grid)
+        )
+        assert len(marching_cubes(dense, grid).faces) > len(marching_cubes(values, grid).faces)

@@ -283,6 +283,21 @@ class TestRepair:
                 gain[...] = saved
             model.params.biases[-1][...] = saved_bias
 
+    def test_cloud_beyond_the_unit_cube_is_an_input_error(self, sphere_world) -> None:
+        record = sphere_world.record
+        shifted = PointCloud(sphere_world.canonical.points + [10.0 * record.scale, 0.0, 0.0])
+        with pytest.raises(InvalidInputError, match="outside the unit cube"):
+            repair(
+                shifted,
+                sphere_world.model,
+                sphere_world.encoding,
+                sphere_world.canonical,
+                record,
+                seed=7,
+                resolution=16,
+                align=False,
+            )
+
     def test_rejects_bad_point_count(self, sphere_world) -> None:
         with pytest.raises(InvalidParameterError):
             repair(
