@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import DTypeLike, NDArray
 
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import F64, Points
@@ -31,11 +31,14 @@ class EncodingConfig:
         return 3 * int(self.include_input) + 6 * self.num_frequencies
 
 
-def positional_encode(points: Points, config: EncodingConfig) -> NDArray[F64]:
+def positional_encode(
+    points: Points, config: EncodingConfig, dtype: DTypeLike = np.float64
+) -> NDArray:
     """Encode (n, 3) coordinates into (n, config.dim) features.
 
     Layout per row: the raw coordinates (when included), then for each
-    frequency a sine triple followed by a cosine triple.
+    frequency a sine triple followed by a cosine triple.  Features are
+    computed in float64 and written straight into a ``dtype`` array.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -47,4 +50,4 @@ def positional_encode(points: Points, config: EncodingConfig) -> NDArray[F64]:
         scaled = (2.0**level * np.pi) * pts
         parts.append(np.sin(scaled))
         parts.append(np.cos(scaled))
-    return np.concatenate(parts, axis=1)
+    return np.concatenate(parts, axis=1, dtype=dtype)

@@ -8,9 +8,9 @@ configurable skip layer.  Gradients are exact reverse-mode derivatives
 computed by hand; no autograd framework is involved anywhere.
 
 There is one inference pass and one training pass, and both compute
-at the precision of the model's parameters: float64 for a freshly
-trained model, float32 for one loaded from a checkpoint, which stores
-exactly that precision.
+at the precision of the model's parameters: float32 for a trained
+model, whether fresh or loaded from a checkpoint, which stores exactly
+that precision; float64 for a freshly initialized one.
 ``SdfModel.forward`` is inference only: no dropout, no kept
 activations.  ``loss_and_gradients`` is the training pass: it applies
 inverted dropout and keeps only each layer's input for backpropagation.
@@ -27,9 +27,9 @@ from .geometry import F64
 
 _MIN_ROW_NORM = 1e-12
 
-# Inference batches are padded with zero rows to a multiple of this, so
-# every row runs through the BLAS main kernel (never a short-batch or
-# remainder-row path) and gets the same bits whatever batch it sits in.
+# Batches are padded with zero rows to a multiple of this, so every row
+# runs through the BLAS main kernel (never a short-batch or remainder-row
+# path) and gets the same bits whatever batch it sits in.
 _ROW_MULTIPLE = 64
 
 
@@ -125,6 +125,18 @@ class SdfModel:
             biases.append(np.zeros(fan_out))
         return cls(config, ParameterSet(directions, gains, biases))
 
+    def astype(self, dtype: np.dtype | type) -> "SdfModel":
+        """A copy of the model with its parameters cast to ``dtype``."""
+        p = self.params
+        return SdfModel(
+            self.config,
+            ParameterSet(
+                [a.astype(dtype) for a in p.directions],
+                [a.astype(dtype) for a in p.gains],
+                [a.astype(dtype) for a in p.biases],
+            ),
+        )
+
     @property
     def dtype(self) -> np.dtype:
         """Precision of the parameters, which inference computes in."""
@@ -148,17 +160,10 @@ class SdfModel:
         the batch or on its size.
         """
         cfg = self.config
-        dtype = self.dtype
         x = np.asarray(encoded)
         _check_encoded(x, cfg)
         rows = len(x)
-        pad = -rows % _ROW_MULTIPLE
-        if pad:
-            padded = np.zeros((rows + pad, x.shape[1]), dtype=dtype)
-            padded[:rows] = x
-            x = padded
-        else:
-            x = np.ascontiguousarray(x, dtype=dtype)
+        x = pad_rows(x, self.dtype)
         h = x
         for layer, (weight, bias) in enumerate(
             zip(self.effective_weights(), self.params.biases)
@@ -170,6 +175,18 @@ class SdfModel:
             if layer < cfg.num_layers - 1:
                 np.maximum(h, 0.0, out=h)
         return h[:rows, 0].astype(np.float64)
+
+
+def pad_rows(x: np.ndarray, dtype: np.dtype | type) -> np.ndarray:
+    """``x`` as a contiguous ``dtype`` array, with zero rows appended up
+    to a multiple of ``_ROW_MULTIPLE`` rows."""
+    rows = len(x)
+    pad = -rows % _ROW_MULTIPLE
+    if not pad:
+        return np.ascontiguousarray(x, dtype=dtype)
+    padded = np.zeros((rows + pad, x.shape[1]), dtype=dtype)
+    padded[:rows] = x
+    return padded
 
 
 def _check_encoded(x: np.ndarray, config: NetworkConfig) -> None:
@@ -205,7 +222,10 @@ def loss_and_gradients(
 
     The training pass.  Like ``SdfModel.forward`` it folds the weight
     normalization once and computes in the dtype of the parameters; the
-    loss itself is taken in float64.  It applies inverted dropout
+    loss itself is taken in float64.  ``targets`` pair with the leading
+    rows of ``encoded``; any rows past the last target are padding (see
+    ``pad_rows``): they run through the pass, stay out of the loss mean
+    and add exact zeros to every gradient.  It applies inverted dropout
     whenever the config sets a rate, drawing each hidden layer's mask as
     ``rng.random((rows, width)) < 1 - dropout`` from ``rng``, which is
     then required.  Only each layer's input is kept: a hidden unit passes
@@ -226,8 +246,9 @@ def loss_and_gradients(
     y = np.asarray(targets, dtype=np.float64)
     if rows == 0:
         raise InvalidInputError("gradient batch must be non-empty")
-    if y.shape != (rows,):
-        raise InvalidInputError("targets must pair 1:1 with inputs")
+    if y.ndim != 1 or not 1 <= y.size <= rows:
+        raise InvalidInputError("targets must pair 1:1 with the leading inputs")
+    samples = y.size
     use_dropout = cfg.dropout > 0.0
     if use_dropout and rng is None:
         raise InvalidParameterError("training with dropout needs an rng")
@@ -250,11 +271,12 @@ def loss_and_gradients(
                 h *= rng.random(out=uniforms) < keep
                 h /= keep
 
-    out = h[:, 0].astype(np.float64)
+    out = h[:samples, 0].astype(np.float64)
     clamped = np.clip(out, -d_max, d_max)
     loss = float(np.mean(np.abs(clamped - y)))
-    d_out = np.sign(clamped - y) / rows
-    d_out *= np.abs(out) <= d_max
+    d_out = np.zeros(rows)
+    d_out[:samples] = np.sign(clamped - y) / samples
+    d_out[:samples] *= np.abs(out) <= d_max
 
     grads = ParameterSet.zeros_like(model.params)
     dz = d_out.astype(h.dtype, copy=False)[:, None]

@@ -1,13 +1,14 @@
 """First-order training of the implicit surface network.
 
-Adam over shuffled mini-batches of labelled query samples.  Everything is
-driven by named sub-streams of one seed (initialization, epoch shuffles,
-dropout masks), so a run is bitwise-reproducible for a seed at a fixed
-BLAS thread count.  It is not across BLAS thread counts: the float64
-weight-gradient products that sum over a batch round differently when
-BLAS splits them over another number of threads.  A non-finite loss
-aborts immediately with the epoch, batch, and parameter norm at the
-point of failure.
+Adam over shuffled mini-batches of labelled query samples, in float32:
+parameters, encoded queries and optimizer moments; the targets and the
+loss stay float64.  Everything is driven by named sub-streams of one
+seed (initialization, epoch shuffles, dropout masks), so a run is
+bitwise-reproducible for a seed, and at any BLAS thread count: every
+batch is zero-padded to a multiple of 64 rows, which keeps the products
+that sum over a batch on one BLAS kernel whatever the threads.  A
+non-finite loss aborts immediately with the epoch, batch, and parameter
+norm at the point of failure.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from numpy.typing import NDArray
 from .encoding import EncodingConfig, positional_encode
 from .errors import InvalidInputError, InvalidParameterError, TrainingDivergedError
 from .geometry import F64, Points
-from .network import NetworkConfig, ParameterSet, SdfModel, loss_and_gradients
+from .network import NetworkConfig, ParameterSet, SdfModel, loss_and_gradients, pad_rows
 from .queries import QuerySet
 from .rng import derive_seed, stream
 
@@ -113,12 +114,12 @@ def train_model(
             f"encoding dimension {encoding.dim}"
         )
 
-    encoded = positional_encode(queries.positions, encoding)
+    encoded = positional_encode(queries.positions, encoding, dtype=np.float32)
     targets = np.ascontiguousarray(queries.sdf, dtype=np.float64)
     if train_cfg.clamp_targets:
         targets = np.clip(targets, -train_cfg.d_max, train_cfg.d_max)
 
-    model = SdfModel.init(network, derive_seed(train_cfg.seed, "train-init"))
+    model = SdfModel.init(network, derive_seed(train_cfg.seed, "train-init")).astype(np.float32)
     shuffle_rng = stream(train_cfg.seed, "train-shuffle")
     dropout_rng = stream(train_cfg.seed, "train-dropout")
     optimizer = _Adam(model.params, train_cfg)
@@ -132,7 +133,7 @@ def train_model(
             batch = order[start : start + train_cfg.batch_size]
             loss, grads = loss_and_gradients(
                 model,
-                encoded[batch],
+                pad_rows(encoded[batch], np.float32),
                 targets[batch],
                 train_cfg.d_max,
                 rng=dropout_rng,

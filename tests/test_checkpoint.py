@@ -45,6 +45,17 @@ class TestRoundTrip:
         b = loaded.forward(positional_encode(pts, encoding))
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
+    def test_trained_model_round_trips_bit_for_bit(self, sphere_world, tmp_path) -> None:
+        model = sphere_world.model
+        path = tmp_path / "sphere.ckpt"
+        save_checkpoint(path, model, encoding=sphere_world.encoding)
+        loaded, encoding, _ = load_checkpoint(path)
+        for got, want in zip(loaded.params.arrays(), model.params.arrays(), strict=True):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        rows = positional_encode(np.random.default_rng(6).random((1000, 3)), encoding)
+        np.testing.assert_array_equal(loaded.forward(rows), model.forward(rows))
+
     def test_no_skip_architecture_round_trips(self, tmp_path) -> None:
         cfg = NetworkConfig(
             input_dim=ENC.dim, hidden_width=8, num_layers=2, skip_layer=None, dropout=0.0
@@ -80,16 +91,17 @@ class TestRoundTrip:
 
 class TestInferencePrecision:
     def test_loaded_model_infers_in_float32(self, sphere_world, tmp_path) -> None:
+        doubled = sphere_world.model.astype(np.float64)
         path = tmp_path / "sphere.ckpt"
-        save_checkpoint(path, sphere_world.model, encoding=sphere_world.encoding)
+        save_checkpoint(path, doubled, encoding=sphere_world.encoding)
         loaded, encoding, _ = load_checkpoint(path)
         assert all(a.dtype == np.float32 for a in loaded.params.arrays())
-        assert all(a.dtype == np.float64 for a in sphere_world.model.params.arrays())
+        assert all(a.dtype == np.float64 for a in doubled.params.arrays())
         pts = np.random.default_rng(5).random((64, 3))
         assert loaded.forward(positional_encode(pts, encoding)).dtype == np.float64
         grid = GridSpec(32)
         single = evaluate_field(loaded, encoding, grid)
-        double = evaluate_field(sphere_world.model, sphere_world.encoding, grid)
+        double = evaluate_field(doubled, sphere_world.encoding, grid)
         assert np.abs(single - double).max() <= 1e-5
 
 
@@ -101,7 +113,7 @@ class TestBatchIndependence:
         # Sign-refined field evaluation runs each lattice vertex in a
         # different batch than a dense sweep would; the two only agree
         # bit for bit if a row's value ignores its batch.
-        model, encoding = sphere_world.model, sphere_world.encoding
+        model, encoding = sphere_world.model.astype(np.float64), sphere_world.encoding
         if stored:
             path = tmp_path / "sphere.ckpt"
             save_checkpoint(path, model, encoding=encoding)

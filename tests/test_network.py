@@ -287,19 +287,6 @@ class TestGradients:
             assert_matches_finite_differences(config, seed=4676, batch=6)
 
 
-def with_dtype(model: SdfModel, dtype: type) -> SdfModel:
-    """A copy of ``model`` with its parameters cast to ``dtype``."""
-    p = model.params
-    return SdfModel(
-        model.config,
-        ParameterSet(
-            [a.astype(dtype) for a in p.directions],
-            [a.astype(dtype) for a in p.gains],
-            [a.astype(dtype) for a in p.biases],
-        ),
-    )
-
-
 def assert_gradients_close(
     got: ParameterSet, want: ParameterSet, tolerance: float
 ) -> None:
@@ -353,7 +340,7 @@ class TestTrainingPass:
             kink_distance(config, seed, batch, d_max, rng=np.random.default_rng(seed)) >= 1e-4
         )
         model, encoded, targets = gradient_check_draw(config, seed, batch)
-        single = with_dtype(model, np.float32)
+        single = model.astype(np.float32)
         loss, grads = loss_and_gradients(
             single, encoded, targets, d_max, rng=np.random.default_rng(seed)
         )

@@ -1,6 +1,11 @@
 """Training loop behaviour: descent, determinism, divergence handling."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from pasdf.network import NetworkConfig
 from pasdf.queries import QuerySet
 from pasdf.training import TrainConfig, TrainResult, train_model, predict_sdf
 
+REPO = Path(__file__).resolve().parents[1]
 ENC = EncodingConfig(num_frequencies=2)
 TINY_NET = NetworkConfig(
     input_dim=ENC.dim, hidden_width=16, num_layers=2, skip_layer=None, dropout=0.0
@@ -83,6 +89,35 @@ class TestTrainModel:
         assert a.loss_history == b.loss_history
         c = train_model(queries, TrainConfig(**{**cfg.to_dict(), "seed": 10}), ENC, net)
         assert not np.array_equal(a.model.params.flatten(), c.model.params.flatten())
+
+    def test_bitwise_identical_across_blas_thread_counts(self) -> None:
+        # The bench network on 5,000 queries: one 4,096-row batch and one
+        # 904-row batch per epoch, which training pads to 960 rows.
+        script = f"""
+import hashlib
+import numpy as np
+from pasdf.config import load_config
+from pasdf.queries import QuerySet
+from pasdf.training import TrainConfig, train_model
+
+config = load_config({str(REPO / "configs" / "bench.json")!r})
+positions = np.random.default_rng(0).random((5000, 3))
+sdf = np.linalg.norm(positions - 0.5, axis=1) - 0.3
+queries = QuerySet(positions, np.zeros(5000, dtype=np.uint8), sdf)
+cfg = TrainConfig(learning_rate=3e-4, epochs=2, batch_size=4096, seed=5, clamp_targets=True)
+trained = train_model(queries, cfg, config.encoding, config.network)
+print(hashlib.sha256(trained.model.params.flatten().tobytes()).hexdigest())
+"""
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
     def test_zero_epochs_returns_untrained_init(self) -> None:
         queries = volume_queries(32, seed=5, target_fn=radial_targets)
