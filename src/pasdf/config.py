@@ -299,7 +299,3 @@ def load_config(path: str | Path) -> RunConfig:
     if not source.is_file():
         raise FileNotFoundError(f"configuration file not found: {source}")
     return deserialize(source.read_text())
-
-
-def save_config(config: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(serialize(config))

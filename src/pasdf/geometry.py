@@ -255,12 +255,6 @@ def rotation_about_axis(axis: Vector, angle: float) -> Matrix:
     )
 
 
-def rotation_angle(rotation: Matrix) -> float:
-    """Rotation magnitude in radians, in [0, pi]."""
-    trace = float(np.trace(rotation))
-    return float(np.arccos(np.clip((trace - 1.0) / 2.0, -1.0, 1.0)))
-
-
 def random_rotation(rng: np.random.Generator) -> Matrix:
     """Uniformly distributed rotation via a normalised random quaternion."""
     q = rng.normal(size=4)

@@ -96,16 +96,6 @@ class TriMesh:
         return float(np.linalg.norm(hi - lo))
 
 
-def signed_volume(mesh: TriMesh) -> float:
-    """Divergence-theorem volume; positive when windings face outward."""
-    if mesh.is_empty:
-        return 0.0
-    a = mesh.vertices[mesh.faces[:, 0]]
-    b = mesh.vertices[mesh.faces[:, 1]]
-    c = mesh.vertices[mesh.faces[:, 2]]
-    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
-
-
 @dataclass(frozen=True)
 class NormalizationRecord:
     """Uniform scale-and-offset mapping original coordinates into [0, 1]^3."""
@@ -145,25 +135,6 @@ def normalize_unit_cube(mesh: TriMesh) -> tuple[TriMesh, NormalizationRecord]:
         raise InvalidInputError("normalisation needs a mesh with at least 4 vertices")
     record = normalization_from_bounds(*mesh.bounds())
     return TriMesh(record.normalize(mesh.vertices), mesh.faces), record
-
-
-def _undirected_edges(faces: Faces) -> NDArray[np.int64]:
-    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    return np.sort(edges, axis=1)
-
-
-def check_watertight(mesh: TriMesh) -> tuple[bool, int]:
-    """Whether every undirected edge is shared by exactly two faces.
-
-    Returns the flag plus the number of edges violating it.  The empty mesh
-    encloses nothing and reports not watertight with zero bad edges.
-    """
-    if mesh.is_empty:
-        return False, 0
-    edges = _undirected_edges(mesh.faces)
-    _, counts = np.unique(edges, axis=0, return_counts=True)
-    bad = int(np.sum(counts != 2))
-    return bad == 0, bad
 
 
 def sample_surface(mesh: TriMesh, n: int, seed: int) -> PointCloud:

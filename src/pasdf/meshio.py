@@ -1,8 +1,9 @@
-"""PLY, OBJ and JSON readers and writers.
+"""PLY and JSON readers and writers, and an OBJ writer.
 
 PLY covers clouds and score maps (written binary little-endian, ASCII
-accepted on read); OBJ covers triangle meshes.  Only the properties this
-pipeline produces are written; readers tolerate and ignore extras.
+accepted on read); OBJ covers triangle meshes, which the pipeline writes
+and never reads.  Only the properties this pipeline produces are
+written; readers tolerate and ignore extras.
 
 JSON covers the sample and checkpoint sidecars, ``prepare.json``,
 ``results.json``, ``eval.json``, the bench's ``metrics.json`` and
@@ -20,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidInputError
-from .geometry import F64, PointCloud, Points
+from .geometry import PointCloud, Points
 from .mesh import TriMesh
 
 SCORE_PROPERTY = "anomaly_score"
@@ -135,13 +136,6 @@ def _read_vertex_block(fh, fmt: str, count: int, props: list) -> dict[str, NDArr
     return {name: np.ascontiguousarray(data[name]) for name in names}
 
 
-def _fan(indices) -> list[list[int]]:
-    indices = list(int(v) for v in indices)
-    if len(indices) < 3:
-        raise InvalidInputError("face with fewer than 3 vertices")
-    return [[indices[0], indices[i], indices[i + 1]] for i in range(1, len(indices) - 1)]
-
-
 def read_ply(path: str | Path) -> PlyContent:
     """Vertex positions, and normals and scores when present; every other
     element is skipped.  Malformed content raises InvalidInputError."""
@@ -203,25 +197,6 @@ def write_obj(path: str | Path, mesh: TriMesh) -> None:
             fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
         for f in mesh.faces:
             fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-
-
-def read_obj(path: str | Path) -> TriMesh:
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                vertices.append([float(v) for v in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(tok.split("/")[0]) for tok in parts[1:]]
-                idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
-                faces.extend(_fan(idx))
-    if not vertices:
-        raise InvalidInputError(f"{path}: OBJ file has no vertices")
-    return TriMesh(np.asarray(vertices, dtype=np.float64), np.asarray(faces, dtype=np.int64))
 
 
 def write_json(path: str | Path, document: dict) -> None:

@@ -196,20 +196,6 @@ def _check_encoded(x: np.ndarray, config: NetworkConfig) -> None:
         )
 
 
-def clamped_l1_loss(
-    pred: NDArray[F64], target: NDArray[F64], d_max: float
-) -> float:
-    """Mean |clamp(pred, -d_max, d_max) - target|.
-
-    The clamp applies to the prediction only; far-field predictions saturate
-    instead of dominating the loss.
-    """
-    if d_max <= 0.0:
-        raise InvalidParameterError("d_max must be > 0")
-    clamped = np.clip(pred, -d_max, d_max)
-    return float(np.mean(np.abs(clamped - target)))
-
-
 def loss_and_gradients(
     model: SdfModel,
     encoded: NDArray[F64],

@@ -3,7 +3,9 @@
 It stores every layer's input, pre-activation and dropout mask, and
 back-propagates through them one factor at a time: the dropout mask and
 its 1/keep scale, then the ReLU derivative from the stored
-pre-activation.  ``pasdf.network.loss_and_gradients`` must agree with it.
+pre-activation.  ``pasdf.network.loss_and_gradients`` must agree with it,
+and its loss is ``clamped_l1_loss``, which finite-difference checks take
+through ``SdfModel.forward``.
 """
 from __future__ import annotations
 
@@ -13,6 +15,18 @@ import numpy as np
 
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.network import ParameterSet, SdfModel
+
+
+def clamped_l1_loss(pred: np.ndarray, target: np.ndarray, d_max: float) -> float:
+    """Mean |clamp(pred, -d_max, d_max) - target|.
+
+    The clamp applies to the prediction only; far-field predictions saturate
+    instead of dominating the loss.
+    """
+    if d_max <= 0.0:
+        raise InvalidParameterError("d_max must be > 0")
+    clamped = np.clip(pred, -d_max, d_max)
+    return float(np.mean(np.abs(clamped - target)))
 
 
 @dataclass
@@ -78,8 +92,8 @@ def loss_and_gradients(
         raise InvalidInputError("targets must pair 1:1 with inputs")
 
     n = out.shape[0]
+    loss = clamped_l1_loss(out, y, d_max)
     clamped = np.clip(out, -d_max, d_max)
-    loss = float(np.mean(np.abs(clamped - y)))
     d_out = np.sign(clamped - y) / n
     d_out *= np.abs(out) <= d_max
 

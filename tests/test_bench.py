@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import check_watertight, signed_volume
 from pasdf.bench import (
     AnomalySpec,
     BenchResult,
@@ -18,7 +19,7 @@ from pasdf.bench import (
 )
 from pasdf.config import BenchConfig, GridConfig, RunConfig
 from pasdf.errors import InvalidParameterError, PasdfError
-from pasdf.mesh import check_watertight, sample_surface, signed_volume
+from pasdf.mesh import sample_surface
 from pasdf.network import NetworkConfig
 from pasdf.queries import QueryCounts
 from pasdf.training import TrainConfig

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import save_config
 from pasdf import cli, pipeline
-from pasdf.config import RunConfig, save_config
+from pasdf.config import RunConfig
 from pasdf.errors import (
     CheckpointMismatchError,
     CoarseAlignmentError,

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from oracles import save_config
 from pasdf.config import (
     AlignConfig,
     BenchConfig,
@@ -17,7 +18,6 @@ from pasdf.config import (
     deserialize,
     from_document,
     load_config,
-    save_config,
     serialize,
     to_document,
 )

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import rotation_angle
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.geometry import (
     PointCloud,
@@ -23,7 +24,6 @@ from pasdf.geometry import (
     random_rigid,
     random_rotation,
     rotation_about_axis,
-    rotation_angle,
     voxel_downsample,
 )
 

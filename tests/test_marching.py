@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from field_oracle import dense_field, grouped_marching_cubes, vertex_positions
+from oracles import check_watertight, signed_volume
 from pasdf import marching
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.marching import (
@@ -15,7 +16,6 @@ from pasdf.marching import (
     evaluate_field,
     marching_cubes,
 )
-from pasdf.mesh import check_watertight, signed_volume
 
 
 def sample_grid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

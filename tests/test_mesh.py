@@ -4,17 +4,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import check_watertight, read_obj, signed_volume
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.geometry import PointCloud
 from pasdf.mesh import (
     NormalizationRecord,
     TriMesh,
-    check_watertight,
     normalize_unit_cube,
     sample_surface,
-    signed_volume,
 )
-from pasdf.meshio import read_obj, read_ply, write_cloud_ply, write_obj
+from pasdf.meshio import read_ply, write_cloud_ply, write_obj
 
 
 def unit_cube() -> TriMesh:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import pasdf.pipeline as pipeline_module
+from oracles import save_config
 from pasdf.bench import AnomalySpec, ShapeSpec, generate_shape, inject_anomaly, run_bench
 from pasdf.cli import EXIT_INPUT, main
 from pasdf.config import (
@@ -24,7 +25,6 @@ from pasdf.config import (
     IoConfig,
     RepairConfig,
     RunConfig,
-    save_config,
 )
 from pasdf.errors import (
     CheckpointMismatchError,

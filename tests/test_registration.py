@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import rotation_angle
 from pasdf import registration
 from pasdf.errors import CoarseAlignmentError, InvalidParameterError
 from pasdf.fpfh import compute_fpfh
@@ -15,7 +16,6 @@ from pasdf.geometry import (
     estimate_normals,
     random_rigid,
     rotation_about_axis,
-    rotation_angle,
 )
 from pasdf.registration import (
     AlignConfig,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rotation_angle
 from pasdf.errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -20,7 +21,6 @@ from pasdf.geometry import (
     apply_transform,
     compose,
     random_rigid,
-    rotation_angle,
 )
 from pasdf.mesh import sample_surface
 from pasdf.registration import AlignConfig

@@ -4,8 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import check_watertight, signed_volume
 from pasdf.errors import InvalidParameterError
-from pasdf.mesh import check_watertight, sample_surface, signed_volume
+from pasdf.mesh import sample_surface
 from pasdf.shapes import blob, box, capsule, sphere, torus
 
 ALL_SHAPES = [
