@@ -4,11 +4,12 @@ Adam over shuffled mini-batches of labelled query samples, in float32:
 parameters, encoded queries and optimizer moments; the targets and the
 loss stay float64.  Everything is driven by named sub-streams of one
 seed (initialization, epoch shuffles, dropout masks), so a run is
-bitwise-reproducible for a seed, and at any BLAS thread count: every
-batch is zero-padded to a multiple of 64 rows, which keeps the products
-that sum over a batch on one BLAS kernel whatever the threads.  A
-non-finite loss aborts immediately with the epoch, batch, and parameter
-norm at the point of failure.
+bitwise-reproducible for a seed.  Every batch is zero-padded to a
+multiple of 64 rows, and with that a run gives the same bits at one and
+at two BLAS threads; unpadded float32 batches and padded float64 ones
+both round differently when BLAS splits a batch's sums over another
+number of threads.  A non-finite loss aborts immediately with the
+epoch, batch, and parameter norm at the point of failure.
 """
 from __future__ import annotations
 

@@ -51,9 +51,12 @@ def oracle_auroc(scores: np.ndarray, labels: np.ndarray) -> float:
 def _steepest_slope(world, points: np.ndarray, step: float) -> float:
     """Largest central-difference gradient norm of the field over the
     points, with differences taken ``step`` either side along each axis."""
-    predict = lambda at: world.model.forward(positional_encode(at, world.encoding))
+
+    def field(at: np.ndarray) -> np.ndarray:
+        return world.model.forward(positional_encode(at, world.encoding))
+
     partials = [
-        (predict(points + step * axis) - predict(points - step * axis)) / (2.0 * step)
+        (field(points + step * axis) - field(points - step * axis)) / (2.0 * step)
         for axis in np.eye(3)
     ]
     return float(np.linalg.norm(partials, axis=0).max())

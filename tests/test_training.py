@@ -113,7 +113,12 @@ print(hashlib.sha256(trained.model.params.flatten().tobytes()).hexdigest())
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
             run = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=300,
             )
             digests.append(run.stdout.strip())
         assert len(digests[0]) == 64
