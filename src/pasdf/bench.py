@@ -280,7 +280,6 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
             canonical,
             record,
             seed=derive_seed(case.seed, "detect"),
-            alignment=config.align,
         ).with_object_score(config.scoring.top_k)
         identity = score_points(
             model,

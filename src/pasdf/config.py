@@ -19,7 +19,6 @@ from .encoding import EncodingConfig
 from .errors import ConfigValidationError, InvalidParameterError
 from .network import NetworkConfig
 from .queries import QueryCounts
-from .registration import AlignConfig
 from .repair import DEFAULT_EMD_SUBSAMPLE, DEFAULT_REPAIR_POINTS
 from .scoring import DEFAULT_TOP_K
 from .training import TrainConfig
@@ -135,7 +134,6 @@ class RunConfig:
     encoding: EncodingConfig = field(default_factory=EncodingConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
-    align: AlignConfig = field(default_factory=AlignConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     scoring: ScoreConfig = field(default_factory=ScoreConfig)
     repair: RepairConfig = field(default_factory=RepairConfig)
@@ -267,23 +265,6 @@ def from_document(document: Mapping[str, Any]) -> RunConfig:
         return RunConfig(**kwargs)
     except InvalidParameterError as error:
         raise ConfigValidationError(str(error)) from error
-
-
-def to_document(config: RunConfig) -> dict[str, Any]:
-    """Emit the complete JSON document for a config, defaults included."""
-    document: dict[str, Any] = {"seed": config.seed}
-    for name, keys in _SCHEMA.items():
-        section = getattr(config, name)
-        document[name] = {key: _json_value(getattr(section, key)) for key in keys}
-    return document
-
-
-def _json_value(value: Any) -> Any:
-    return list(value) if isinstance(value, tuple) else value
-
-
-def serialize(config: RunConfig) -> str:
-    return json.dumps(to_document(config), indent=2) + "\n"
 
 
 def deserialize(text: str) -> RunConfig:

@@ -480,8 +480,11 @@ def _pad_outside(values: NDArray[F64]) -> NDArray[F64]:
     return padded
 
 
-# Contract faces below this area rather than emit them; one decade of
-# margin over the mesh validator's degenerate-face floor.
+# Contract faces below this area rather than emit them.  The grid lies in
+# the unit cube, so a mesh's squared bounding-box diagonal is at most 3,
+# and every face kept clears the mesh validator's floor of 1e-12 of that
+# square by a factor over 3; a uniform rescale into world units keeps the
+# ratio, so the world mesh passes at every normalization scale.
 _SLIVER_AREA = 1e-11
 
 

@@ -12,6 +12,8 @@ from .geometry import F64, PointCloud, Points, Vector
 
 Faces: TypeAlias = NDArray[np.int64]
 
+# A face is degenerate when its area is at most this share of the squared
+# bounding-box diagonal, so the check judges a mesh the same at any scale.
 _MIN_FACE_AREA = 1e-12
 
 
@@ -20,9 +22,9 @@ class TriMesh:
     """Immutable triangle mesh.
 
     Faces index into ``vertices``; windings are taken as given.  Degenerate
-    (near zero area) faces are rejected at construction.  The empty mesh (no
-    vertices, no faces) is allowed so isosurface extraction can report "no
-    surface" without a special case.
+    faces, near zero area relative to the mesh's size, are rejected at
+    construction.  The empty mesh (no vertices, no faces) is allowed so
+    isosurface extraction can report "no surface" without a special case.
     """
 
     vertices: Points
@@ -41,10 +43,15 @@ class TriMesh:
             raise InvalidInputError("face indices out of range")
         crosses = self._face_crosses(verts, faces)
         areas = 0.5 * np.linalg.norm(crosses, axis=1)
-        if faces.size and areas.min() <= _MIN_FACE_AREA:
-            raise InvalidInputError(
-                f"mesh has a degenerate face (area {areas.min():.3e})"
-            )
+        if faces.size:
+            # Reducing the rows of a (3, n) copy is several times faster
+            # than reducing the columns of the (n, 3) array.
+            coords = np.ascontiguousarray(verts.T)
+            extents = coords.max(axis=1) - coords.min(axis=1)
+            if areas.min() <= _MIN_FACE_AREA * float(extents @ extents):
+                raise InvalidInputError(
+                    f"mesh has a degenerate face (area {areas.min():.3e})"
+                )
         for name, value in (("vertices", verts), ("faces", faces)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

@@ -168,7 +168,6 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
         result = pose_align(
             clouds[case_id],
             target,
-            config.align,
             seed=derive_seed(prepare_seed, f"align-{case_id}"),
         )
         if not result.converged:
@@ -296,7 +295,6 @@ def cmd_detect(config: RunConfig) -> DetectSummary:
             record,
             seed=derive_seed(config.seed, f"detect-{case_id}"),
             align=True,
-            alignment=config.align,
         ).with_object_score(config.scoring.top_k)
         score_map = f"{case_id}_scores.ply"
         write_cloud_ply(detect_dir / score_map, cloud, scores=report.per_point_scores)
@@ -364,7 +362,6 @@ def cmd_repair(config: RunConfig) -> RepairSummary:
                 resolution=config.grid.resolution,
                 n_points=config.repair.n_points,
                 align=True,
-                alignment=config.align,
             )
         except PasdfError as error:
             log.warning("repair of %s failed: %s", case_id, error)

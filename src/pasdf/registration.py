@@ -3,9 +3,12 @@
 The alignment loop mirrors a classic global-registration recipe: voxel
 downsample, describe with FPFH, hypothesise a coarse transform with RANSAC
 over descriptor correspondences, polish with point-to-plane ICP, then judge
-the round by symmetric chamfer discrepancy.  Rounds repeat with a loosening
-acceptance threshold until the discrepancy drops below it or the round budget
-runs out; the best state seen is returned either way.
+the round by symmetric chamfer discrepancy.  Rounds repeat until the
+discrepancy drops below a fixed threshold or the round budget runs out; the
+best state seen is returned either way.  The voxel is a fixed fraction of
+the target's size and the threshold is counted in squared voxels, so the
+loop behaves the same whatever unit the clouds are measured in and takes
+no settings.
 """
 from __future__ import annotations
 
@@ -37,9 +40,9 @@ from .runtime import worker_count
 log = logging.getLogger(__name__)
 
 # Geometric factors of the alignment loop, relative to the voxel size:
-# the default voxel is the target's bounding-box diagonal over
-# _VOXEL_DIVISOR, FPFH radius and RANSAC inlier distance scale the voxel,
-# and normals fit over _NORMALS_K neighbours.
+# the voxel is the target's bounding-box diagonal over _VOXEL_DIVISOR,
+# FPFH radius and RANSAC inlier distance scale the voxel, and normals fit
+# over _NORMALS_K neighbours.
 _VOXEL_DIVISOR = 20.0
 _FPFH_RADIUS_FACTOR = 5.0
 _NORMALS_K = 16
@@ -61,6 +64,14 @@ _ICP_TOLERANCE = 1e-10
 # sit on a defect or a missing part and are left out of the step.
 _ICP_RCOND = 1e-12
 _ICP_REJECT_FACTOR = 3.0
+
+# Alignment loop: the round budget, and the chamfer loss in squared
+# voxels below which a round is accepted.  Aligned rounds on the bench
+# shapes measure under 2 voxel^2.  The loss of the downsampled pair ranks
+# poses only coarsely (a blob turned half a turn measures under 3
+# voxel^2), so acceptance ends the loop; RANSAC and ICP choose the pose.
+_MAX_ROUNDS = 10
+_ACCEPT_LOSS_VOXELS = 4.0
 
 
 def fit_rigid(source: Points, target: Points) -> RigidTransform:
@@ -298,29 +309,6 @@ def icp_refine(
     return IcpResult(transform=transform, mse=mse, iterations=iterations)
 
 
-@dataclass(frozen=True)
-class AlignConfig:
-    """Settings of the pose alignment loop.
-
-    ``voxel_size`` of None derives the voxel from the target's bounding
-    box.  The chamfer acceptance threshold loosens by ``threshold_step``
-    after every round that fails it; a step of 0 keeps it fixed.
-    """
-
-    voxel_size: float | None = None
-    chamfer_threshold: float = 0.016
-    threshold_step: float = 0.001
-    max_rounds: int = 10
-
-    def __post_init__(self) -> None:
-        if self.voxel_size is not None and self.voxel_size <= 0.0:
-            raise InvalidParameterError("voxel_size must be positive or null")
-        if self.chamfer_threshold < 0.0 or self.threshold_step < 0.0:
-            raise InvalidParameterError("chamfer threshold and step must be >= 0")
-        if self.max_rounds < 1:
-            raise InvalidParameterError("max_rounds must be >= 1")
-
-
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
     delta: RigidTransform
@@ -351,34 +339,29 @@ def _described_downsample(
     return with_normals, descriptors
 
 
-def pose_align(
-    src: PointCloud,
-    tgt: PointCloud,
-    config: AlignConfig = AlignConfig(),
-    *,
-    seed: int = 0,
-) -> AlignmentResult:
+def pose_align(src: PointCloud, tgt: PointCloud, *, seed: int = 0) -> AlignmentResult:
     """Align ``src`` onto ``tgt`` with the coarse-to-fine loop.
 
-    The voxel defaults to the target bounding-box diagonal divided by 20.
-    Each round runs downsample, FPFH, RANSAC and ICP, accumulates the
-    round's full transform, and measures the symmetric chamfer discrepancy
-    of the downsampled pair (the full clouds when the target is too sparse
-    to describe).  A round beating the current acceptance threshold ends
-    the loop as converged; otherwise the threshold loosens by
-    ``config.threshold_step`` and the loop continues, returning the best
-    round seen.
+    The voxel is the target bounding-box diagonal divided by 20.  Each
+    round runs downsample, FPFH, RANSAC and ICP, accumulates the round's
+    full transform, and measures the symmetric chamfer discrepancy of the
+    downsampled pair (the full clouds when the target is too sparse to
+    describe).  A round whose discrepancy is below 4 squared voxels ends
+    the loop as converged; otherwise the loop runs up to 10 rounds and
+    returns the best round seen.  The discrepancy is a mean of squared
+    distances, so it scales with the square of the clouds' unit; counting
+    it in squared voxels makes the same rule accept the same round at
+    every scale.
 
     A failed coarse stage (too few correspondences) falls back to an identity
     initialisation for that round's ICP; it is counted and logged, not fatal.
+    A target whose points all coincide has no voxel and raises
+    InvalidParameterError.
     """
-    voxel = (
-        tgt.bbox_diagonal() / _VOXEL_DIVISOR
-        if config.voxel_size is None
-        else config.voxel_size
-    )
+    voxel = tgt.bbox_diagonal() / _VOXEL_DIVISOR
     if voxel <= 0.0:
         raise InvalidParameterError(f"voxel size must be positive, got {voxel}")
+    threshold = _ACCEPT_LOSS_VOXELS * voxel**2
 
     distance_threshold = _RANSAC_DISTANCE_FACTOR * voxel
     tgt_described = _described_downsample(tgt, voxel, _RANSAC_SAMPLE_SIZE)
@@ -386,14 +369,13 @@ def pose_align(
 
     cumulative = RigidTransform.identity()
     current = src
-    threshold = config.chamfer_threshold
     best_loss = np.inf
     best_transform = cumulative
     records: list[RoundRecord] = []
     converged = False
     failures = 0
 
-    for round_index in range(1, config.max_rounds + 1):
+    for round_index in range(1, _MAX_ROUNDS + 1):
         coarse = RigidTransform.identity()
         failed = True
         src_described = _described_downsample(current, voxel, _RANSAC_SAMPLE_SIZE)
@@ -436,7 +418,6 @@ def pose_align(
         if loss < threshold:
             converged = True
             break
-        threshold += config.threshold_step
 
     return AlignmentResult(
         aligned=apply_transform(best_transform, src),

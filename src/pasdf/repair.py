@@ -27,7 +27,7 @@ from .marching import GridSpec, evaluate_field, marching_cubes
 from .mesh import NormalizationRecord, TriMesh, sample_surface
 from .network import SdfModel
 from .queries import QueryCounts
-from .registration import AlignConfig, pose_align
+from .registration import pose_align
 from .rng import derive_seed
 
 DEFAULT_REPAIR_POINTS = 20000
@@ -91,7 +91,6 @@ def repair(
     resolution: int = 128,
     n_points: int = DEFAULT_REPAIR_POINTS,
     align: bool = True,
-    alignment: AlignConfig = AlignConfig(),
 ) -> RepairResult:
     """Reconstruct the normal surface underneath an anomalous cloud.
 
@@ -113,7 +112,7 @@ def repair(
     if n_points < 1:
         raise InvalidParameterError("n_points must be positive")
     if align:
-        result = pose_align(anomalous, canonical, alignment, seed=seed)
+        result = pose_align(anomalous, canonical, seed=seed)
         aligned = result.aligned
         transform = result.transform
         converged = result.converged

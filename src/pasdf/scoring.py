@@ -19,7 +19,7 @@ from .errors import InvalidInputError, InvalidParameterError, UndefinedMetricErr
 from .geometry import F64, PointCloud, RigidTransform
 from .mesh import NormalizationRecord
 from .network import SdfModel
-from .registration import AlignConfig, pose_align
+from .registration import pose_align
 
 DEFAULT_TOP_K = 1000
 
@@ -69,19 +69,17 @@ def score_points(
     *,
     seed: int,
     align: bool = True,
-    alignment: AlignConfig = AlignConfig(),
 ) -> AnomalyReport:
     """Pose-align a test cloud and score each point by |f(x)|.
 
     Scores land at the original point indices (rigid alignment never
     reorders).  A non-convergent alignment still produces scores; the
-    report's converged flag lets the caller decide what to trust.
-    ``alignment`` sets the alignment loop.  With align=False the cloud is
-    assumed to already sit in the canonical world frame, which is the
-    ablation path.
+    report's converged flag lets the caller decide what to trust.  With
+    align=False the cloud is assumed to already sit in the canonical world
+    frame, which is the ablation path.
     """
     if align:
-        result = pose_align(test, canonical, alignment, seed=seed)
+        result = pose_align(test, canonical, seed=seed)
         aligned, transform, converged = result.aligned, result.transform, result.converged
     else:
         aligned, transform, converged = test, RigidTransform.identity(), True

@@ -3,15 +3,18 @@
 ``rotation_angle`` sizes a rotation error, ``signed_volume`` and
 ``check_watertight`` judge the meshes that shapes and marching cubes
 build, ``read_obj`` reads back what ``pasdf.meshio.write_obj`` writes,
-and ``save_config`` writes the files ``pasdf.config.load_config`` reads.
+and ``serialize`` and ``save_config`` write the documents
+``pasdf.config.deserialize`` and ``pasdf.config.load_config`` read.
 """
 from __future__ import annotations
 
+import json
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
-from pasdf.config import RunConfig, serialize
+from pasdf.config import _SCHEMA, RunConfig
 from pasdf.errors import InvalidInputError
 from pasdf.mesh import TriMesh
 
@@ -68,6 +71,23 @@ def read_obj(path: str | Path) -> TriMesh:
     if not vertices:
         raise InvalidInputError(f"{path}: OBJ file has no vertices")
     return TriMesh(np.asarray(vertices, dtype=np.float64), np.asarray(faces, dtype=np.int64))
+
+
+def to_document(config: RunConfig) -> dict[str, Any]:
+    """Emit the complete JSON document for a config, defaults included."""
+    document: dict[str, Any] = {"seed": config.seed}
+    for name, keys in _SCHEMA.items():
+        section = getattr(config, name)
+        document[name] = {key: _json_value(getattr(section, key)) for key in keys}
+    return document
+
+
+def _json_value(value: Any) -> Any:
+    return list(value) if isinstance(value, tuple) else value
+
+
+def serialize(config: RunConfig) -> str:
+    return json.dumps(to_document(config), indent=2) + "\n"
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:

@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
-from oracles import save_config
+from oracles import save_config, serialize, to_document
 from pasdf.config import (
-    AlignConfig,
     BenchConfig,
     GridConfig,
     IoConfig,
@@ -18,8 +18,6 @@ from pasdf.config import (
     deserialize,
     from_document,
     load_config,
-    serialize,
-    to_document,
 )
 from pasdf.encoding import EncodingConfig
 from pasdf.errors import ConfigValidationError
@@ -57,9 +55,6 @@ def every_field_changed() -> RunConfig:
             epsilon=1e-6,
             clamp_targets=True,
         ),
-        align=AlignConfig(
-            voxel_size=0.05, chamfer_threshold=0.02, threshold_step=0.0, max_rounds=3
-        ),
         grid=GridConfig(resolution=64),
         scoring=ScoreConfig(top_k=5),
         repair=RepairConfig(n_points=100, emd_subsample=32),
@@ -79,9 +74,6 @@ def every_field_changed() -> RunConfig:
 class TestDefaults:
     def test_paper_defaults(self) -> None:
         config = RunConfig()
-        assert config.align.chamfer_threshold == 0.016
-        assert config.align.threshold_step == 0.001
-        assert config.align.max_rounds == 10
         assert config.training.d_max == 0.1
         assert config.training.learning_rate == 1e-5
         assert config.training.epochs == 2000
@@ -108,7 +100,6 @@ class TestRoundTrip:
         config = RunConfig(
             seed=17,
             io=IoConfig(train_dir="a", test_dir="b", out_dir="c", labels="d.json"),
-            align=AlignConfig(voxel_size=0.05, max_rounds=3),
             grid=GridConfig(resolution=64),
             bench=BenchConfig(
                 shapes=("sphere", "torus"),
@@ -158,7 +149,7 @@ class TestRoundTrip:
 
     def test_serialized_floats_survive_json(self) -> None:
         document = json.loads(serialize(RunConfig()))
-        assert document["align"]["chamfer_threshold"] == 0.016
+        assert document["counts"]["bbox_expand"] == 1.3
         assert document["training"]["learning_rate"] == 1e-5
 
 
@@ -196,24 +187,22 @@ class TestDeserialization:
             from_document({"grid": {"resolution": 0}})
 
     def test_out_of_range_value_reports_section(self) -> None:
-        with pytest.raises(ConfigValidationError, match="align"):
-            from_document({"align": {"chamfer_threshold": -1.0}})
+        with pytest.raises(ConfigValidationError, match="scoring"):
+            from_document({"scoring": {"top_k": 0}})
 
-    def test_fixed_alignment_threshold_accepted(self) -> None:
-        config = from_document({"align": {"threshold_step": 0.0}})
-        assert config.align.threshold_step == 0.0
-        with pytest.raises(ConfigValidationError, match="align"):
-            from_document({"align": {"threshold_step": -0.001}})
+    def test_align_section_rejected(self) -> None:
+        # Alignment takes no settings; an old document naming them fails
+        # loudly rather than having its values silently ignored.
+        with pytest.raises(ConfigValidationError, match="unknown key 'align'"):
+            from_document({"align": {"chamfer_threshold": 0.016}})
 
     def test_nulls_where_allowed(self) -> None:
         config = from_document(
             {
-                "align": {"voxel_size": None},
                 "io": {"labels": None},
                 "network": {"skip_layer": None},
             }
         )
-        assert config.align.voxel_size is None
         assert config.io.labels is None
         assert config.network.skip_layer is None
 
@@ -224,6 +213,12 @@ class TestDeserialization:
     def test_non_object_document_rejected(self) -> None:
         with pytest.raises(ConfigValidationError, match="JSON object"):
             deserialize("[1, 2]")
+
+    def test_shipped_configs_load(self) -> None:
+        shipped = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+        assert shipped
+        for path in shipped:
+            assert isinstance(load_config(path), RunConfig), path
 
     def test_missing_file_names_path(self, tmp_path) -> None:
         missing = tmp_path / "absent.json"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import rotation_angle
-from pasdf import registration
+from pasdf import registration, shapes
 from pasdf.errors import CoarseAlignmentError, InvalidParameterError
 from pasdf.fpfh import compute_fpfh
 from pasdf.geometry import (
@@ -17,8 +17,8 @@ from pasdf.geometry import (
     random_rigid,
     rotation_about_axis,
 )
+from pasdf.mesh import sample_surface
 from pasdf.registration import (
-    AlignConfig,
     fit_rigid,
     icp_refine,
     pose_align,
@@ -293,15 +293,26 @@ class TestPoseAlign:
                 passed += 1
         assert passed >= 18
 
-    def test_round_budget_is_respected_when_threshold_unreachable(self):
-        cloud = lumpy_blob(81, n=600)
-        moved = apply_transform(random_rigid(np.random.default_rng(82), 0.3), lumpy_blob(83, n=600))
+    @pytest.mark.parametrize("scale", [0.125, 1.0, 8.0, 64.0])
+    def test_acceptance_does_not_depend_on_units(self, scale):
+        # Two samplings of one surface in one pose align in the first round
+        # whatever the unit; powers of two rescale the points exactly.
+        mesh = shapes.blob()
+        tgt, src = (sample_surface(mesh, 2000, seed) for seed in (1, 2))
         result = pose_align(
-            moved,
-            cloud,
-            AlignConfig(chamfer_threshold=0.0, threshold_step=0.0, max_rounds=3),
+            PointCloud(src.points * scale, src.normals),
+            PointCloud(tgt.points * scale, tgt.normals),
             seed=0,
         )
+        assert result.converged
+        assert result.rounds == 1
+
+    def test_round_budget_is_respected_when_threshold_unreachable(self, monkeypatch):
+        monkeypatch.setattr(registration, "_ACCEPT_LOSS_VOXELS", 0.0)
+        monkeypatch.setattr(registration, "_MAX_ROUNDS", 3)
+        cloud = lumpy_blob(81, n=600)
+        moved = apply_transform(random_rigid(np.random.default_rng(82), 0.3), lumpy_blob(83, n=600))
+        result = pose_align(moved, cloud, seed=0)
         assert result.rounds == 3
         assert not result.converged
         assert len(result.round_log) == 3
@@ -330,18 +341,20 @@ class TestPoseAlign:
         np.testing.assert_array_equal(a.transform.translation, b.transform.translation)
         assert a.chamfer == b.chamfer
 
-    def test_coarse_failure_falls_back_to_icp(self):
+    def test_coarse_failure_falls_back_to_icp(self, monkeypatch):
         # A voxel bigger than the cloud leaves too few points for RANSAC;
         # every round logs a failure yet alignment still runs.
+        monkeypatch.setattr(registration, "_VOXEL_DIVISOR", 0.1)
+        monkeypatch.setattr(registration, "_MAX_ROUNDS", 2)
         tgt = lumpy_blob(90, n=300)
         src = lumpy_blob(91, n=300)
-        result = pose_align(src, tgt, AlignConfig(voxel_size=10.0, max_rounds=2), seed=0)
+        result = pose_align(src, tgt, seed=0)
         assert result.ransac_failures == result.rounds
         assert result.rounds >= 1
 
     def test_validates_parameters(self):
+        # A target whose points coincide has a zero voxel.
         cloud = lumpy_blob(92, n=100)
+        point = PointCloud(np.ones((100, 3)))
         with pytest.raises(InvalidParameterError):
-            pose_align(cloud, cloud, AlignConfig(max_rounds=0))
-        with pytest.raises(InvalidParameterError):
-            pose_align(cloud, cloud, AlignConfig(voxel_size=-1.0))
+            pose_align(cloud, point)

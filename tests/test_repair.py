@@ -15,7 +15,7 @@ from pasdf.geometry import (
     random_rigid,
 )
 from pasdf.marching import GridSpec
-from pasdf.mesh import sample_surface
+from pasdf.mesh import NormalizationRecord, sample_surface
 from pasdf.repair import RepairResult, emd, repair, repair_quality
 from pasdf.rng import derive_seed
 
@@ -310,6 +310,27 @@ class TestRepair:
                 n_points=0,
                 align=False,
             )
+
+    def test_small_record_scale_keeps_the_mesh(self, sphere_world) -> None:
+        # The degenerate-face check is relative to the mesh's size, so a
+        # record that shrinks the world tenfold extracts the same faces.
+        normalized = sphere_world.record.normalize(sphere_world.canonical.points)
+        faces = []
+        for scale in (1.0, 0.1):
+            record = NormalizationRecord(scale=scale, offset=(0.0, 0.0, 0.0))
+            result = repair(
+                PointCloud(record.denormalize(normalized)),
+                sphere_world.model,
+                sphere_world.encoding,
+                sphere_world.canonical,
+                record,
+                seed=7,
+                resolution=48,
+                n_points=500,
+                align=False,
+            )
+            faces.append(result.mesh.faces)
+        np.testing.assert_array_equal(faces[0], faces[1])
 
     def test_result_deterministic_for_seed(self, sphere_world) -> None:
         def run() -> RepairResult:

@@ -23,7 +23,6 @@ from pasdf.geometry import (
     random_rigid,
 )
 from pasdf.mesh import sample_surface
-from pasdf.registration import AlignConfig
 from pasdf.scoring import (
     AnomalyReport,
     auroc,
@@ -262,7 +261,9 @@ class TestScorePoints:
         ).with_object_score()
         assert raw.object_score > 5.0 * aligned.object_score
 
-    def test_non_convergence_still_scores(self, sphere_world) -> None:
+    def test_non_convergence_still_scores(self, sphere_world, monkeypatch) -> None:
+        monkeypatch.setattr(registration, "_ACCEPT_LOSS_VOXELS", 0.0)
+        monkeypatch.setattr(registration, "_MAX_ROUNDS", 2)
         report = score_points(
             sphere_world.model,
             sphere_world.encoding,
@@ -270,7 +271,6 @@ class TestScorePoints:
             sphere_world.canonical,
             sphere_world.record,
             seed=4,
-            alignment=AlignConfig(chamfer_threshold=0.0, threshold_step=0.0, max_rounds=2),
         )
         assert not report.converged
         assert report.per_point_scores.size == len(sphere_world.canonical)
