@@ -46,8 +46,8 @@ class ShapeSpec:
 def generate_shape(spec: ShapeSpec, seed: int) -> TriMesh:
     """Build the watertight mesh a spec describes.
 
-    Generators are deterministic; the seed is part of the interface so
-    stochastic shape families can slot in without changing callers.
+    ``seed`` is unread: each kind is one fixed mesh.  The argument stays
+    only because the benchmark in ``perfbench/inputs.py`` passes it.
     """
     del seed
     if spec.kind == "sphere":
@@ -56,7 +56,7 @@ def generate_shape(spec: ShapeSpec, seed: int) -> TriMesh:
         return box()
     if spec.kind == "torus":
         return torus()
-    return capsule(segments=24, cap_rings=6)
+    return capsule()
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,10 @@ class RepairCaseResult:
 
     name: str
     kind: str
-    converged: bool
     chamfer_before: float
     chamfer_after: float
     emd_before: float
     emd_after: float
-    score_before: float
-    score_after: float
 
 
 @dataclass(frozen=True)
@@ -347,26 +344,14 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
             seed=derive_seed(case.seed, "quality-after"),
             emd_subsample=config.repair.emd_subsample,
         )
-        rescore = score_points(
-            model,
-            config.encoding,
-            repaired.repaired,
-            canonical,
-            record,
-            seed=derive_seed(case.seed, "rescore"),
-            align=False,
-        ).with_object_score(config.scoring.top_k)
         repair_results.append(
             RepairCaseResult(
                 name=case.name,
                 kind=case.kind,
-                converged=repaired.converged,
                 chamfer_before=before.chamfer,
                 chamfer_after=after.chamfer,
                 emd_before=before.emd,
                 emd_after=after.emd,
-                score_before=float(report.object_score),
-                score_after=float(rescore.object_score),
             )
         )
 
@@ -405,7 +390,6 @@ def _mean(values: list[float]) -> float:
 
 def _metric_row(row: ShapeResult) -> dict:
     improved = [r.chamfer_after < r.chamfer_before for r in row.repairs]
-    not_worse = [r.score_after <= r.score_before for r in row.repairs]
     return {
         "shape": row.shape,
         "o_auroc": row.o_auroc,
@@ -417,7 +401,6 @@ def _metric_row(row: ShapeResult) -> dict:
         "emd_before_mean": _mean([r.emd_before for r in row.repairs]),
         "emd_after_mean": _mean([r.emd_after for r in row.repairs]),
         "all_repairs_improved": bool(improved) and all(improved),
-        "all_rescores_not_worse": bool(not_worse) and all(not_worse),
         "failed": row.failed,
     }
 

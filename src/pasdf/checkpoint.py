@@ -2,9 +2,10 @@
 
 Binary container: 8 magic bytes, a fixed little-endian architecture
 descriptor, then all parameters layer-major (directions, gains, biases per
-layer) as row-major f32.  A JSON sidecar carries the encoding config, the
-canonical target's normalization record, the training config, and the
-final loss.  Training happens in f32, so a trained model is stored
+layer) as row-major f32.  A JSON sidecar carries the caller's metadata
+(``pasdf train`` passes epochs run, final loss and record count) plus the
+network and encoding configs; the normalization record is in
+``prepare.json``.  Training happens in f32, so a trained model is stored
 exactly; a float64 model is narrowed to f32.  Loading keeps the stored
 values as f32, so a loaded model infers in f32.
 """

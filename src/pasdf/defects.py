@@ -22,12 +22,10 @@ from .runtime import worker_count
 
 @dataclass(frozen=True)
 class DefectResult:
-    """A perturbed cloud, its labels, and the patch center used."""
+    """A perturbed cloud and its point labels."""
 
     cloud: PointCloud
     labels: NDArray[np.bool_]
-    kind: str
-    center: NDArray[np.float64]
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.cloud.points):
@@ -36,7 +34,7 @@ class DefectResult:
 
 def _patch(
     cloud: PointCloud, center: np.ndarray, radius: float, kind: str
-) -> tuple[NDArray[np.bool_], NDArray[np.float64], NDArray[np.float64]]:
+) -> tuple[NDArray[np.bool_], NDArray[np.float64]]:
     if radius <= 0.0:
         raise InvalidParameterError("patch radius must be positive")
     anchor = np.asarray(center, dtype=np.float64)
@@ -49,7 +47,7 @@ def _patch(
     # Smooth falloff: full strength at the center, zero at the rim.
     falloff = np.zeros(len(cloud.points))
     falloff[inside] = np.cos(np.pi * distances[inside] / (2.0 * radius))
-    return inside, falloff, anchor
+    return inside, falloff
 
 
 def _displace_along_normals(
@@ -64,14 +62,9 @@ def _displace_along_normals(
         raise InvalidParameterError("magnitude must be non-negative")
     if cloud.normals is None:
         raise InvalidInputError(f"{kind} displaces along normals, cloud has none")
-    inside, falloff, anchor = _patch(cloud, center, radius, kind)
+    inside, falloff = _patch(cloud, center, radius, kind)
     points = cloud.points + sign * magnitude * falloff[:, None] * cloud.normals
-    return DefectResult(
-        cloud=PointCloud(points, cloud.normals),
-        labels=inside & (magnitude > 0.0),
-        kind=kind,
-        center=anchor,
-    )
+    return DefectResult(PointCloud(points, cloud.normals), inside & (magnitude > 0.0))
 
 
 def dent(
@@ -99,16 +92,11 @@ def noise_patch(
     """Scatter the patch with isotropic gaussian jitter of scale magnitude."""
     if magnitude < 0.0:
         raise InvalidParameterError("magnitude must be non-negative")
-    inside, _, anchor = _patch(cloud, center, radius, "noise_patch")
+    inside, _ = _patch(cloud, center, radius, "noise_patch")
     rng = np.random.default_rng(derive_seed(seed, "defect-noise"))
     points = cloud.points.copy()
     points[inside] += magnitude * rng.normal(size=(int(inside.sum()), 3))
-    return DefectResult(
-        cloud=PointCloud(points, cloud.normals),
-        labels=inside & (magnitude > 0.0),
-        kind="noise_patch",
-        center=anchor,
-    )
+    return DefectResult(PointCloud(points, cloud.normals), inside & (magnitude > 0.0))
 
 
 def crop(cloud: PointCloud, *, center: np.ndarray, radius: float) -> DefectResult:
@@ -118,7 +106,7 @@ def crop(cloud: PointCloud, *, center: np.ndarray, radius: float) -> DefectResul
     surviving points bordering the hole: anything within one mean
     nearest-neighbour spacing of a removed point.
     """
-    inside, _, anchor = _patch(cloud, center, radius, "crop")
+    inside, _ = _patch(cloud, center, radius, "crop")
     kept = ~inside
     if not kept.any():
         raise InvalidParameterError("crop radius removes the whole cloud")
@@ -129,9 +117,4 @@ def crop(cloud: PointCloud, *, center: np.ndarray, radius: float) -> DefectResul
     rim_distance, _ = cKDTree(cloud.points[inside]).query(survivors, k=1, workers=workers)
     labels = rim_distance < mean_spacing
     normals = cloud.normals[kept] if cloud.normals is not None else None
-    return DefectResult(
-        cloud=PointCloud(survivors, normals),
-        labels=labels,
-        kind="crop",
-        center=anchor,
-    )
+    return DefectResult(PointCloud(survivors, normals), labels)

@@ -41,7 +41,7 @@ from .errors import InvalidInputError, InvalidParameterError
 from .geometry import F64, Points
 from .mesh import Faces, TriMesh
 from .network import SdfModel
-from .queries import QueryCounts
+from .queries import QueryCounts, bbox_shell
 
 _CORNERS = np.array(
     [
@@ -159,22 +159,16 @@ class GridSpec:
         resolution: int = 128,
         expand: float = QueryCounts.bbox_expand,
     ) -> "GridSpec":
-        """Unit cube clipped to the bounding box of a cloud, scaled by
-        ``expand`` about its center.
+        """The :func:`~pasdf.queries.bbox_shell` of a cloud's bounding box.
 
-        Points are expected in normalized coordinates.  With the
-        ``bbox_expand`` the model's bbox-tier queries were drawn with, the
-        grid covers the same shell the model was trained on.  A cloud
-        whose expanded box misses the unit cube is an input error.
+        Points are expected in normalized coordinates.  A cloud whose
+        expanded box misses the unit cube is an input error.
         """
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
             raise InvalidInputError("points must be a non-empty (n, 3) array")
         lo, hi = pts.min(axis=0), pts.max(axis=0)
-        center = (lo + hi) / 2.0
-        half = np.maximum((hi - lo) / 2.0 * expand, 1e-3)
-        lower = np.clip(center - half, 0.0, 1.0)
-        upper = np.clip(center + half, 0.0, 1.0)
+        lower, upper = bbox_shell(lo, hi, expand)
         if (upper - lower).min() <= 0.0:
             raise InvalidInputError(
                 f"cloud spans {lo.tolist()} to {hi.tolist()} in normalized "

@@ -90,20 +90,6 @@ class ParameterSet:
             [np.zeros_like(a) for a in other.biases],
         )
 
-    def flatten(self) -> NDArray[F64]:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
-    def overwrite_from_flat(self, flat: NDArray[F64]) -> None:
-        cursor = 0
-        for array in self.arrays():
-            chunk = flat[cursor : cursor + array.size]
-            if chunk.size != array.size:
-                raise InvalidInputError("flat parameter vector has the wrong length")
-            array[...] = chunk.reshape(array.shape)
-            cursor += array.size
-        if cursor != flat.size:
-            raise InvalidInputError("flat parameter vector has the wrong length")
-
 
 @dataclass
 class SdfModel:

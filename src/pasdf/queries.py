@@ -96,6 +96,18 @@ class QuerySet:
         return self.sdf is not None
 
 
+def bbox_shell(lo: Points, hi: Points, expand: float) -> tuple[Points, Points]:
+    """The box ``lo``..``hi`` scaled by ``expand`` about its centre and
+    clipped to the unit cube, each half-extent at least 1e-3.
+
+    Bbox-tier queries are drawn from this shell and the repair grid spans
+    it, so the grid covers what the model was trained on.
+    """
+    center = (lo + hi) / 2.0
+    half = np.maximum((hi - lo) / 2.0 * expand, 1e-3)
+    return np.clip(center - half, 0.0, 1.0), np.clip(center + half, 0.0, 1.0)
+
+
 def _sample_tiers(
     lo: Points,
     hi: Points,
@@ -115,10 +127,7 @@ def _sample_tiers(
         tiers.append(np.full(counts.volume, int(Tier.VOLUME), dtype=np.uint8))
     if counts.bbox:
         rng = stream(seed, "queries-bbox")
-        center = (lo + hi) / 2.0
-        half = (hi - lo) / 2.0 * counts.bbox_expand
-        lo_exp = np.clip(center - half, 0.0, 1.0)
-        hi_exp = np.clip(center + half, 0.0, 1.0)
+        lo_exp, hi_exp = bbox_shell(lo, hi, counts.bbox_expand)
         blocks.append(lo_exp + rng.random((counts.bbox, 3)) * (hi_exp - lo_exp))
         tiers.append(np.full(counts.bbox, int(Tier.BBOX), dtype=np.uint8))
     if counts.surface:

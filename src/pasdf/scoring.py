@@ -32,7 +32,6 @@ class AnomalyReport:
     transform: RigidTransform
     converged: bool
     object_score: float | None = None
-    k_used: int | None = None
 
     def __post_init__(self) -> None:
         scores = np.ascontiguousarray(self.per_point_scores, dtype=np.float64)
@@ -43,9 +42,7 @@ class AnomalyReport:
         object.__setattr__(self, "per_point_scores", scores)
 
     def with_object_score(self, k: int = DEFAULT_TOP_K) -> "AnomalyReport":
-        k_used = min(k, self.per_point_scores.size)
-        score = object_score(self.per_point_scores, k)
-        return replace(self, object_score=score, k_used=k_used)
+        return replace(self, object_score=object_score(self.per_point_scores, k))
 
 
 def object_score(scores: NDArray[F64], k: int = DEFAULT_TOP_K) -> float:

@@ -1,14 +1,14 @@
 """Watertight generator meshes used by benchmarks and experiments.
 
-Every generator returns a closed triangle mesh with outward windings
-(positive signed volume), so surface sampling yields outward normals and
-inside/outside labelling is consistent without per-shape cases.
+Each generator builds one fixed shape, centred at the origin, as a closed
+triangle mesh with outward windings (positive signed volume), so surface
+sampling yields outward normals and inside/outside labelling is
+consistent without per-shape cases.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError
 from .geometry import Points
 from .mesh import Faces, TriMesh
 
@@ -34,13 +34,12 @@ _ICOSA_FACES = np.array(
 )
 
 
-def _subdivided_unit_sphere(subdivisions: int) -> tuple[Points, Faces]:
-    """Icosahedron refined by edge midpoints, vertices on the unit sphere."""
-    if subdivisions < 0:
-        raise InvalidParameterError("subdivisions must be non-negative")
+def _subdivided_unit_sphere() -> tuple[Points, Faces]:
+    """Icosahedron refined three times by edge midpoints, vertices on the
+    unit sphere: 642 vertices and 1,280 faces."""
     vertices = [v / np.linalg.norm(v) for v in _ICOSA_VERTICES]
     faces = [tuple(f) for f in _ICOSA_FACES]
-    for _ in range(subdivisions):
+    for _ in range(3):
         midpoint_of: dict[frozenset[int], int] = {}
 
         def midpoint(a: int, b: int) -> int:
@@ -59,31 +58,20 @@ def _subdivided_unit_sphere(subdivisions: int) -> tuple[Points, Faces]:
     return np.asarray(vertices), np.asarray(faces, dtype=np.int64)
 
 
-def sphere(
-    radius: float = 0.5,
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    subdivisions: int = 3,
-) -> TriMesh:
-    if radius <= 0.0:
-        raise InvalidParameterError("radius must be positive")
-    vertices, faces = _subdivided_unit_sphere(subdivisions)
-    return TriMesh(vertices * radius + np.asarray(center), faces)
+def sphere() -> TriMesh:
+    """Sphere of radius 0.5."""
+    vertices, faces = _subdivided_unit_sphere()
+    return TriMesh(vertices * 0.5, faces)
 
 
-def blob(
-    scale: float = 0.5,
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    subdivisions: int = 3,
-) -> TriMesh:
+def blob() -> TriMesh:
     """Star-shaped bumpy solid with no rotational symmetry.
 
     Mixed odd and even radial terms with generic coefficients, so pose
     recovery against it is well posed.  Radial scaling of a star-shaped
     surface preserves closedness and winding.
     """
-    if scale <= 0.0:
-        raise InvalidParameterError("scale must be positive")
-    directions, faces = _subdivided_unit_sphere(subdivisions)
+    directions, faces = _subdivided_unit_sphere()
     x, y, z = directions.T
     polar = np.arccos(np.clip(z, -1.0, 1.0))
     radial = (
@@ -95,18 +83,13 @@ def blob(
         + 0.175 * np.cos(3.0 * polar)
         + 0.18 * x * y * z
     )
-    vertices = directions * radial[:, None] * scale + np.asarray(center)
-    return TriMesh(vertices, faces)
+    return TriMesh(directions * radial[:, None] * 0.5, faces)
 
 
-def box(
-    extents: tuple[float, float, float] = (1.0, 0.6, 0.4),
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> TriMesh:
-    """Axis-aligned box; twelve triangles describe it exactly."""
-    half = np.asarray(extents, dtype=np.float64) / 2.0
-    if half.min() <= 0.0:
-        raise InvalidParameterError("extents must be positive")
+def box() -> TriMesh:
+    """Axis-aligned 1.0 x 0.6 x 0.4 box; twelve triangles describe it
+    exactly."""
+    half = np.array([1.0, 0.6, 0.4]) / 2.0
     corners = np.array(
         [
             (-1, -1, -1), (1, -1, -1), (1, 1, -1), (-1, 1, -1),
@@ -125,28 +108,20 @@ def box(
     faces = []
     for a, b, c, d in quads:
         faces += [(a, b, c), (a, c, d)]
-    return TriMesh(
-        corners * half + np.asarray(center), np.asarray(faces, dtype=np.int64)
-    )
+    return TriMesh(corners * half, np.asarray(faces, dtype=np.int64))
 
 
-def torus(
-    major_radius: float = 0.35,
-    minor_radius: float = 0.12,
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    segments_major: int = 48,
-    segments_minor: int = 24,
-) -> TriMesh:
-    if not 0.0 < minor_radius < major_radius:
-        raise InvalidParameterError("need 0 < minor_radius < major_radius")
-    if segments_major < 3 or segments_minor < 3:
-        raise InvalidParameterError("torus needs at least 3 segments per ring")
+def torus() -> TriMesh:
+    """Torus about the z axis: spine radius 0.35, tube radius 0.12, 48
+    segments around the spine and 24 around the tube."""
+    major, minor = 0.35, 0.12
+    segments_major, segments_minor = 48, 24
     u = np.linspace(0.0, 2.0 * np.pi, segments_major, endpoint=False)
     v = np.linspace(0.0, 2.0 * np.pi, segments_minor, endpoint=False)
     uu, vv = np.meshgrid(u, v, indexing="ij")
-    ring = major_radius + minor_radius * np.cos(vv)
+    ring = major + minor * np.cos(vv)
     vertices = np.stack(
-        [ring * np.cos(uu), ring * np.sin(uu), minor_radius * np.sin(vv)], axis=-1
+        [ring * np.cos(uu), ring * np.sin(uu), minor * np.sin(vv)], axis=-1
     ).reshape(-1, 3)
 
     def at(i: int, j: int) -> int:
@@ -158,40 +133,24 @@ def torus(
             a, b = at(i, j), at(i + 1, j)
             c, d = at(i + 1, j + 1), at(i, j + 1)
             faces += [(a, b, c), (a, c, d)]
-    return TriMesh(
-        vertices + np.asarray(center), np.asarray(faces, dtype=np.int64)
-    )
+    return TriMesh(vertices, np.asarray(faces, dtype=np.int64))
 
 
-def capsule(
-    radius: float = 0.2,
-    height: float = 0.5,
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    segments: int = 32,
-    cap_rings: int = 8,
-) -> TriMesh:
+def capsule() -> TriMesh:
     """Cylinder with hemispherical caps, axis along z.
 
-    ``height`` is the straight section; total extent is height plus two
-    radii.  Built as a surface of revolution of a pole-to-pole profile,
-    so the seams between caps and side are welded by construction.
+    Radius 0.2 and a straight section 0.5 long, so the total extent
+    along z is 0.9; 24 segments around the axis and 6 rings per cap.
+    Built as a surface of revolution of a pole-to-pole profile, so the
+    seams between caps and side are welded by construction.
     """
-    if radius <= 0.0 or height < 0.0:
-        raise InvalidParameterError("radius must be positive, height non-negative")
-    if segments < 3 or cap_rings < 1:
-        raise InvalidParameterError("capsule needs 3 segments and 1 cap ring")
-    half = height / 2.0
+    radius, half = 0.2, 0.25
+    segments, cap_rings = 24, 6
     lower = np.linspace(-np.pi / 2.0, 0.0, cap_rings + 1)
     upper = np.linspace(0.0, np.pi / 2.0, cap_rings + 1)
+    # Ends of the profile are the poles (radius zero by construction).
     profile = [(radius * np.cos(a), -half + radius * np.sin(a)) for a in lower]
     profile += [(radius * np.cos(a), half + radius * np.sin(a)) for a in upper]
-    # Ends of the profile are the poles (radius zero by construction).
-    # With zero height the cap seams coincide; drop the duplicate ring.
-    profile = [
-        p
-        for i, p in enumerate(profile)
-        if i == 0 or abs(p[0] - profile[i - 1][0]) + abs(p[1] - profile[i - 1][1]) > 1e-12
-    ]
     theta = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
 
@@ -219,6 +178,4 @@ def capsule(
             faces += [(a, b, c), (a, c, d)]
     for j in range(segments):
         faces.append((top_pole, at(n_rings - 1, j), at(n_rings - 1, j + 1)))
-    return TriMesh(
-        points + np.asarray(center), np.asarray(faces, dtype=np.int64)
-    )
+    return TriMesh(points, np.asarray(faces, dtype=np.int64))

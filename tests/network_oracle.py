@@ -5,7 +5,8 @@ back-propagates through them one factor at a time: the dropout mask and
 its 1/keep scale, then the ReLU derivative from the stored
 pre-activation.  ``pasdf.network.loss_and_gradients`` must agree with it,
 and its loss is ``clamped_l1_loss``, which finite-difference checks take
-through ``SdfModel.forward``.
+through ``SdfModel.forward`` on the flat parameter vector of ``flatten``
+and ``overwrite_from_flat``.
 """
 from __future__ import annotations
 
@@ -15,6 +16,25 @@ import numpy as np
 
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.network import ParameterSet, SdfModel
+
+
+def flatten(params: ParameterSet) -> np.ndarray:
+    """Every parameter array, layer-major, in one vector."""
+    return np.concatenate([a.ravel() for a in params.arrays()])
+
+
+def overwrite_from_flat(params: ParameterSet, flat: np.ndarray) -> None:
+    """Write a vector laid out as ``flatten`` lays it out back into
+    ``params`` in place."""
+    cursor = 0
+    for array in params.arrays():
+        chunk = flat[cursor : cursor + array.size]
+        if chunk.size != array.size:
+            raise InvalidInputError("flat parameter vector has the wrong length")
+        array[...] = chunk.reshape(array.shape)
+        cursor += array.size
+    if cursor != flat.size:
+        raise InvalidInputError("flat parameter vector has the wrong length")
 
 
 def clamped_l1_loss(pred: np.ndarray, target: np.ndarray, d_max: float) -> float:

@@ -13,7 +13,7 @@ from pasdf.shapes import sphere
 
 @pytest.fixture(scope="module")
 def sphere_cloud() -> PointCloud:
-    return sample_surface(sphere(0.5, subdivisions=3), 3000, seed=0)
+    return sample_surface(sphere(), 3000, seed=0)
 
 
 def surface_center(cloud: PointCloud, index: int = 100) -> np.ndarray:
@@ -188,9 +188,4 @@ class TestDefectResult:
     def test_rejects_mismatched_labels(self) -> None:
         cloud = PointCloud(np.random.default_rng(2).uniform(0, 1, (10, 3)))
         with pytest.raises(InvalidInputError):
-            DefectResult(
-                cloud=cloud,
-                labels=np.zeros(5, dtype=bool),
-                kind="dent",
-                center=np.zeros(3),
-            )
+            DefectResult(cloud=cloud, labels=np.zeros(5, dtype=bool))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import network_oracle as oracle
 from pasdf.errors import InvalidInputError, InvalidParameterError
-from network_oracle import clamped_l1_loss
+from network_oracle import clamped_l1_loss, flatten, overwrite_from_flat
 from pasdf.network import NetworkConfig, ParameterSet, SdfModel, loss_and_gradients
 
 
@@ -20,18 +20,18 @@ def finite_difference_gradients(
     h: float = 1e-5,
 ) -> np.ndarray:
     """Central differences of the loss through the full forward pass."""
-    flat = model.params.flatten()
+    flat = flatten(model.params)
     grads = np.empty_like(flat)
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] += h
-        model.params.overwrite_from_flat(bumped)
+        overwrite_from_flat(model.params, bumped)
         loss_up = clamped_l1_loss(model.forward(encoded), targets, d_max)
         bumped[i] -= 2 * h
-        model.params.overwrite_from_flat(bumped)
+        overwrite_from_flat(model.params, bumped)
         loss_down = clamped_l1_loss(model.forward(encoded), targets, d_max)
         grads[i] = (loss_up - loss_down) / (2 * h)
-    model.params.overwrite_from_flat(flat)
+    overwrite_from_flat(model.params, flat)
     return grads
 
 
@@ -74,7 +74,7 @@ def assert_matches_finite_differences(
     model, encoded, targets = gradient_check_draw(config, seed, batch)
     _, grads = loss_and_gradients(model, encoded, targets, d_max)
     fd = finite_difference_gradients(model, encoded, targets, d_max)
-    analytic = grads.flatten()
+    analytic = flatten(grads)
     err = np.abs(analytic - fd)
     tol = np.maximum(1e-7, 1e-4 * np.abs(fd))
     assert (err <= tol).all(), f"gradient mismatch: worst abs err {err.max():.3e}"
@@ -126,12 +126,12 @@ class TestForward:
 
     def test_eval_forward_is_pure_and_deterministic(self) -> None:
         model = SdfModel.init(tiny_config(dropout=0.2), seed=3)
-        before = model.params.flatten().copy()
+        before = flatten(model.params).copy()
         x = np.random.default_rng(2).normal(size=(11, 9))
         first = model.forward(x)
         second = model.forward(x)
         np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(model.params.flatten(), before)
+        np.testing.assert_array_equal(flatten(model.params), before)
 
     def test_eval_forward_equals_cached_forward_bitwise(self) -> None:
         model = SdfModel.init(tiny_config(num_layers=4, skip_layer=2), seed=5)
@@ -236,7 +236,7 @@ class TestGradients:
         d_max = np.abs(out).min() / 2.0
         targets = np.zeros(8)
         _, grads = loss_and_gradients(model, x, targets, float(d_max))
-        assert np.all(grads.flatten() == 0.0)
+        assert np.all(flatten(grads) == 0.0)
 
     def test_duplicated_batch_leaves_gradients_unchanged(self) -> None:
         model = SdfModel.init(tiny_config(num_layers=4, skip_layer=2), seed=16)
@@ -245,7 +245,7 @@ class TestGradients:
         y = rng.normal(size=10)
         _, once = loss_and_gradients(model, x, y, 5.0)
         _, twice = loss_and_gradients(model, np.vstack([x, x]), np.concatenate([y, y]), 5.0)
-        np.testing.assert_allclose(once.flatten(), twice.flatten(), atol=1e-15)
+        np.testing.assert_allclose(flatten(once), flatten(twice), atol=1e-15)
 
     def test_dropout_gradients_deterministic_per_stream(self) -> None:
         model = SdfModel.init(tiny_config(dropout=0.4), seed=17)
@@ -255,7 +255,7 @@ class TestGradients:
         loss_a, grads_a = loss_and_gradients(model, x, y, 5.0, rng=np.random.default_rng(55))
         loss_b, grads_b = loss_and_gradients(model, x, y, 5.0, rng=np.random.default_rng(55))
         assert loss_a == loss_b
-        np.testing.assert_array_equal(grads_a.flatten(), grads_b.flatten())
+        np.testing.assert_array_equal(flatten(grads_a), flatten(grads_b))
 
     def test_rejects_empty_batch(self) -> None:
         model = SdfModel.init(tiny_config(), seed=0)
@@ -350,15 +350,15 @@ class TestTrainingPass:
 class TestParameterSet:
     def test_flatten_round_trip(self) -> None:
         model = SdfModel.init(tiny_config(num_layers=3, skip_layer=1), seed=20)
-        flat = model.params.flatten()
+        flat = flatten(model.params)
         clone = SdfModel.init(tiny_config(num_layers=3, skip_layer=1), seed=21)
-        clone.params.overwrite_from_flat(flat)
-        np.testing.assert_array_equal(clone.params.flatten(), flat)
+        overwrite_from_flat(clone.params, flat)
+        np.testing.assert_array_equal(flatten(clone.params), flat)
 
     def test_overwrite_rejects_wrong_length(self) -> None:
         model = SdfModel.init(tiny_config(), seed=0)
         with pytest.raises(InvalidInputError):
-            model.params.overwrite_from_flat(np.zeros(3))
+            overwrite_from_flat(model.params, np.zeros(3))
 
     def test_zeros_like_matches_shapes(self) -> None:
         model = SdfModel.init(tiny_config(num_layers=4, skip_layer=3), seed=1)

@@ -56,17 +56,23 @@ def test_fixture_models_load(monkeypatch) -> None:
 
 def test_workloads_set_up_and_run_a_case(monkeypatch) -> None:
     # The benchmark also calls pasdf directly, outside the hooked names:
-    # shape generation, query labelling, defect injection and scoring.
+    # shape generation, query labelling, defect injection, training,
+    # predict_sdf, scoring and repair without alignment.  One case of
+    # each workload runs its own output checks.
     load_by_path("inputs", monkeypatch)
     workloads = load_by_path("workloads", monkeypatch)
-    states = {}
+    outputs = {}
     for name in ("train", "detect", "repair"):
         workload = workloads.WORKLOADS[name]
-        states[name] = workload.setup(seed=0)
-        workload.verify(states[name])
-    case = states["detect"]["cases"][0]
-    output = workloads.WORKLOADS["detect"].run_case(states["detect"], case)
-    assert output.samples == len(case.cloud)
+        state = workload.setup(seed=0)
+        workload.verify(state)
+        outputs[name] = (state, workload.run_case(state, state["cases"][0]))
+    state, output = outputs["train"]
+    assert output.samples == workloads.TRAIN_EPOCHS * len(state["queries"])
+    state, output = outputs["detect"]
+    assert output.samples == len(state["cases"][0].cloud)
+    _, output = outputs["repair"]
+    assert output.samples == workloads.RESOLUTION**3
 
 
 def test_detect_clouds_align_in_one_round_of_short_icp(monkeypatch) -> None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.geometry import PointCloud
+from pasdf.marching import GridSpec
 from pasdf.mesh import TriMesh, normalize_unit_cube
 from pasdf.queries import (
     QueryCounts,
@@ -220,6 +221,20 @@ class TestSampleQueries:
             np.linalg.norm(surf[:, None, :] - points[None, :, :], axis=2), axis=1
         )
         assert dists.max() == 0.0
+
+    @pytest.mark.parametrize("expand", [1.0, 1.3, 2.5])
+    def test_bbox_tier_lies_inside_the_repair_grid(self, expand: float) -> None:
+        # Repair's grid spans the shell the bbox tier was drawn from; at
+        # 2.5 the shell is clipped to the unit cube on x.
+        base = sphere_cloud(500)
+        cloud = PointCloud(base.points * [0.2, 0.35, 0.1] + [0.3, 0.5, 0.6], base.normals)
+        counts = QueryCounts(volume=0, bbox=4000, surface=10, bbox_expand=expand)
+        queries, _ = sample_queries_from_cloud(cloud, counts, seed=3)
+        bbox = queries.positions[queries.tiers == int(Tier.BBOX)]
+        grid = GridSpec.for_cloud(cloud.points, expand=expand)
+        assert (bbox >= grid.lower).all() and (bbox <= grid.upper).all()
+        np.testing.assert_allclose(bbox.min(axis=0), grid.lower, atol=0.01)
+        np.testing.assert_allclose(bbox.max(axis=0), grid.upper, atol=0.01)
 
     def test_cloud_variant_requires_normals(self) -> None:
         cloud = PointCloud(np.random.default_rng(0).random((50, 3)))

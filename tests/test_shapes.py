@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from oracles import check_watertight, signed_volume
-from pasdf.errors import InvalidParameterError
 from pasdf.mesh import sample_surface
 from pasdf.shapes import blob, box, capsule, sphere, torus
 
+# The lambdas keep the parametrized test ids stable.
 ALL_SHAPES = [
-    ("sphere", lambda: sphere(0.5)),
-    ("blob", lambda: blob(0.5)),
-    ("box", lambda: box((1.0, 0.6, 0.4))),
-    ("torus", lambda: torus(0.35, 0.12)),
-    ("capsule", lambda: capsule(0.2, 0.5)),
+    ("sphere", lambda: sphere()),
+    ("blob", lambda: blob()),
+    ("box", lambda: box()),
+    ("torus", lambda: torus()),
+    ("capsule", lambda: capsule()),
 ]
 
 
@@ -42,7 +42,7 @@ class TestAllShapes:
         assert (outward > 0).all(), name
 
     def test_torus_normals_point_away_from_spine(self) -> None:
-        cloud = sample_surface(torus(0.35, 0.12), 500, seed=1)
+        cloud = sample_surface(torus(), 500, seed=1)
         xy = cloud.points[:, :2]
         spine = np.zeros_like(cloud.points)
         spine[:, :2] = 0.35 * xy / np.linalg.norm(xy, axis=1)[:, None]
@@ -52,27 +52,20 @@ class TestAllShapes:
 
 class TestSphere:
     def test_volume_approaches_analytic(self) -> None:
-        coarse = signed_volume(sphere(0.5, subdivisions=2))
-        fine = signed_volume(sphere(0.5, subdivisions=4))
+        # An inscribed polyhedron: a little under the ball's volume.
         exact = 4.0 / 3.0 * np.pi * 0.5**3
-        assert abs(fine - exact) < abs(coarse - exact)
-        assert fine == pytest.approx(exact, rel=3e-3)
+        assert 0.99 * exact < signed_volume(sphere()) < exact
 
     def test_vertices_on_sphere(self) -> None:
-        mesh = sphere(0.7, center=(1.0, -2.0, 0.5))
-        radii = np.linalg.norm(mesh.vertices - np.array([1.0, -2.0, 0.5]), axis=1)
-        np.testing.assert_allclose(radii, 0.7, atol=1e-12)
-
-    def test_rejects_bad_radius(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            sphere(0.0)
+        radii = np.linalg.norm(sphere().vertices, axis=1)
+        np.testing.assert_allclose(radii, 0.5, atol=1e-12)
 
 
 class TestBlob:
     def test_no_rotational_symmetry(self) -> None:
         # A quarter turn about z maps the surface nowhere near itself,
         # unlike every other generator here.
-        mesh = blob(0.5)
+        mesh = blob()
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         turned = mesh.vertices @ rot.T
         from pasdf.geometry import PointCloud, chamfer_loss
@@ -81,67 +74,46 @@ class TestBlob:
         assert residual > 1e-3
 
     def test_deterministic(self) -> None:
-        first, second = blob(0.5), blob(0.5)
+        first, second = blob(), blob()
         np.testing.assert_array_equal(first.vertices, second.vertices)
 
 
 class TestBox:
     def test_exact_volume(self) -> None:
-        assert signed_volume(box((2.0, 3.0, 0.5))) == pytest.approx(3.0)
+        assert signed_volume(box()) == pytest.approx(0.24)
 
     def test_extents(self) -> None:
-        mesh = box((2.0, 1.0, 0.5), center=(0.5, 0.0, 0.0))
+        mesh = box()
         lo = mesh.vertices.min(axis=0)
         hi = mesh.vertices.max(axis=0)
-        np.testing.assert_allclose(hi - lo, [2.0, 1.0, 0.5])
-        np.testing.assert_allclose((hi + lo) / 2, [0.5, 0.0, 0.0])
-
-    def test_rejects_flat_extent(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            box((1.0, 0.0, 1.0))
+        np.testing.assert_allclose(hi - lo, [1.0, 0.6, 0.4])
+        np.testing.assert_allclose((hi + lo) / 2, [0.0, 0.0, 0.0])
 
 
 class TestTorus:
     def test_volume_near_analytic(self) -> None:
-        value = signed_volume(torus(0.35, 0.12, segments_major=96, segments_minor=48))
+        # The inscribed 48 x 24 tessellation loses about 1.4%.
         exact = 2.0 * np.pi**2 * 0.35 * 0.12**2
-        assert value == pytest.approx(exact, rel=5e-3)
+        assert 0.98 * exact < signed_volume(torus()) < exact
 
     def test_tube_radius(self) -> None:
-        mesh = torus(0.4, 0.1)
+        mesh = torus()
         # Distance from each vertex to the spine circle equals the
         # minor radius.
         xy = np.linalg.norm(mesh.vertices[:, :2], axis=1)
-        tube = np.sqrt((xy - 0.4) ** 2 + mesh.vertices[:, 2] ** 2)
-        np.testing.assert_allclose(tube, 0.1, atol=1e-12)
-
-    def test_rejects_fat_tube(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            torus(0.2, 0.3)
+        tube = np.sqrt((xy - 0.35) ** 2 + mesh.vertices[:, 2] ** 2)
+        np.testing.assert_allclose(tube, 0.12, atol=1e-12)
 
 
 class TestCapsule:
     def test_volume_near_analytic(self) -> None:
-        value = signed_volume(capsule(0.2, 0.5, segments=64, cap_rings=16))
+        # The inscribed 24-segment, 6-ring tessellation loses about 1.7%.
         exact = np.pi * 0.2**2 * 0.5 + 4.0 / 3.0 * np.pi * 0.2**3
-        assert value == pytest.approx(exact, rel=5e-3)
-
-    def test_zero_height_is_a_sphere(self) -> None:
-        mesh = capsule(0.3, 0.0)
-        watertight, _ = check_watertight(mesh)
-        assert watertight
-        radii = np.linalg.norm(mesh.vertices, axis=1)
-        np.testing.assert_allclose(radii, 0.3, atol=1e-12)
+        assert 0.98 * exact < signed_volume(capsule()) < exact
 
     def test_extent_along_axis(self) -> None:
-        mesh = capsule(0.2, 0.5)
+        mesh = capsule()
         assert mesh.vertices[:, 2].max() == pytest.approx(0.45)
         assert mesh.vertices[:, 2].min() == pytest.approx(-0.45)
         xy = np.linalg.norm(mesh.vertices[:, :2], axis=1)
         assert xy.max() == pytest.approx(0.2)
-
-    def test_rejects_bad_params(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            capsule(-0.1, 0.5)
-        with pytest.raises(InvalidParameterError):
-            capsule(0.2, 0.5, segments=2)

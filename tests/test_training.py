@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from network_oracle import flatten
 from pasdf.encoding import EncodingConfig, positional_encode
 from pasdf.errors import (
     InvalidInputError,
@@ -85,10 +86,10 @@ class TestTrainModel:
         cfg = TrainConfig(learning_rate=1e-3, epochs=8, batch_size=64, d_max=0.1, seed=9)
         a = train_model(queries, cfg, ENC, net)
         b = train_model(queries, cfg, ENC, net)
-        np.testing.assert_array_equal(a.model.params.flatten(), b.model.params.flatten())
+        np.testing.assert_array_equal(flatten(a.model.params), flatten(b.model.params))
         assert a.loss_history == b.loss_history
         c = train_model(queries, TrainConfig(**{**cfg.to_dict(), "seed": 10}), ENC, net)
-        assert not np.array_equal(a.model.params.flatten(), c.model.params.flatten())
+        assert not np.array_equal(flatten(a.model.params), flatten(c.model.params))
 
     def test_bitwise_identical_across_blas_thread_counts(self) -> None:
         # The bench network on 5,000 queries: one 4,096-row batch and one
@@ -106,7 +107,7 @@ sdf = np.linalg.norm(positions - 0.5, axis=1) - 0.3
 queries = QuerySet(positions, np.zeros(5000, dtype=np.uint8), sdf)
 cfg = TrainConfig(learning_rate=3e-4, epochs=2, batch_size=4096, seed=5, clamp_targets=True)
 trained = train_model(queries, cfg, config.encoding, config.network)
-print(hashlib.sha256(trained.model.params.flatten().tobytes()).hexdigest())
+print(hashlib.sha256(b"".join(a.tobytes() for a in trained.model.params.arrays())).hexdigest())
 """
         digests = []
         for threads in ("1", "2"):
@@ -132,7 +133,7 @@ print(hashlib.sha256(trained.model.params.flatten().tobytes()).hexdigest())
         assert np.isnan(result.final_loss)
         again = train_model(queries, cfg, ENC, TINY_NET)
         np.testing.assert_array_equal(
-            result.model.params.flatten(), again.model.params.flatten()
+            flatten(result.model.params), flatten(again.model.params)
         )
 
     def test_diverged_training_aborts_with_diagnostics(self) -> None:
@@ -168,7 +169,7 @@ print(hashlib.sha256(trained.model.params.flatten().tobytes()).hexdigest())
             TINY_NET,
         )
         np.testing.assert_array_equal(
-            flagged.model.params.flatten(), manual.model.params.flatten()
+            flatten(flagged.model.params), flatten(manual.model.params)
         )
 
     def test_rejects_unlabelled_queries(self) -> None:
