@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from field_oracle import dense_field, grouped_marching_cubes, vertex_positions
 from oracles import check_watertight, signed_volume
@@ -435,10 +436,19 @@ class TestEvaluateField:
         dense = dense_field(model, sphere_world.encoding, grid)
         assert sampled.any()
         np.testing.assert_array_equal(field[sampled], dense[sampled])
-        np.testing.assert_array_equal(field < 0.0, dense < 0.0)
+        # Unsampled vertices carry only a sign.  It is the dense sweep's
+        # except on closed components that no refined block reaches (the
+        # limit in the marching module's docstring, which a learned field
+        # can hit): each such component is missed whole and never sampled.
+        missed = (field < 0.0) != (dense < 0.0)
+        for side in (dense < 0.0, dense >= 0.0):
+            labels, _ = ndimage.label(side)
+            for label in np.unique(labels[missed & side]):
+                component = labels == label
+                assert missed[component].all() and not sampled[component].any()
         assert_same_mesh(
             marching_cubes(field, grid, close_boundary=True),
-            marching_cubes(dense, grid, close_boundary=True),
+            marching_cubes(np.where(missed, field, dense), grid, close_boundary=True),
         )
 
     def test_extracts_learned_sphere(self, sphere_world) -> None:
