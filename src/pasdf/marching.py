@@ -7,8 +7,12 @@ crossing with the next outside-to-inside one along the face loop) and
 chained into closed polygons, which are then fan-triangulated.  Because
 the pairing rule depends only on a face's own four corner signs, two
 cells sharing a face always agree on its isolines and the extracted
-surface is crack-free.  Triangles wind so normals point toward
-increasing field values.
+surface is crack-free.  On a face with four crossings a fan can also
+run a diagonal across the face's inside band; where the neighbouring
+cell's fan runs the same diagonal, the two would meet in an edge of four
+faces, so both cells take fans from a vertex whose diagonals avoid every
+cube face.  Triangles wind so normals point toward increasing field
+values.
 
 Extraction itself is vectorized: active cells, stably sorted by case,
 gather edge triples from one padded (256, 5, 3) table; each triangle
@@ -76,9 +80,9 @@ _FACE_LOOPS = (
 _EDGE_OF_PAIR = {frozenset(pair): index for index, pair in enumerate(_EDGES)}
 
 
-def _build_case_table() -> list[list[tuple[int, int, int]]]:
-    """Triangles (as edge-index triples) for each of the 256 sign cases."""
-    table: list[list[tuple[int, int, int]]] = []
+def _case_polygons() -> list[list[list[int]]]:
+    """Isoline polygons, as loops of cube edges, for each of the 256 sign cases."""
+    cases: list[list[list[int]]] = []
     for case in range(256):
         inside = [(case >> corner) & 1 == 1 for corner in range(8)]
         # Directed isoline segments: from the edge where a face-loop walk
@@ -99,7 +103,7 @@ def _build_case_table() -> list[list[tuple[int, int, int]]]:
                         outgoing[edge] = other_edge
                         break
         # Chain segments into closed polygons.
-        triangles: list[tuple[int, int, int]] = []
+        polygons: list[list[int]] = []
         remaining = dict(outgoing)
         while remaining:
             start, nxt = remaining.popitem()
@@ -108,13 +112,61 @@ def _build_case_table() -> list[list[tuple[int, int, int]]]:
                 polygon.append(nxt)
                 nxt = remaining.pop(nxt)
             polygon.reverse()
-            for k in range(1, len(polygon) - 1):
-                triangles.append((polygon[0], polygon[k], polygon[k + 1]))
-        table.append(triangles)
+            polygons.append(polygon)
+        cases.append(polygons)
+    return cases
+
+
+_FACE_EDGE_SETS = tuple(
+    frozenset(_EDGE_OF_PAIR[frozenset((loop[p], loop[(p + 1) % 4]))] for p in range(4))
+    for loop in _FACE_LOOPS
+)
+
+
+def _in_one_face(a: int, b: int) -> bool:
+    return any(a in face and b in face for face in _FACE_EDGE_SETS)
+
+
+def _fan(polygon: list[int], apex: int = 0) -> list[tuple[int, int, int]]:
+    p = polygon[apex:] + polygon[:apex]
+    return [(p[0], p[k], p[k + 1]) for k in range(1, len(p) - 1)]
+
+
+def _face_free_apex(polygon: list[int]) -> int:
+    """The first vertex whose fan puts no diagonal in a cube face."""
+    n = len(polygon)
+    return next(
+        apex
+        for apex in range(n)
+        if not any(
+            _in_one_face(polygon[apex], polygon[(apex + k) % n]) for k in range(2, n - 1)
+        )
+    )
+
+
+_POLYGONS = _case_polygons()
+CASE_TRIANGLES = [[t for p in polygons for t in _fan(p)] for polygons in _POLYGONS]
+# The same polygons fanned so that no triangle edge lies in a cube face
+# unless it is an isoline segment there.
+UNPINCHED_TRIANGLES = [
+    [t for p in polygons for t in _fan(p, _face_free_apex(p))] for polygons in _POLYGONS
+]
+# Per case, the diagonals of CASE_TRIANGLES' fans that lie in a cube face,
+# as cube-edge pairs.
+_FACE_DIAGONALS = [
+    [(p[0], p[k]) for p in polygons for k in range(2, len(p) - 1) if _in_one_face(p[0], p[k])]
+    for polygons in _POLYGONS
+]
+
+
+def _padded_table(rows: list[list[tuple[int, ...]]], width: int) -> NDArray[np.int64]:
+    """Ragged per-case rows as one (256, longest, width) array padded with -1."""
+    table = np.full((256, max(map(len, rows)), width), -1, dtype=np.int64)
+    for case, entries in enumerate(rows):
+        if entries:
+            table[case, : len(entries)] = entries
     return table
 
-
-CASE_TRIANGLES = _build_case_table()
 
 # Each cube edge as (cell offset of its low corner, axis it runs along).
 _EDGE_CANONICAL = []
@@ -124,12 +176,10 @@ for _a, _b in _EDGES:
     _EDGE_CANONICAL.append((_lo[0], _lo[1], _lo[2], _axis))
 _EDGE_CANONICAL = np.array(_EDGE_CANONICAL, dtype=np.int64)
 
-# CASE_TRIANGLES as one (256, most triangles of any case, 3) array of
-# edge triples, padded with rows of -1.
-_CASE_TABLE = np.full((256, max(map(len, CASE_TRIANGLES)), 3), -1, dtype=np.int64)
-for _case, _triangles in enumerate(CASE_TRIANGLES):
-    if _triangles:
-        _CASE_TABLE[_case, : len(_triangles)] = _triangles
+_CASE_TABLE = _padded_table(CASE_TRIANGLES, 3)
+_UNPINCHED_TABLE = _padded_table(UNPINCHED_TRIANGLES, 3)
+_FACE_DIAGONAL_TABLE = _padded_table(_FACE_DIAGONALS, 2)
+_HAS_FACE_DIAGONAL = _FACE_DIAGONAL_TABLE[:, 0, 0] >= 0
 
 
 @dataclass(frozen=True)
@@ -425,13 +475,16 @@ def marching_cubes(
     # Triangles in (case, cell, triangle) order: a stable sort by case
     # keeps cells in lattice order within each case.
     order = np.argsort(cases, kind="stable")
-    triangles = _CASE_TABLE[cases[order]]
-    cell, slot = np.nonzero(triangles[:, :, 0] >= 0)
+    cases = cases[order]
     # Every triangle corner keyed by its grid edge, ((i*r + j)*r + k)*3 +
     # axis with (i, j, k) the edge's low lattice corner: the cell's key
     # plus the cube edge's offset, so shared edges weld to one vertex.
     cell_key = ((i * r + j) * r + k)[order] * 3
     edge_offset = (_EDGE_CANONICAL[:, :3] @ (r * r, r, 1)) * 3 + _EDGE_CANONICAL[:, 3]
+    triangles = _CASE_TABLE[cases]
+    pinched = _pinched_cells(cases, cell_key, edge_offset, 3 * r**3)
+    triangles[pinched] = _UNPINCHED_TABLE[cases[pinched]]
+    cell, slot = np.nonzero(triangles[:, :, 0] >= 0)
     keys = cell_key[cell, None] + edge_offset[triangles[cell, slot]]
     unique_keys, face_indices = np.unique(keys, return_inverse=True)
     faces = face_indices.reshape(-1, 3)
@@ -458,6 +511,32 @@ def marching_cubes(
     # Keep the vertices some face uses, numbered in their current order.
     used = np.bincount(faces.ravel(), minlength=len(positions)) > 0
     return TriMesh(positions[used], (np.cumsum(used) - 1)[faces])
+
+
+def _pinched_cells(
+    cases: NDArray[np.uint8],
+    cell_key: NDArray[np.int64],
+    edge_offset: NDArray[np.int64],
+    n_keys: int,
+) -> NDArray[np.bool_]:
+    """Cells whose fan runs a diagonal across a cube face that the
+    neighbouring cell's fan runs too.
+
+    The two fans then share a triangle edge in that face, which pinches
+    the surface there into an edge of four faces.
+    """
+    candidate = np.flatnonzero(_HAS_FACE_DIAGONAL[cases])
+    diagonals = _FACE_DIAGONAL_TABLE[cases[candidate]]
+    cell, slot = np.nonzero(diagonals[:, :, 0] >= 0)
+    ends = np.sort(
+        cell_key[candidate[cell], None] + edge_offset[diagonals[cell, slot]], axis=1
+    )
+    _, inverse, counts = np.unique(
+        ends[:, 0] * n_keys + ends[:, 1], return_inverse=True, return_counts=True
+    )
+    pinched = np.zeros(len(cases), dtype=bool)
+    pinched[candidate[cell[counts[inverse] > 1]]] = True
+    return pinched
 
 
 # Virtual node value for the layer just beyond a closed boundary.  Large

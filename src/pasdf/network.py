@@ -14,6 +14,8 @@ that precision; float64 for a freshly initialized one.
 ``SdfModel.forward`` is inference only: no dropout, no kept
 activations.  ``loss_and_gradients`` is the training pass: it applies
 inverted dropout and keeps only each layer's input for backpropagation.
+Dropout masks come from raw 16-bit words of the bit generator, four to
+each 64-bit output, so a rate acts at 2**-16 resolution.
 """
 from __future__ import annotations
 
@@ -27,6 +29,10 @@ from .geometry import F64
 
 _MIN_ROW_NORM = 1e-12
 
+# Dropout masks are cut from the bit generator's raw 64-bit outputs,
+# four 16-bit words each, so a word takes one of this many values.
+_WORD_VALUES = 2**16
+
 # Batches are padded with zero rows to a multiple of this, so every row
 # runs through the BLAS main kernel (never a short-batch or remainder-row
 # path) and gets the same bits whatever batch it sits in.
@@ -35,6 +41,13 @@ _ROW_MULTIPLE = 64
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """Shape of the MLP and its training dropout rate.
+
+    The dropout rate acts at 2**-16 resolution: training keeps a unit
+    with probability ``round((1 - dropout) * 2**16) / 2**16``.  A rate
+    of 1 - 2**-17 or more would keep no unit and is rejected.
+    """
+
     input_dim: int = 39
     hidden_width: int = 512
     num_layers: int = 8
@@ -52,8 +65,8 @@ class NetworkConfig:
             raise InvalidParameterError(
                 "skip_layer must be None or in [1, num_layers - 1]"
             )
-        if not 0.0 <= self.dropout < 1.0:
-            raise InvalidParameterError("dropout must be in [0, 1)")
+        if not 0.0 <= self.dropout < 1.0 or _keep_threshold(self.dropout) == 0:
+            raise InvalidParameterError("dropout must be in [0, 1 - 2**-17)")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(out, in) per affine layer; the skip layer's input is widened."""
@@ -163,6 +176,11 @@ class SdfModel:
         return h[:rows, 0].astype(np.float64)
 
 
+def _keep_threshold(dropout: float) -> int:
+    """The 16-bit words below this keep their unit."""
+    return round((1.0 - dropout) * _WORD_VALUES)
+
+
 def pad_rows(x: np.ndarray, dtype: np.dtype | type) -> np.ndarray:
     """``x`` as a contiguous ``dtype`` array, with zero rows appended up
     to a multiple of ``_ROW_MULTIPLE`` rows."""
@@ -198,11 +216,15 @@ def loss_and_gradients(
     rows of ``encoded``; any rows past the last target are padding (see
     ``pad_rows``): they run through the pass, stay out of the loss mean
     and add exact zeros to every gradient.  It applies inverted dropout
-    whenever the config sets a rate, drawing each hidden layer's mask as
-    ``rng.random((rows, width)) < 1 - dropout`` from ``rng``, which is
-    then required.  Only each layer's input is kept: a hidden unit passes
-    gradient back exactly where its activation is positive, i.e. where
-    the ReLU was active and dropout kept it.
+    whenever the config sets a rate, from ``rng``, which is then
+    required.  Each hidden layer's mask takes ``ceil(rows * width / 4)``
+    raw 64-bit outputs of ``rng.bit_generator``, splits each into four
+    16-bit words, low bits first, and keeps unit ``(i, j)`` where word
+    ``i * width + j`` is below ``t = _keep_threshold(dropout)``.  Kept
+    activations are divided by the kept share ``t / 2**16``, so the
+    dropout is exactly unbiased.  Only each layer's input is kept: a
+    hidden unit passes gradient back exactly where its activation is
+    positive, i.e. where the ReLU was active and dropout kept it.
 
     Subgradient conventions: sign(0) = 0 for the absolute value, zero
     gradient where the clamp saturates (strictly outside [-d_max, d_max]),
@@ -225,10 +247,11 @@ def loss_and_gradients(
     if use_dropout and rng is None:
         raise InvalidParameterError("training with dropout needs an rng")
 
-    keep = 1.0 - cfg.dropout
+    threshold = _keep_threshold(cfg.dropout)
+    kept_share = threshold / _WORD_VALUES
+    units = rows * cfg.hidden_width
     weights = model.effective_weights()
     x = np.ascontiguousarray(x, dtype=model.dtype)
-    uniforms = np.empty((rows, cfg.hidden_width)) if use_dropout else None
     inputs: list[np.ndarray] = []
     h = x
     for layer, (weight, bias) in enumerate(zip(weights, model.params.biases)):
@@ -240,8 +263,11 @@ def loss_and_gradients(
         if layer < cfg.num_layers - 1:
             np.maximum(h, 0.0, out=h)
             if use_dropout:
-                h *= rng.random(out=uniforms) < keep
-                h /= keep
+                raw = rng.bit_generator.random_raw(-(-units // 4))
+                # Little-endian, so each output's words come low bits first.
+                words = raw.astype("<u8", copy=False).view("<u2")[:units]
+                h *= words.reshape(h.shape) < threshold
+                h /= kept_share
 
     out = h[:samples, 0].astype(np.float64)
     clamped = np.clip(out, -d_max, d_max)
@@ -268,6 +294,6 @@ def loss_and_gradients(
         if layer == cfg.skip_layer:
             dz = dz[:, : cfg.hidden_width]
         if use_dropout:
-            dz /= keep
+            dz /= kept_share
         dz *= inputs[layer][:, : cfg.hidden_width] > 0.0
     return loss, grads

@@ -4,11 +4,12 @@ Adam over shuffled mini-batches of labelled query samples, in float32:
 parameters, encoded queries and optimizer moments; the targets and the
 loss stay float64.  Everything is driven by named sub-streams of one
 seed (initialization, epoch shuffles, dropout masks), so a run is
-bitwise-reproducible for a seed.  Every batch is zero-padded to a
-multiple of 64 rows, and with that a run gives the same bits at one and
-at two BLAS threads; unpadded float32 batches and padded float64 ones
-both round differently when BLAS splits a batch's sums over another
-number of threads.  A non-finite loss aborts immediately with the
+bitwise-reproducible for a seed.  The masks are raw 16-bit words of
+their stream's bit generator, one per hidden unit of every padded row.
+Every batch is zero-padded to a multiple of 64 rows, and with that a run
+gives the same bits at one and at two BLAS threads; unpadded float32
+batches and padded float64 ones both round differently when BLAS splits
+a batch's sums over another number of threads.  A non-finite loss aborts immediately with the
 epoch, batch, and parameter norm at the point of failure.
 """
 from __future__ import annotations

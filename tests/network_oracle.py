@@ -2,11 +2,13 @@
 
 It stores every layer's input, pre-activation and dropout mask, and
 back-propagates through them one factor at a time: the dropout mask and
-its 1/keep scale, then the ReLU derivative from the stored
-pre-activation.  ``pasdf.network.loss_and_gradients`` must agree with it,
-and its loss is ``clamped_l1_loss``, which finite-difference checks take
-through ``SdfModel.forward`` on the flat parameter vector of ``flatten``
-and ``overwrite_from_flat``.
+its 1/kept-share scale, then the ReLU derivative from the stored
+pre-activation.  It cuts the dropout words from the bit generator's raw
+outputs by shift and mask, not through a dtype view as the pass does.
+``pasdf.network.loss_and_gradients`` must agree with it, and its loss
+is ``clamped_l1_loss``, which finite-difference checks take through
+``SdfModel.forward`` on the flat parameter vector of ``flatten`` and
+``overwrite_from_flat``.
 """
 from __future__ import annotations
 
@@ -49,6 +51,23 @@ def clamped_l1_loss(pred: np.ndarray, target: np.ndarray, d_max: float) -> float
     return float(np.mean(np.abs(clamped - target)))
 
 
+def kept_share(dropout: float) -> float:
+    """Probability that a 16-bit word keeps its unit."""
+    return round((1.0 - dropout) * 2**16) / 2**16
+
+
+def dropout_mask(
+    rng: np.random.Generator, shape: tuple[int, int], dropout: float
+) -> np.ndarray:
+    """A 0/1 float64 mask: unit ``i * width + j`` is kept where that
+    16-bit word of ``rng.bit_generator.random_raw`` is below the keep
+    threshold, taking words low bits first from each 64-bit output."""
+    units = shape[0] * shape[1]
+    raw = rng.bit_generator.random_raw(-(-units // 4))
+    words = np.stack([(raw >> (16 * k)) & 0xFFFF for k in range(4)], axis=1).ravel()
+    return (words[:units] < kept_share(dropout) * 2**16).reshape(shape).astype(np.float64)
+
+
 @dataclass
 class ForwardCache:
     inputs: list[np.ndarray]
@@ -70,7 +89,7 @@ def forward_cached(
         raise InvalidParameterError("forward with dropout needs an rng")
 
     weights = model.effective_weights()
-    keep = 1.0 - cfg.dropout
+    keep = kept_share(cfg.dropout)
     inputs: list[np.ndarray] = []
     pre_acts: list[np.ndarray] = []
     masks: list[np.ndarray | None] = []
@@ -87,7 +106,7 @@ def forward_cached(
         else:
             a = np.maximum(z, 0.0)
             if use_dropout:
-                mask = (rng.random(a.shape) < keep).astype(np.float64)
+                mask = dropout_mask(rng, a.shape, cfg.dropout)
                 a = a * mask / keep
                 masks.append(mask)
             else:
@@ -118,7 +137,7 @@ def loss_and_gradients(
     d_out *= np.abs(out) <= d_max
 
     cfg = model.config
-    keep = 1.0 - cfg.dropout
+    keep = kept_share(cfg.dropout)
     grads = ParameterSet.zeros_like(model.params)
     dz = d_out[:, None]
     for layer in reversed(range(cfg.num_layers)):

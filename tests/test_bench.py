@@ -15,7 +15,6 @@ from pasdf.bench import (
     inject_anomaly,
     metrics_table,
     run_bench,
-    run_shape,
 )
 from pasdf.config import BenchConfig, GridConfig, RunConfig
 from pasdf.errors import InvalidParameterError, PasdfError

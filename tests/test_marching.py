@@ -13,6 +13,7 @@ from pasdf import marching
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.marching import (
     CASE_TRIANGLES,
+    UNPINCHED_TRIANGLES,
     GridSpec,
     evaluate_field,
     marching_cubes,
@@ -267,6 +268,34 @@ class TestMarchingCubes:
         watertight, open_edges = check_watertight(mesh)
         assert len(mesh.faces) > 0
         assert watertight, f"{open_edges} open edges"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noise_field_watertight(self, seed: int) -> None:
+        # White noise makes many ambiguous faces whose inside band both
+        # neighbouring cells' default fans would span with the same
+        # diagonal, an edge of four faces; those cells take other fans.
+        field = np.random.default_rng(100 + seed).standard_normal((12, 12, 12))
+        mesh = marching_cubes(field, GridSpec(12), close_boundary=True)
+        watertight, bad_edges = check_watertight(mesh)
+        assert watertight, f"{bad_edges} edges not on exactly two faces"
+
+    def test_unpinched_fans_keep_diagonals_off_cube_faces(self) -> None:
+        faces = [
+            {marching._EDGE_OF_PAIR[frozenset((loop[p], loop[(p + 1) % 4]))] for p in range(4)}
+            for loop in marching._FACE_LOOPS
+        ]
+        changed = 0
+        for case, (default, unpinched) in enumerate(zip(CASE_TRIANGLES, UNPINCHED_TRIANGLES)):
+            # The same polygons, fanned from another vertex at most.
+            assert len(default) == len(unpinched)
+            changed += default != unpinched
+            used: dict[frozenset, int] = {}
+            for triangle in unpinched:
+                for a, b in zip(triangle, triangle[1:] + triangle[:1]):
+                    used[frozenset((a, b))] = used.get(frozenset((a, b)), 0) + 1
+            diagonals = [pair for pair, count in used.items() if count == 2]
+            assert not any(pair <= face for pair in diagonals for face in faces), case
+        assert changed == 26
 
     def test_rejects_wrong_shape(self) -> None:
         grid = GridSpec(16)

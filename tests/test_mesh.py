@@ -8,7 +8,6 @@ from oracles import check_watertight, read_obj, signed_volume
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.geometry import PointCloud
 from pasdf.mesh import (
-    NormalizationRecord,
     TriMesh,
     normalize_unit_cube,
     sample_surface,

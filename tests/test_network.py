@@ -107,6 +107,14 @@ class TestNetworkConfig:
         with pytest.raises(InvalidParameterError):
             NetworkConfig(hidden_width=0)
 
+    def test_rejects_a_rate_that_keeps_nothing(self) -> None:
+        # Masks compare 16-bit words against round((1 - dropout) * 2**16);
+        # from 1 - 2**-17 on that threshold rounds to 0 and keeps no unit.
+        for dropout in (1.0 - 2.0**-17, 1.0 - 2.0**-20):
+            with pytest.raises(InvalidParameterError, match="dropout"):
+                NetworkConfig(dropout=dropout)
+        assert NetworkConfig(dropout=1.0 - 2.0**-16).dropout == 1.0 - 2.0**-16
+
 
 def tiny_config(**overrides) -> NetworkConfig:
     base = dict(input_dim=9, hidden_width=8, num_layers=2, skip_layer=None, dropout=0.0)
@@ -345,6 +353,55 @@ class TestTrainingPass:
         assert all(a.dtype == np.float32 for a in grads.arrays())
         assert loss == pytest.approx(want_loss, rel=1e-6)
         assert_gradients_close(grads, want, 1e-3)
+
+
+    def test_matches_oracle_when_units_are_not_a_multiple_of_four(self) -> None:
+        # 5 rows x 7 units = 35 words per layer: nine raw outputs, one
+        # word of the last left unused.
+        config = tiny_config(num_layers=4, hidden_width=7, skip_layer=2, dropout=0.3)
+        model, encoded, targets = gradient_check_draw(config, 23, 5)
+        loss, grads = loss_and_gradients(
+            model, encoded, targets, 0.5, rng=np.random.default_rng(23)
+        )
+        want_loss, want = oracle.loss_and_gradients(
+            model, encoded, targets, 0.5, rng=np.random.default_rng(23)
+        )
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert_gradients_close(grads, want, 1e-12)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_draws_a_quarter_raw_output_per_unit(self, dropout: float) -> None:
+        # Three hidden layers of 5 x 7 units take ceil(35 / 4) = 9 raw
+        # outputs each, and no draw at all without dropout.
+        config = tiny_config(num_layers=4, hidden_width=7, skip_layer=2, dropout=dropout)
+        model, encoded, targets = gradient_check_draw(config, 29, 5)
+        rng = np.random.default_rng(31)
+        loss_and_gradients(model, encoded, targets, 0.5, rng=rng)
+        fresh = np.random.default_rng(31)
+        if dropout:
+            fresh.bit_generator.random_raw(3 * 9)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_kept_share_of_a_bench_sized_draw(self) -> None:
+        # One hidden layer of constant activation 1 and an output layer of
+        # unit weights: each row's output counts its kept units over the
+        # kept share, so the loss against zero targets gives the share.
+        rows, width = 4096, 64
+        config = NetworkConfig(
+            input_dim=9, hidden_width=width, num_layers=2, skip_layer=None, dropout=0.2
+        )
+        model = SdfModel.init(config, seed=0)
+        model.params.gains[0][...] = 0.0
+        model.params.biases[0][...] = 1.0
+        model.params.directions[1][...] = 1.0
+        model.params.gains[1][...] = np.sqrt(width)
+        share = 52429 / 2**16
+        loss, _ = loss_and_gradients(
+            model, np.zeros((rows, 9)), np.zeros(rows), 1e3, rng=np.random.default_rng(37)
+        )
+        kept = loss * share / width
+        sigma = np.sqrt(share * (1.0 - share) / (rows * width))
+        assert abs(kept - share) <= 4.0 * sigma
 
 
 class TestParameterSet:

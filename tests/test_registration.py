@@ -7,7 +7,6 @@ import pytest
 from oracles import rotation_angle
 from pasdf import registration, shapes
 from pasdf.errors import CoarseAlignmentError, InvalidParameterError
-from pasdf.fpfh import compute_fpfh
 from pasdf.geometry import (
     PointCloud,
     RigidTransform,

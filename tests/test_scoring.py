@@ -15,7 +15,6 @@ from pasdf.errors import (
 from pasdf import registration
 from pasdf.encoding import positional_encode
 from pasdf.geometry import (
-    PointCloud,
     RigidTransform,
     apply_points,
     apply_transform,
