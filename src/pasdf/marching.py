@@ -7,12 +7,12 @@ crossing with the next outside-to-inside one along the face loop) and
 chained into closed polygons, which are then fan-triangulated.  Because
 the pairing rule depends only on a face's own four corner signs, two
 cells sharing a face always agree on its isolines and the extracted
-surface is crack-free.  On a face with four crossings a fan can also
-run a diagonal across the face's inside band; where the neighbouring
-cell's fan runs the same diagonal, the two would meet in an edge of four
-faces, so both cells take fans from a vertex whose diagonals avoid every
-cube face.  Triangles wind so normals point toward increasing field
-values.
+surface is crack-free.  Each fan starts at a vertex whose diagonals
+avoid every cube face, so no triangle edge lies in a face unless it is
+an isoline segment there; otherwise two neighbouring fans could both
+run a diagonal across a face with four crossings and pinch the surface
+into an edge of four faces.  Triangles wind so normals point toward
+increasing field values.
 
 Extraction itself is vectorized: active cells, stably sorted by case,
 gather edge triples from one padded (256, 5, 3) table; each triangle
@@ -22,15 +22,16 @@ linear interpolation along each crossed edge.
 
 ``evaluate_field`` samples a model only where its zero level set can
 cross the lattice, in two levels: the corners of 4-cell blocks first,
-then the corners of the 2-cell blocks inside every 4-cell block whose
-corners or faces show a sign change, and every vertex of the 2-cell
-blocks whose corners or faces show one, both levels repeated to one
-fixed point.  Values are exact within one refined 2-cell block of any
-sign change and carry only the sign elsewhere, which is all extraction
-reads, so the mesh equals the one from a dense sweep unless a closed
-component fits inside blocks that never refine: one smaller than a
-4-cell block away from refined 4-cell blocks, or one smaller than a
-2-cell block inside a refined 4-cell block.
+then the corners and centres of the 2-cell blocks inside every 4-cell
+block whose sampled vertices show a sign change, and every vertex of
+the 2-cell blocks whose sampled vertices show one, both levels repeated
+to one fixed point.  Values are exact within one refined 2-cell block
+of any sign change and carry only the sign elsewhere, which is all
+extraction reads, so the mesh equals the one from a dense sweep unless
+a closed component holds no sampled vertex: one smaller than a 4-cell
+block away from refined 4-cell blocks, or, inside a refined 4-cell
+block, one whose vertices all lie on 2-cell block faces, off their
+corners.
 """
 from __future__ import annotations
 
@@ -80,9 +81,19 @@ _FACE_LOOPS = (
 _EDGE_OF_PAIR = {frozenset(pair): index for index, pair in enumerate(_EDGES)}
 
 
-def _case_polygons() -> list[list[list[int]]]:
-    """Isoline polygons, as loops of cube edges, for each of the 256 sign cases."""
-    cases: list[list[list[int]]] = []
+_FACE_EDGE_SETS = tuple(
+    frozenset(_EDGE_OF_PAIR[frozenset((loop[p], loop[(p + 1) % 4]))] for p in range(4))
+    for loop in _FACE_LOOPS
+)
+
+
+def _in_one_face(a: int, b: int) -> bool:
+    return any(a in face and b in face for face in _FACE_EDGE_SETS)
+
+
+def _build_case_table() -> list[list[tuple[int, int, int]]]:
+    """Triangles (as edge-index triples) for each of the 256 sign cases."""
+    table: list[list[tuple[int, int, int]]] = []
     for case in range(256):
         inside = [(case >> corner) & 1 == 1 for corner in range(8)]
         # Directed isoline segments: from the edge where a face-loop walk
@@ -103,7 +114,7 @@ def _case_polygons() -> list[list[list[int]]]:
                         outgoing[edge] = other_edge
                         break
         # Chain segments into closed polygons.
-        polygons: list[list[int]] = []
+        triangles: list[tuple[int, int, int]] = []
         remaining = dict(outgoing)
         while remaining:
             start, nxt = remaining.popitem()
@@ -112,61 +123,21 @@ def _case_polygons() -> list[list[list[int]]]:
                 polygon.append(nxt)
                 nxt = remaining.pop(nxt)
             polygon.reverse()
-            polygons.append(polygon)
-        cases.append(polygons)
-    return cases
-
-
-_FACE_EDGE_SETS = tuple(
-    frozenset(_EDGE_OF_PAIR[frozenset((loop[p], loop[(p + 1) % 4]))] for p in range(4))
-    for loop in _FACE_LOOPS
-)
-
-
-def _in_one_face(a: int, b: int) -> bool:
-    return any(a in face and b in face for face in _FACE_EDGE_SETS)
-
-
-def _fan(polygon: list[int], apex: int = 0) -> list[tuple[int, int, int]]:
-    p = polygon[apex:] + polygon[:apex]
-    return [(p[0], p[k], p[k + 1]) for k in range(1, len(p) - 1)]
-
-
-def _face_free_apex(polygon: list[int]) -> int:
-    """The first vertex whose fan puts no diagonal in a cube face."""
-    n = len(polygon)
-    return next(
-        apex
-        for apex in range(n)
-        if not any(
-            _in_one_face(polygon[apex], polygon[(apex + k) % n]) for k in range(2, n - 1)
-        )
-    )
-
-
-_POLYGONS = _case_polygons()
-CASE_TRIANGLES = [[t for p in polygons for t in _fan(p)] for polygons in _POLYGONS]
-# The same polygons fanned so that no triangle edge lies in a cube face
-# unless it is an isoline segment there.
-UNPINCHED_TRIANGLES = [
-    [t for p in polygons for t in _fan(p, _face_free_apex(p))] for polygons in _POLYGONS
-]
-# Per case, the diagonals of CASE_TRIANGLES' fans that lie in a cube face,
-# as cube-edge pairs.
-_FACE_DIAGONALS = [
-    [(p[0], p[k]) for p in polygons for k in range(2, len(p) - 1) if _in_one_face(p[0], p[k])]
-    for polygons in _POLYGONS
-]
-
-
-def _padded_table(rows: list[list[tuple[int, ...]]], width: int) -> NDArray[np.int64]:
-    """Ragged per-case rows as one (256, longest, width) array padded with -1."""
-    table = np.full((256, max(map(len, rows)), width), -1, dtype=np.int64)
-    for case, entries in enumerate(rows):
-        if entries:
-            table[case, : len(entries)] = entries
+            # Fan from the first vertex whose diagonals avoid every cube face.
+            n = len(polygon)
+            apex = next(
+                a
+                for a in range(n)
+                if not any(_in_one_face(polygon[a], polygon[(a + k) % n]) for k in range(2, n - 1))
+            )
+            polygon = polygon[apex:] + polygon[:apex]
+            for k in range(1, n - 1):
+                triangles.append((polygon[0], polygon[k], polygon[k + 1]))
+        table.append(triangles)
     return table
 
+
+CASE_TRIANGLES = _build_case_table()
 
 # Each cube edge as (cell offset of its low corner, axis it runs along).
 _EDGE_CANONICAL = []
@@ -176,10 +147,12 @@ for _a, _b in _EDGES:
     _EDGE_CANONICAL.append((_lo[0], _lo[1], _lo[2], _axis))
 _EDGE_CANONICAL = np.array(_EDGE_CANONICAL, dtype=np.int64)
 
-_CASE_TABLE = _padded_table(CASE_TRIANGLES, 3)
-_UNPINCHED_TABLE = _padded_table(UNPINCHED_TRIANGLES, 3)
-_FACE_DIAGONAL_TABLE = _padded_table(_FACE_DIAGONALS, 2)
-_HAS_FACE_DIAGONAL = _FACE_DIAGONAL_TABLE[:, 0, 0] >= 0
+# CASE_TRIANGLES as one (256, most triangles of any case, 3) array of
+# edge triples, padded with rows of -1.
+_CASE_TABLE = np.full((256, max(map(len, CASE_TRIANGLES)), 3), -1, dtype=np.int64)
+for _case, _triangles in enumerate(CASE_TRIANGLES):
+    if _triangles:
+        _CASE_TABLE[_case, : len(_triangles)] = _triangles
 
 
 @dataclass(frozen=True)
@@ -259,10 +232,10 @@ def evaluate_field(
     all ``marching_cubes`` reads: a crossed lattice edge always has both
     ends evaluated.  The known limit is a closed level-set component
     that shows the refinement no sign change: one smaller than a 4-cell
-    block that touches no refined 4-cell block, or one smaller than a
-    2-cell block inside a refined 4-cell block that touches no refined
-    2-cell block.  Its vertices take the sign of their block and it is
-    not extracted.
+    block that touches no refined 4-cell block, or, inside a refined
+    4-cell block, one whose vertices all lie on 2-cell block faces, off
+    their corners, and that touches no refined 2-cell block.  Its
+    vertices take the sign of their block and it is not extracted.
 
     The encoding acts on each coordinate alone, so the three axes are
     encoded once and the rows of every forward chunk are gathered from
@@ -302,12 +275,12 @@ def _refine_field(
     cut into blocks at two sizes, ``_BLOCK`` cells a side and half that
     (the last block per axis partial), so every large block is a union
     of small ones.  The corners of the large blocks are sampled first.
-    A block is crossed when one of its faces holds sampled vertices of
+    A block is crossed when its closed box holds sampled vertices of
     both signs; lattice vertices beyond the box count as outside, so a
-    block face on the box holding an inside vertex qualifies too.  A
-    crossed large block gets the corners of its small blocks sampled,
-    and a crossed small block all of its vertices.  Both sizes are
-    judged again after every round until no new block is crossed.
+    block on the box holding an inside vertex qualifies too.  A crossed
+    large block gets the corners and centres of its small blocks
+    sampled, and a crossed small block all of its vertices.  Both sizes
+    are judged again after every round until no new block is crossed.
 
     A vertex never sampled copies the corner at or below it of its small
     block when that block's corners were sampled, and of its large block
@@ -315,8 +288,10 @@ def _refine_field(
     (multiresolution isosurface extraction, Mescheder et al., "Occupancy
     Networks", CVPR 2019).  A closed level-set component none of whose
     vertices is sampled is lost: one smaller than a large block that no
-    crossed large block touches, or one smaller than a small block, inside
-    a crossed large block, that no crossed small block touches.
+    crossed large block touches, or, inside a crossed large block, one
+    whose vertices all lie on small-block faces, off their corners, and
+    that no crossed small block touches.  A component with a vertex
+    strictly inside a small block holds its centre, the only such vertex.
     """
     r = resolution
     values = np.empty(r**3)
@@ -329,6 +304,10 @@ def _refine_field(
     bounds = [np.append(np.arange(0, r - 1, stride), r - 1) for stride in strides]
     coarse, fine = bounds
     refined = [np.zeros((len(b) - 1,) * 3, dtype=bool) for b in bounds]
+    # Per size, the offsets of the vertices a crossed block gets sampled
+    # at along each axis: the corners and centres of its small blocks,
+    # or every vertex of a small block.
+    offsets = [(np.arange(0, _BLOCK + 1, 2), np.arange(1, _BLOCK, 2)), (np.arange(3),)]
     cube = (r, r, r)
     todo = ((coarse[:, None, None] * r + coarse[:, None]) * r + coarse).ravel()
     while True:
@@ -341,9 +320,10 @@ def _refine_field(
             values[part] = sample(*ijk)
             signs[part] = np.where(values[part] < 0.0, _INSIDE, _OUTSIDE)
         fresh = []
-        for stride, edges, done in zip(strides, bounds, refined):
-            crossed = _blocks_at_sign_changes(signs.reshape(cube), edges, stride)
-            fresh.append(_block_vertices(np.flatnonzero(crossed & ~done), edges, stride, r))
+        for stride, edges, done, at in zip(strides, bounds, refined, offsets):
+            crossed = _blocks_at_sign_changes(signs.reshape(cube), stride)
+            blocks = np.flatnonzero(crossed & ~done)
+            fresh += [_block_vertices(blocks, edges, offset, r) for offset in at]
             done |= crossed
         todo = np.concatenate(fresh)
 
@@ -367,13 +347,11 @@ def _take3(a: NDArray, index: NDArray[np.int_]) -> NDArray:
 
 
 def _block_vertices(
-    blocks: NDArray[np.int_], bounds: NDArray[np.int_], stride: int, r: int
+    blocks: NDArray[np.int_], bounds: NDArray[np.int_], offsets: NDArray[np.int_], r: int
 ) -> NDArray[np.int_]:
-    """Flat lattice indices of the vertices half a block apart in each
-    block, 27 per block and cut at its far faces: the corners of its
-    half-size blocks, or all its vertices when it is 2 cells wide."""
+    """Flat lattice indices of the vertices at ``offsets`` from each
+    block's low corner along every axis, cut at its far faces."""
     n = len(bounds) - 1
-    offsets = np.arange(3) * (stride // 2)
     i, j, k = (
         np.minimum(bounds[b, None] + offsets, bounds[b + 1, None])
         for b in np.unravel_index(blocks, (n, n, n))
@@ -390,28 +368,20 @@ def _chunks(
         yield part, (part // (r * r), part // r % r, part % r)
 
 
-def _blocks_at_sign_changes(
-    signs: NDArray[np.uint8], bounds: NDArray[np.int_], stride: int
-) -> NDArray[np.bool_]:
-    """Blocks with a face that holds sampled vertices of both signs.
+def _blocks_at_sign_changes(signs: NDArray[np.uint8], stride: int) -> NDArray[np.bool_]:
+    """Blocks ``stride`` cells a side whose closed box holds sampled
+    vertices of both signs.
 
     ``signs`` is ``_INSIDE`` or ``_OUTSIDE`` at sampled vertices and 0
-    elsewhere; ``bounds`` are the lattice indices of the block faces
-    along every axis, ``stride`` apart.  Beyond the lattice counts as
-    outside, so a face on the box with an inside vertex changes sign too.
+    elsewhere.  Beyond the lattice counts as outside, so a block on the
+    box holding an inside vertex changes sign too.
     """
-    n = len(bounds) - 1
-    found = np.zeros((n, n, n), dtype=bool)
+    found = signs
     for axis in range(3):
-        faces = np.take(signs, bounds, axis=axis)
-        for other in {0, 1, 2} - {axis}:
-            faces = _or_over_windows(faces, stride, other)
-        faces = np.moveaxis(faces, axis, 0)
-        changed = faces == _INSIDE | _OUTSIDE
-        changed[[0, -1]] = faces[[0, -1]] & _INSIDE != 0
-        # Block b lies between faces b and b + 1.
-        found |= np.moveaxis(changed[:-1] | changed[1:], 0, axis)
-    return found
+        found = np.moveaxis(_or_over_windows(found, stride, axis), axis, 0)
+        found[[0, -1]] |= _OUTSIDE
+        found = np.moveaxis(found, 0, axis)
+    return found == _INSIDE | _OUTSIDE
 
 
 def _or_over_windows(a: NDArray[np.uint8], stride: int, axis: int) -> NDArray[np.uint8]:
@@ -475,16 +445,13 @@ def marching_cubes(
     # Triangles in (case, cell, triangle) order: a stable sort by case
     # keeps cells in lattice order within each case.
     order = np.argsort(cases, kind="stable")
-    cases = cases[order]
+    triangles = _CASE_TABLE[cases[order]]
+    cell, slot = np.nonzero(triangles[:, :, 0] >= 0)
     # Every triangle corner keyed by its grid edge, ((i*r + j)*r + k)*3 +
     # axis with (i, j, k) the edge's low lattice corner: the cell's key
     # plus the cube edge's offset, so shared edges weld to one vertex.
     cell_key = ((i * r + j) * r + k)[order] * 3
     edge_offset = (_EDGE_CANONICAL[:, :3] @ (r * r, r, 1)) * 3 + _EDGE_CANONICAL[:, 3]
-    triangles = _CASE_TABLE[cases]
-    pinched = _pinched_cells(cases, cell_key, edge_offset, 3 * r**3)
-    triangles[pinched] = _UNPINCHED_TABLE[cases[pinched]]
-    cell, slot = np.nonzero(triangles[:, :, 0] >= 0)
     keys = cell_key[cell, None] + edge_offset[triangles[cell, slot]]
     unique_keys, face_indices = np.unique(keys, return_inverse=True)
     faces = face_indices.reshape(-1, 3)
@@ -511,32 +478,6 @@ def marching_cubes(
     # Keep the vertices some face uses, numbered in their current order.
     used = np.bincount(faces.ravel(), minlength=len(positions)) > 0
     return TriMesh(positions[used], (np.cumsum(used) - 1)[faces])
-
-
-def _pinched_cells(
-    cases: NDArray[np.uint8],
-    cell_key: NDArray[np.int64],
-    edge_offset: NDArray[np.int64],
-    n_keys: int,
-) -> NDArray[np.bool_]:
-    """Cells whose fan runs a diagonal across a cube face that the
-    neighbouring cell's fan runs too.
-
-    The two fans then share a triangle edge in that face, which pinches
-    the surface there into an edge of four faces.
-    """
-    candidate = np.flatnonzero(_HAS_FACE_DIAGONAL[cases])
-    diagonals = _FACE_DIAGONAL_TABLE[cases[candidate]]
-    cell, slot = np.nonzero(diagonals[:, :, 0] >= 0)
-    ends = np.sort(
-        cell_key[candidate[cell], None] + edge_offset[diagonals[cell, slot]], axis=1
-    )
-    _, inverse, counts = np.unique(
-        ends[:, 0] * n_keys + ends[:, 1], return_inverse=True, return_counts=True
-    )
-    pinched = np.zeros(len(cases), dtype=bool)
-    pinched[candidate[cell[counts[inverse] > 1]]] = True
-    return pinched
 
 
 # Virtual node value for the layer just beyond a closed boundary.  Large

@@ -100,9 +100,9 @@ def repair(
     trained on.  The field is evaluated exactly within one refined
     2-cell block of any sign change and only by sign elsewhere
     (``evaluate_field``), which yields the dense-sweep mesh except for
-    closed components that fit inside blocks that never refine: smaller
-    than a 4-cell block away from refined 4-cell blocks, or smaller than
-    a 2-cell block inside a refined 4-cell block.  Extraction closes the
+    closed components that hold no sampled vertex: smaller than a 4-cell
+    block away from refined 4-cell blocks, or, inside a refined 4-cell
+    block, lying on 2-cell block faces off their corners.  Extraction closes the
     level set at the grid boundary, so shapes whose normalized surface
     touches the unit cube keep those faces.  The mesh is returned in
     original units, and the repaired cloud is an area-uniform sample of

@@ -6,10 +6,9 @@ per-axis gather or the sign refinement of ``evaluate_field``.
 
 ``grouped_marching_cubes`` welds the mesh the plain way: cells grouped
 by case in a loop, each triangle corner's grid edge decoded to a lattice
-index and keyed from it, pinched cells found by counting the triangles
-on every edge, and slivers contracted with every face measured again on
-every pass.  ``marching_cubes`` must number vertices and order faces
-exactly as it does, since that order decides the points
+index and keyed from it, and slivers contracted with every face measured
+again on every pass.  ``marching_cubes`` must number vertices and
+order faces exactly as it does, since that order decides the points
 ``sample_surface`` draws and the bytes of a repaired OBJ.
 """
 from __future__ import annotations
@@ -21,7 +20,6 @@ from pasdf.marching import (
     _CORNERS,
     _EDGE_CANONICAL,
     CASE_TRIANGLES,
-    UNPINCHED_TRIANGLES,
     _SLIVER_AREA,
     GridSpec,
     _pad_outside,
@@ -68,20 +66,21 @@ def grouped_marching_cubes(
     for corner, (dx, dy, dz) in enumerate(_CORNERS):
         case_index |= inside[dx : dx + n, dy : dy + n, dz : dz + n].astype(np.uint8) << corner
     active = np.argwhere((case_index != 0) & (case_index != 255))
-    if len(active) == 0:
-        return empty
     cases = case_index[active[:, 0], active[:, 1], active[:, 2]]
-    pinched = np.zeros(len(active), dtype=bool)
-    cells, keys = _grouped_corner_keys(active, cases, pinched, r)
-    # An edge of more than two triangles is one that two neighbouring
-    # fans both put in their shared face; those cells take the
-    # unpinched fans instead.
-    edges = np.sort(keys.reshape(-1, 3)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    _, inverse, counts = np.unique(edges, axis=0, return_inverse=True, return_counts=True)
-    crowded = (counts[inverse.ravel()] > 2).reshape(-1, 3).any(axis=1)
-    for cell in np.unique(cells[crowded], axis=0):
-        pinched[(active == cell).all(axis=1)] = True
-    cells, keys = _grouped_corner_keys(active, cases, pinched, r)
+    tri_cells, tri_edges = [], []
+    for case in np.unique(cases):
+        triangles = np.asarray(CASE_TRIANGLES[case], dtype=np.int64)
+        cells_here = active[cases == case]
+        tri_cells.append(np.repeat(cells_here, len(triangles), axis=0))
+        tri_edges.append(np.tile(triangles, (len(cells_here), 1)))
+    if not tri_cells:
+        return empty
+    cells = np.concatenate(tri_cells)
+    canon = _EDGE_CANONICAL[np.concatenate(tri_edges).ravel()]
+    corner_index = cells.repeat(3, axis=0) + canon[:, :3]
+    keys = (
+        (corner_index[:, 0] * r + corner_index[:, 1]) * r + corner_index[:, 2]
+    ) * 3 + canon[:, 3]
     unique_keys, face_indices = np.unique(keys, return_inverse=True)
 
     axis = unique_keys % 3
@@ -101,27 +100,6 @@ def grouped_marching_cubes(
         return empty
     used, renumbered = np.unique(faces.ravel(), return_inverse=True)
     return TriMesh(positions[used], renumbered.reshape(-1, 3).astype(np.int64))
-
-
-def _grouped_corner_keys(
-    active: np.ndarray, cases: np.ndarray, pinched: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each triangle's cell and each triangle corner's grid-edge key, in
-    (case, cell, triangle) order; ``pinched`` cells use the unpinched fans."""
-    tri_cells, tri_edges = [], []
-    for case in np.unique(cases):
-        for cell, unpinched in zip(active[cases == case], pinched[cases == case]):
-            table = UNPINCHED_TRIANGLES if unpinched else CASE_TRIANGLES
-            triangles = np.asarray(table[case], dtype=np.int64)
-            tri_cells.append(np.repeat(cell[None], len(triangles), axis=0))
-            tri_edges.append(triangles)
-    cells = np.concatenate(tri_cells)
-    canon = _EDGE_CANONICAL[np.concatenate(tri_edges).ravel()]
-    corner_index = cells.repeat(3, axis=0) + canon[:, :3]
-    keys = (
-        (corner_index[:, 0] * r + corner_index[:, 1]) * r + corner_index[:, 2]
-    ) * 3 + canon[:, 3]
-    return cells, keys
 
 
 def contract_slivers_every_pass(positions: np.ndarray, faces: np.ndarray) -> np.ndarray:

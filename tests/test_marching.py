@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import ndimage
 
 from field_oracle import dense_field, grouped_marching_cubes, vertex_positions
 from oracles import check_watertight, signed_volume
@@ -13,7 +12,6 @@ from pasdf import marching
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.marching import (
     CASE_TRIANGLES,
-    UNPINCHED_TRIANGLES,
     GridSpec,
     evaluate_field,
     marching_cubes,
@@ -271,31 +269,28 @@ class TestMarchingCubes:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_noise_field_watertight(self, seed: int) -> None:
-        # White noise makes many ambiguous faces whose inside band both
-        # neighbouring cells' default fans would span with the same
-        # diagonal, an edge of four faces; those cells take other fans.
+        # White noise makes many faces with four crossings.  Fans that
+        # ran a diagonal across such a face's inside band from both
+        # neighbouring cells would meet in an edge of four faces.
         field = np.random.default_rng(100 + seed).standard_normal((12, 12, 12))
         mesh = marching_cubes(field, GridSpec(12), close_boundary=True)
         watertight, bad_edges = check_watertight(mesh)
         assert watertight, f"{bad_edges} edges not on exactly two faces"
 
-    def test_unpinched_fans_keep_diagonals_off_cube_faces(self) -> None:
+    def test_fan_diagonals_stay_off_cube_faces(self) -> None:
+        # A triangle edge in a cube face is an isoline segment there, so
+        # two neighbouring cells never share one that they both fan over.
         faces = [
             {marching._EDGE_OF_PAIR[frozenset((loop[p], loop[(p + 1) % 4]))] for p in range(4)}
             for loop in marching._FACE_LOOPS
         ]
-        changed = 0
-        for case, (default, unpinched) in enumerate(zip(CASE_TRIANGLES, UNPINCHED_TRIANGLES)):
-            # The same polygons, fanned from another vertex at most.
-            assert len(default) == len(unpinched)
-            changed += default != unpinched
+        for case, triangles in enumerate(CASE_TRIANGLES):
             used: dict[frozenset, int] = {}
-            for triangle in unpinched:
+            for triangle in triangles:
                 for a, b in zip(triangle, triangle[1:] + triangle[:1]):
                     used[frozenset((a, b))] = used.get(frozenset((a, b)), 0) + 1
             diagonals = [pair for pair, count in used.items() if count == 2]
             assert not any(pair <= face for pair in diagonals for face in faces), case
-        assert changed == 26
 
     def test_rejects_wrong_shape(self) -> None:
         grid = GridSpec(16)
@@ -465,19 +460,10 @@ class TestEvaluateField:
         dense = dense_field(model, sphere_world.encoding, grid)
         assert sampled.any()
         np.testing.assert_array_equal(field[sampled], dense[sampled])
-        # Unsampled vertices carry only a sign.  It is the dense sweep's
-        # except on closed components that no refined block reaches (the
-        # limit in the marching module's docstring, which a learned field
-        # can hit): each such component is missed whole and never sampled.
-        missed = (field < 0.0) != (dense < 0.0)
-        for side in (dense < 0.0, dense >= 0.0):
-            labels, _ = ndimage.label(side)
-            for label in np.unique(labels[missed & side]):
-                component = labels == label
-                assert missed[component].all() and not sampled[component].any()
+        np.testing.assert_array_equal(field < 0.0, dense < 0.0)
         assert_same_mesh(
             marching_cubes(field, grid, close_boundary=True),
-            marching_cubes(np.where(missed, field, dense), grid, close_boundary=True),
+            marching_cubes(dense, grid, close_boundary=True),
         )
 
     def test_extracts_learned_sphere(self, sphere_world) -> None:
@@ -652,12 +638,37 @@ class TestRefineField:
 
     def test_bubble_inside_a_refined_block_is_missed_below_half_a_block(self) -> None:
         """The limit inside refined blocks: a closed component smaller than
-        one 2-cell block, touching no refined 2-cell block, keeps its
-        block's sign too, though its 4-cell block is refined."""
+        one 2-cell block, lying on a 2-cell block face off its corners and
+        touching no refined 2-cell block, keeps its block's sign too,
+        though its 4-cell block is refined."""
         grid = GridSpec(33)  # 4-cell blocks 0.125 a side, 2-cell blocks 0.0625
 
         # The main surface cuts off only vertex (20, 20, 20), the far
         # corner of the 4-cell block [16, 20]^3, so that block refines.
+        def main(x, y, z):
+            return 1.865 - (x + y + z)
+
+        # The bubble holds only vertex (17, 17, 16), the centre of the
+        # face k = 16 of the 2-cell block [16, 18]^3, whose corners and
+        # centre are all outside.
+        bubble = ball((17 / 32, 17 / 32, 16 / 32), 0.02)
+        values, sampled, dense = refine_analytic(
+            lambda x, y, z: np.minimum(main(x, y, z), bubble(x, y, z)), grid
+        )
+        assert dense[17, 17, 16] < 0.0
+        assert sampled[16:21:2, 16:21:2, 16:21:2].all() and sampled[17, 17, 17]
+        assert not sampled[17, 17, 16] and values[17, 17, 16] > 0.0
+        # The main surface is still extracted bit for bit.
+        assert_same_mesh(
+            marching_cubes(values, grid), marching_cubes(main(*sample_grid(grid)), grid)
+        )
+        assert len(marching_cubes(dense, grid).faces) > len(marching_cubes(values, grid).faces)
+
+    def test_bubble_at_the_centre_of_a_small_block_is_found(self) -> None:
+        """A closed component holding a vertex strictly inside a 2-cell
+        block holds its centre, which a refined 4-cell block samples."""
+        grid = GridSpec(33)
+
         def main(x, y, z):
             return 1.865 - (x + y + z)
 
@@ -668,10 +679,6 @@ class TestRefineField:
             lambda x, y, z: np.minimum(main(x, y, z), bubble(x, y, z)), grid
         )
         assert dense[17, 17, 17] < 0.0
-        assert sampled[16:21:2, 16:21:2, 16:21:2].all()
-        assert not sampled[17, 17, 17] and values[17, 17, 17] > 0.0
-        # The main surface is still extracted bit for bit.
-        assert_same_mesh(
-            marching_cubes(values, grid), marching_cubes(main(*sample_grid(grid)), grid)
-        )
-        assert len(marching_cubes(dense, grid).faces) > len(marching_cubes(values, grid).faces)
+        np.testing.assert_array_equal(values < 0.0, dense < 0.0)
+        assert sampled[16:19, 16:19, 16:19].all()
+        assert_same_mesh(marching_cubes(values, grid), marching_cubes(dense, grid))
