@@ -9,8 +9,9 @@ their stream's bit generator, one per hidden unit of every padded row.
 Every batch is zero-padded to a multiple of 64 rows, and with that a run
 gives the same bits at one and at two BLAS threads; unpadded float32
 batches and padded float64 ones both round differently when BLAS splits
-a batch's sums over another number of threads.  A non-finite loss aborts immediately with the
-epoch, batch, and parameter norm at the point of failure.
+a batch's sums over another number of threads.  A non-finite loss
+aborts immediately with the epoch, batch, and parameter norm at the
+point of failure.
 """
 from __future__ import annotations
 
