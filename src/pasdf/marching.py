@@ -18,7 +18,13 @@ Extraction itself is vectorized: active cells, stably sorted by case,
 gather edge triples from one padded (256, 5, 3) table; each triangle
 corner is keyed by its grid edge (cell key plus the cube edge's offset)
 so shared edges weld in one ``np.unique``; and positions come from
-linear interpolation along each crossed edge.
+linear interpolation along each crossed edge.  The welded mesh is
+returned as built: one vertex per crossed edge, each used by some face.
+A crossing that lands on a lattice node puts the vertices of several
+edges at one point, and triangles between them have zero area.  They
+are emitted, as in classic marching cubes (Lorensen and Cline, SIGGRAPH
+1987): they keep every edge on two faces, and sampling by area never
+draws them.
 
 ``evaluate_field`` samples a model only where its zero level set can
 cross the lattice, in two levels: the corners of 4-cell blocks first,
@@ -44,7 +50,7 @@ from numpy.typing import NDArray
 from .encoding import EncodingConfig, positional_encode
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import F64, Points
-from .mesh import Faces, TriMesh
+from .mesh import TriMesh
 from .network import SdfModel
 from .queries import QueryCounts, bbox_shell
 
@@ -406,6 +412,7 @@ def marching_cubes(
 
     The field must be sampled on the grid's lattice, shape (r, r, r) in
     (i, j, k) index order.  A field of uniform sign yields an empty mesh.
+    Faces of zero area, where crossings land on lattice nodes, are kept.
 
     With ``close_boundary`` everything beyond the grid counts as far
     outside, so a sub-level region reaching the grid box gets capped on
@@ -471,13 +478,7 @@ def marching_cubes(
     # so their positions) identical with and without boundary closure.
     shift = 1 if padded else 0
     positions = origin + ((low - shift) + t[:, None] * step) * spacing
-
-    faces = _contract_slivers(positions, faces)
-    if faces.size == 0:
-        return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    # Keep the vertices some face uses, numbered in their current order.
-    used = np.bincount(faces.ravel(), minlength=len(positions)) > 0
-    return TriMesh(positions[used], (np.cumsum(used) - 1)[faces])
+    return TriMesh(positions, faces)
 
 
 # Virtual node value for the layer just beyond a closed boundary.  Large
@@ -493,58 +494,3 @@ def _pad_outside(values: NDArray[F64]) -> NDArray[F64]:
     padded[1:-1, 1:-1, 1:-1] = values
     return padded
 
-
-# Contract faces below this area rather than emit them.  The grid lies in
-# the unit cube, so a mesh's squared bounding-box diagonal is at most 3,
-# and every face kept clears the mesh validator's floor of 1e-12 of that
-# square by a factor over 3; a uniform rescale into world units keeps the
-# ratio, so the world mesh passes at every normalization scale.
-_SLIVER_AREA = 1e-11
-
-
-def _contract_slivers(positions: Points, faces: Faces) -> Faces:
-    """Collapse near-zero-area faces onto their shortest edge.
-
-    Crossings that land on (or within float noise of) a lattice point
-    produce triangles too thin for mesh validation.  Deleting them would
-    open holes, so instead each one's shortest edge is contracted, which
-    also collapses the matching face on the far side of that edge and
-    keeps the surface closed.  Contractions move vertices by at most the
-    contracted edge length, which is bounded by the sliver size itself.
-    """
-    small = _face_areas(positions, faces) < _SLIVER_AREA
-    while small.any():
-        # One disjoint batch of contractions per pass; every pass retires
-        # at least one vertex, so the loop terminates.
-        merge_into = np.arange(len(positions))
-        touched = np.zeros(len(positions), dtype=bool)
-        for a, b, c in faces[small]:
-            if touched[a] or touched[b] or touched[c]:
-                continue
-            pairs = ((a, b), (b, c), (c, a))
-            lengths = [
-                np.linalg.norm(positions[p] - positions[q]) for p, q in pairs
-            ]
-            keep_vertex, drop_vertex = pairs[int(np.argmin(lengths))]
-            merge_into[drop_vertex] = keep_vertex
-            touched[a] = touched[b] = touched[c] = True
-        merged = merge_into[faces]
-        # Only faces that lost a vertex change shape, so only they are
-        # measured again.
-        moved = (merged != faces).any(axis=1)
-        faces = merged
-        small[moved] = _face_areas(positions, faces[moved]) < _SLIVER_AREA
-        keep = (
-            (faces[:, 0] != faces[:, 1])
-            & (faces[:, 1] != faces[:, 2])
-            & (faces[:, 2] != faces[:, 0])
-        )
-        faces, small = faces[keep], small[keep]
-    return faces
-
-
-def _face_areas(positions: Points, faces: Faces) -> NDArray[F64]:
-    tri = positions[faces]
-    return 0.5 * np.linalg.norm(
-        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
-    )

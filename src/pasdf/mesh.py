@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TypeAlias
 
 import numpy as np
@@ -12,19 +13,17 @@ from .geometry import F64, PointCloud, Points, Vector
 
 Faces: TypeAlias = NDArray[np.int64]
 
-# A face is degenerate when its area is at most this share of the squared
-# bounding-box diagonal, so the check judges a mesh the same at any scale.
-_MIN_FACE_AREA = 1e-12
-
 
 @dataclass(frozen=True)
 class TriMesh:
     """Immutable triangle mesh.
 
-    Faces index into ``vertices``; windings are taken as given.  Degenerate
-    faces, near zero area relative to the mesh's size, are rejected at
-    construction.  The empty mesh (no vertices, no faces) is allowed so
-    isosurface extraction can report "no surface" without a special case.
+    Faces index into ``vertices``; windings are taken as given.  Shapes,
+    finiteness and index range are checked at construction; face
+    geometry is not, so a face of zero area is allowed and gets a zero
+    normal.  Areas and normals are computed on first use.  The empty
+    mesh (no vertices, no faces) is allowed so isosurface extraction can
+    report "no surface" without a special case.
     """
 
     vertices: Points
@@ -41,33 +40,20 @@ class TriMesh:
             raise InvalidInputError("vertices contain non-finite values")
         if faces.size and (faces.min() < 0 or faces.max() >= verts.shape[0]):
             raise InvalidInputError("face indices out of range")
-        crosses = self._face_crosses(verts, faces)
-        areas = 0.5 * np.linalg.norm(crosses, axis=1)
-        if faces.size:
-            # Reducing the rows of a (3, n) copy is several times faster
-            # than reducing the columns of the (n, 3) array.
-            coords = np.ascontiguousarray(verts.T)
-            extents = coords.max(axis=1) - coords.min(axis=1)
-            if areas.min() <= _MIN_FACE_AREA * float(extents @ extents):
-                raise InvalidInputError(
-                    f"mesh has a degenerate face (area {areas.min():.3e})"
-                )
         for name, value in (("vertices", verts), ("faces", faces)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_areas", areas)
-        normals = np.zeros_like(crosses)
-        if faces.size:
-            normals = crosses / (2.0 * areas)[:, None]
-        normals.flags.writeable = False
-        object.__setattr__(self, "_normals", normals)
 
-    @staticmethod
-    def _face_crosses(verts: Points, faces: Faces) -> Points:
-        if faces.size == 0:
-            return np.zeros((0, 3))
-        a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-        return np.cross(b - a, c - a)
+    @cached_property
+    def _face_geometry(self) -> tuple[NDArray[F64], Points]:
+        """Read-only face areas and unit normals, one cross product per face."""
+        a, b, c = (self.vertices[self.faces[:, corner]] for corner in range(3))
+        crosses = np.cross(b - a, c - a)
+        areas = 0.5 * np.linalg.norm(crosses, axis=1)
+        twice = 2.0 * areas[:, None]
+        normals = np.divide(crosses, twice, out=np.zeros_like(crosses), where=twice > 0.0)
+        areas.flags.writeable = normals.flags.writeable = False
+        return areas, normals
 
     @property
     def n_vertices(self) -> int:
@@ -83,11 +69,12 @@ class TriMesh:
 
     @property
     def face_areas(self) -> NDArray[F64]:
-        return self._areas  # type: ignore[attr-defined]
+        return self._face_geometry[0]
 
     @property
     def face_normals(self) -> Points:
-        return self._normals  # type: ignore[attr-defined]
+        """Unit normals by the right-hand rule; zero for a zero-area face."""
+        return self._face_geometry[1]
 
     @property
     def area(self) -> float:
@@ -154,8 +141,10 @@ def sample_surface(mesh: TriMesh, n: int, seed: int) -> PointCloud:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     if mesh.is_empty:
         raise InvalidInputError("cannot sample an empty mesh")
-    rng = np.random.default_rng(seed)
     cdf = np.cumsum(mesh.face_areas)
+    if cdf[-1] == 0.0:
+        raise InvalidInputError("cannot sample a mesh of zero area")
+    rng = np.random.default_rng(seed)
     cdf /= cdf[-1]
     face_idx = np.searchsorted(cdf, rng.random(n), side="right")
     face_idx = np.minimum(face_idx, mesh.n_faces - 1)

@@ -106,8 +106,8 @@ def repair(
     level set at the grid boundary, so shapes whose normalized surface
     touches the unit cube keep those faces.  The mesh is returned in
     original units, and the repaired cloud is an area-uniform sample of
-    it.  Extraction yielding no surface raises RepairFailedError rather
-    than returning an empty cloud.
+    it.  Extraction yielding no surface, or one of zero area, raises
+    RepairFailedError rather than returning an empty cloud.
     """
     if n_points < 1:
         raise InvalidParameterError("n_points must be positive")
@@ -126,11 +126,11 @@ def repair(
     )
     field = evaluate_field(model, encoding, grid)
     surface = marching_cubes(field, grid, close_boundary=True)
-    if len(surface.faces) == 0:
-        raise RepairFailedError(
-            "model level set does not cross the evaluation grid"
-        )
     world_mesh = TriMesh(record.denormalize(surface.vertices), surface.faces)
+    if world_mesh.area == 0.0:
+        raise RepairFailedError(
+            "model level set has no area on the evaluation grid"
+        )
     repaired = sample_surface(world_mesh, n_points, derive_seed(seed, "repair-sample"))
     return RepairResult(
         repaired=repaired, mesh=world_mesh, transform=transform, converged=converged

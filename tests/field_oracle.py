@@ -6,10 +6,10 @@ per-axis gather or the sign refinement of ``evaluate_field``.
 
 ``grouped_marching_cubes`` welds the mesh the plain way: cells grouped
 by case in a loop, each triangle corner's grid edge decoded to a lattice
-index and keyed from it, and slivers contracted with every face measured
-again on every pass.  ``marching_cubes`` must number vertices and
-order faces exactly as it does, since that order decides the points
-``sample_surface`` draws and the bytes of a repaired OBJ.
+index and keyed from it, and vertices renumbered over the faces that use
+them.  Zero-area faces are kept.  ``marching_cubes`` must number
+vertices and order faces exactly as it does, since that order decides
+the points ``sample_surface`` draws and the bytes of a repaired OBJ.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from pasdf.marching import (
     _CORNERS,
     _EDGE_CANONICAL,
     CASE_TRIANGLES,
-    _SLIVER_AREA,
     GridSpec,
     _pad_outside,
 )
@@ -95,34 +94,6 @@ def grouped_marching_cubes(
     shift = 1 if padded else 0
     positions = np.asarray(grid.lower) + ((low - shift) + t[:, None] * step) * grid.spacing()
 
-    faces = contract_slivers_every_pass(positions, face_indices.reshape(-1, 3))
-    if faces.size == 0:
-        return empty
+    faces = face_indices.reshape(-1, 3)
     used, renumbered = np.unique(faces.ravel(), return_inverse=True)
     return TriMesh(positions[used], renumbered.reshape(-1, 3).astype(np.int64))
-
-
-def contract_slivers_every_pass(positions: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """``marching._contract_slivers`` measuring every face on every pass."""
-    while True:
-        tri = positions[faces]
-        cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        small = np.flatnonzero(0.5 * np.linalg.norm(cross, axis=1) < _SLIVER_AREA)
-        if small.size == 0:
-            return faces
-        merge_into = np.arange(len(positions))
-        touched = np.zeros(len(positions), dtype=bool)
-        for a, b, c in faces[small]:
-            if touched[a] or touched[b] or touched[c]:
-                continue
-            pairs = ((a, b), (b, c), (c, a))
-            lengths = [np.linalg.norm(positions[p] - positions[q]) for p, q in pairs]
-            keep_vertex, drop_vertex = pairs[int(np.argmin(lengths))]
-            merge_into[drop_vertex] = keep_vertex
-            touched[a] = touched[b] = touched[c] = True
-        faces = merge_into[faces]
-        faces = faces[
-            (faces[:, 0] != faces[:, 1])
-            & (faces[:, 1] != faces[:, 2])
-            & (faces[:, 2] != faces[:, 0])
-        ]

@@ -205,7 +205,7 @@ class TestMarchingCubes:
 
     def test_crossing_exactly_on_node(self) -> None:
         # A plane sitting exactly on a lattice layer: vertices land on
-        # the nodes and degenerate triangles are filtered, not emitted.
+        # the nodes, and triangles between them may have zero area.
         grid = GridSpec(17)
         gx = sample_grid(grid)[0]
         x0 = grid.axes()[0][8]
@@ -380,13 +380,15 @@ class TestWeldOrder:
     def test_random_signs_with_exact_zeros(self, seed: int, close_boundary: bool) -> None:
         rng = np.random.default_rng(seed)
         r = int(rng.integers(8, 20))
-        # Whole-number levels put exact zeros on many nodes, so slivers
-        # get contracted too.
+        # Whole-number levels put exact zeros on many nodes, so many
+        # faces have zero area; they stay, and a closed mesh stays closed.
         field = rng.integers(-2, 3, size=(r, r, r)) * rng.random((r, r, r))
         grid = GridSpec(r, (0.1, 0.2, 0.0), (0.9, 0.7, 1.0))
         mesh = marching_cubes(field, grid, close_boundary=close_boundary)
         assert len(mesh.faces) > 0
         assert_same_mesh(mesh, grouped_marching_cubes(field, grid, close_boundary))
+        if close_boundary:
+            assert check_watertight(mesh) == (True, 0)
 
     @pytest.mark.parametrize("close_boundary", [False, True])
     def test_noisy_sphere(self, close_boundary: bool) -> None:

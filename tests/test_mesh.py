@@ -52,10 +52,17 @@ class TestTriMesh:
         with pytest.raises(InvalidInputError):
             TriMesh(np.zeros((3, 3)), np.array([[0, 1, 3]]))
 
-    def test_rejects_degenerate_face(self):
-        verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        with pytest.raises(InvalidInputError):
-            TriMesh(verts, np.array([[0, 1, 2]]))
+    @pytest.mark.filterwarnings("error")
+    def test_zero_area_faces_are_kept_and_never_sampled(self):
+        # Collinear faces first and last around one right triangle in z=0.
+        verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [2.0, 0, 0]])
+        mesh = TriMesh(verts, np.array([[0, 1, 3], [0, 1, 2], [1, 3, 0]]))
+        np.testing.assert_array_equal(mesh.face_areas, [0.0, 0.5, 0.0])
+        np.testing.assert_array_equal(mesh.face_normals, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+        cloud = sample_surface(mesh, 5000, seed=5)
+        np.testing.assert_allclose(np.linalg.norm(cloud.normals, axis=1), 1.0)
+        x, y = cloud.points[:, 0], cloud.points[:, 1]
+        assert (x >= 0).all() and (y >= 0).all() and (x + y <= 1.0 + 1e-12).all()
 
     def test_empty_mesh_is_allowed(self):
         mesh = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
@@ -103,14 +110,10 @@ class TestNormalizeUnitCube:
         np.testing.assert_allclose(record.denormalize(normalized.vertices), verts, atol=1e-12)
 
     def test_rejects_flat_bbox(self):
-        verts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        verts += np.array([[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=np.float64)
-        with pytest.raises(InvalidInputError):
-            # Four coincident vertices form a zero-extent box; faces would be
-            # degenerate too, so bypass TriMesh and hit the bounds check.
-            from pasdf.mesh import normalization_from_bounds
-
-            normalization_from_bounds(verts.min(axis=0), verts.max(axis=0))
+        # Four coincident vertices form a zero-extent box.
+        mesh = TriMesh(np.zeros((4, 3)), np.array([[0, 1, 2], [0, 2, 3]]))
+        with pytest.raises(InvalidInputError, match="degenerate bounding box"):
+            normalize_unit_cube(mesh)
 
 
 class TestCheckWatertight:
@@ -178,6 +181,12 @@ class TestSampleSurface:
     def test_rejects_bad_count(self):
         with pytest.raises(InvalidParameterError):
             sample_surface(unit_cube(), 0, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_zero_area_mesh(self):
+        verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+        with pytest.raises(InvalidInputError, match="zero area"):
+            sample_surface(TriMesh(verts, np.array([[0, 1, 2]])), 10, seed=0)
 
 
 class TestPlyRoundTrip:

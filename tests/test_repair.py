@@ -283,6 +283,28 @@ class TestRepair:
                 gain[...] = saved
             model.params.biases[-1][...] = saved_bias
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_area_level_set_raises(self, sphere_world, monkeypatch) -> None:
+        # One barely-inside node: every crossing rounds onto it, so every
+        # extracted face has zero area.
+        def one_node_field(model, encoding, grid):
+            field = np.ones((grid.resolution,) * 3)
+            field[5, 6, 7] = -1e-300
+            return field
+
+        monkeypatch.setattr("pasdf.repair.evaluate_field", one_node_field)
+        with pytest.raises(RepairFailedError, match="no area"):
+            repair(
+                sphere_world.canonical,
+                sphere_world.model,
+                sphere_world.encoding,
+                sphere_world.canonical,
+                sphere_world.record,
+                seed=7,
+                resolution=16,
+                align=False,
+            )
+
     def test_cloud_beyond_the_unit_cube_is_an_input_error(self, sphere_world) -> None:
         record = sphere_world.record
         shifted = PointCloud(sphere_world.canonical.points + [10.0 * record.scale, 0.0, 0.0])
@@ -312,8 +334,8 @@ class TestRepair:
             )
 
     def test_small_record_scale_keeps_the_mesh(self, sphere_world) -> None:
-        # The degenerate-face check is relative to the mesh's size, so a
-        # record that shrinks the world tenfold extracts the same faces.
+        # Meshes judge no face by its size, so a record that shrinks the
+        # world tenfold keeps every extracted face.
         normalized = sphere_world.record.normalize(sphere_world.canonical.points)
         faces = []
         for scale in (1.0, 0.1):
