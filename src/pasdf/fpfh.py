@@ -6,6 +6,22 @@ distance-weighted blend of each point's histogram with its neighbours'.
 Descriptors are percentage-normalised per angle block, so they are invariant
 to neighbourhood size and, because the angles only involve relative
 directions, to rigid motion of the cloud.
+
+Pairs are described component-major: each per-pair vector is a
+``(3, n_pairs)`` array whose rows hold its x, y and z components, so a dot
+product, cross product or length is a few whole-row operations, in place
+where possible.  The descriptors are bit-identical to a pair-major
+description through ``np.einsum("ij,ij->i")``, ``np.cross`` and
+``np.linalg.norm(axis=1)`` on ``(n_pairs, 3)`` rows, which the tests keep
+as their oracle.  The bits depend on three summation orders:
+
+- a dot product adds its products as (x + z) + y, the order numpy 2.4's
+  ``einsum`` adds three products in; adding them x, y, z in order flips
+  histogram bins on real clouds;
+- a length adds its squares as (x + y) + z, as ``np.linalg.norm`` does;
+- the blend adds each centre's weighted neighbour histograms one at a time
+  in ascending neighbour index, as scipy's CSR product does over sorted
+  column indices.
 """
 from __future__ import annotations
 
@@ -21,11 +37,38 @@ BINS_PER_FEATURE = 11
 DESCRIPTOR_SIZE = 3 * BINS_PER_FEATURE
 
 _MIN_PAIR_DISTANCE = 1e-12
+# Per angle block (alpha, phi, theta), as columns: the lower end and the
+# width of the binned range, and the block's first bin in a descriptor.
+_LOW = np.array([[-1.0], [-1.0], [-np.pi]])
+_WIDTH = np.array([[2.0], [2.0], [2.0 * np.pi]])
+_FIRST_BIN = np.array([[0], [BINS_PER_FEATURE], [2 * BINS_PER_FEATURE]])
 
 
-def _bin_index(values: NDArray[F64], low: float, high: float) -> NDArray[np.int64]:
-    scaled = (values - low) / (high - low) * BINS_PER_FEATURE
-    return np.clip(np.floor(scaled).astype(np.int64), 0, BINS_PER_FEATURE - 1)
+def _dot(a: NDArray[F64], b: NDArray[F64]) -> NDArray[F64]:
+    """Column dot products of two (3, k) arrays, added (x + z) + y."""
+    products = a * b
+    products[0] += products[2]
+    products[0] += products[1]
+    return products[0]
+
+
+def _cross(a: NDArray[F64], b: NDArray[F64]) -> NDArray[F64]:
+    """Column cross products of two (3, k) arrays."""
+    out = np.empty_like(a)
+    product = np.empty_like(a[0])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        np.multiply(a[k], b[j], out=product)
+        out[i] -= product
+    return out
+
+
+def _length(a: NDArray[F64]) -> NDArray[F64]:
+    """Column lengths of a (3, k) array, squares added (x + y) + z."""
+    squares = a * a
+    squares[0] += squares[1]
+    squares[0] += squares[2]
+    return np.sqrt(squares[0], out=squares[0])
 
 
 def _normalize_blocks(hist: NDArray[F64]) -> NDArray[F64]:
@@ -48,73 +91,81 @@ def compute_fpfh(cloud: PointCloud, radius: float) -> NDArray[F64]:
     itself, so a tied pair is described once from each end and each
     description counts for its own centre only.  Points with no usable
     neighbour inside ``radius`` get an all-zero row.
+
+    Pair vectors are ``(3, n_pairs)`` arrays.  Dot products add (x + z) + y
+    and lengths (x + y) + z, and the blend adds each centre's neighbours
+    in ascending index order; the module docstring says why the result
+    depends on these orders.
     """
     if radius <= 0.0 or not np.isfinite(radius):
         raise InvalidParameterError(f"radius must be positive and finite, got {radius}")
     if cloud.normals is None:
         raise InvalidInputError("FPFH needs per-point normals")
 
-    pts = cloud.points
-    nrm = cloud.normals
     n = len(cloud)
-    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
-    first, second = pairs.T
+    pts = np.ascontiguousarray(cloud.points.T)
+    nrm = np.ascontiguousarray(cloud.normals.T)
+    first, second = cKDTree(cloud.points).query_pairs(radius, output_type="ndarray").T
 
-    d = pts[second] - pts[first]
-    dist = np.linalg.norm(d, axis=1)
-    ok = dist >= _MIN_PAIR_DISTANCE
-    first, second, d, dist = first[ok], second[ok], d[ok], dist[ok]
-    d_hat = d / dist[:, None]
+    # Coincident points and normals along the connecting line have no
+    # frame.  Their descriptions run through the arithmetic, as NaN or
+    # inf where they must, and ``keep`` drops them below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_hat = pts.take(second, axis=1)
+        d_hat -= pts.take(first, axis=1)
+        dist = _length(d_hat)
+        d_hat /= dist
+        dot_first = np.abs(_dot(nrm.take(first, axis=1), d_hat))
+        dot_second = np.abs(_dot(nrm.take(second, axis=1), d_hat))
+        at_first = dot_first >= dot_second
+        is_tied = dot_first == dot_second
+        tied = np.flatnonzero(is_tied)
+        # One description (source -> target) per unordered pair, plus the
+        # second-anchored description of every tied pair.
+        source = np.concatenate([np.where(at_first, first, second), second[tied]])
+        target = np.concatenate([np.where(at_first, second, first), first[tied]])
+        d_st = np.concatenate([d_hat, d_hat.take(tied, axis=1)], axis=1)
+        d_st *= np.concatenate([np.where(at_first, 1.0, -1.0), np.full(tied.size, -1.0)])
+        dist = np.concatenate([dist, dist[tied]])
+        shared = np.concatenate([~is_tied, np.zeros(tied.size, dtype=bool)])
 
-    dot_first = np.abs(np.einsum("ij,ij->i", nrm[first], d_hat))
-    dot_second = np.abs(np.einsum("ij,ij->i", nrm[second], d_hat))
-    at_first = dot_first >= dot_second
-    is_tied = dot_first == dot_second
-    tied = np.flatnonzero(is_tied)
-    # One directed pair (source -> target) per unordered pair, plus the
-    # second-anchored direction of every tied pair.
-    source = np.concatenate([np.where(at_first, first, second), second[tied]])
-    target = np.concatenate([np.where(at_first, second, first), first[tied]])
-    d_st = np.concatenate([np.where(at_first[:, None], d_hat, -d_hat), -d_hat[tied]])
-    dist = np.concatenate([dist, dist[tied]])
-    one_sided = np.concatenate([is_tied, np.ones(tied.size, dtype=bool)])
-
-    u, n_t = nrm[source], nrm[target]
-    phi = np.einsum("ij,ij->i", u, d_st)
-    v = np.cross(d_st, u)
-    v_norm = np.linalg.norm(v, axis=1)
-    ok = v_norm >= _MIN_PAIR_DISTANCE
-    source, target, dist, one_sided = source[ok], target[ok], dist[ok], one_sided[ok]
-    u, n_t, phi = u[ok], n_t[ok], phi[ok]
-    v_hat = v[ok] / v_norm[ok, None]
-    w = np.cross(u, v_hat)
-    alpha = np.einsum("ij,ij->i", v_hat, n_t)
-    theta = np.arctan2(np.einsum("ij,ij->i", w, n_t), np.einsum("ij,ij->i", u, n_t))
-    bins = np.column_stack(
-        [
-            _bin_index(alpha, -1.0, 1.0),
-            _bin_index(phi, -1.0, 1.0) + BINS_PER_FEATURE,
-            _bin_index(theta, -np.pi, np.pi) + 2 * BINS_PER_FEATURE,
-        ]
-    )
+        u, n_t = nrm.take(source, axis=1), nrm.take(target, axis=1)
+        v_hat = _cross(d_st, u)
+        v_norm = _length(v_hat)
+        v_hat /= v_norm
+        angles = np.empty_like(v_hat)
+        angles[0] = _dot(v_hat, n_t)
+        angles[1] = _dot(u, d_st)
+        np.arctan2(_dot(_cross(u, v_hat), n_t), _dot(u, n_t), out=angles[2])
+        angles -= _LOW
+        angles /= _WIDTH
+        angles *= BINS_PER_FEATURE
+        bins = np.floor(angles, out=angles).astype(np.int64)
+    np.clip(bins, 0, BINS_PER_FEATURE - 1, out=bins)
+    bins += _FIRST_BIN
 
     # A shared description counts for both ends, a one-sided one for its
-    # source only.
-    both = ~one_sided
-    centers = np.concatenate([source, target[both]])
-    others = np.concatenate([target, source[both]])
-    bins = np.concatenate([bins, bins[both]])
-    dist = np.concatenate([dist, dist[both]])
-    flat = (centers[:, None] * DESCRIPTOR_SIZE + bins).ravel()
-    spfh = np.bincount(flat, minlength=n * DESCRIPTOR_SIZE).astype(np.float64)
-    spfh = _normalize_blocks(spfh.reshape(n, DESCRIPTOR_SIZE))
+    # source only.  Dropped descriptions count for a spare centre n.
+    keep = (dist >= _MIN_PAIR_DISTANCE) & (v_norm >= _MIN_PAIR_DISTANCE)
+    centers = np.concatenate([np.where(keep, source, n), np.where(keep & shared, target, n)])
+    others = np.concatenate([target, source])
+    codes = bins + DESCRIPTOR_SIZE * centers.reshape(2, 1, -1)
+    counts = np.bincount(codes.ravel(), minlength=(n + 1) * DESCRIPTOR_SIZE)
+    spfh = counts[: n * DESCRIPTOR_SIZE].reshape(n, DESCRIPTOR_SIZE).astype(np.float64)
+    spfh = _normalize_blocks(spfh)
 
     # Second pass: blend each point with its neighbours, nearer ones weighing
-    # more, then renormalise.
-    weights = csr_matrix((1.0 / dist, (centers, others)), shape=(n, n))
-    used = np.bincount(centers, minlength=n).astype(np.float64)
+    # more, then renormalise.  Sorted by (centre, other), the directed pairs
+    # are the blend matrix's CSR rows with ascending columns, and the spare
+    # centre's pairs sort past the last row.
+    used = np.bincount(centers, minlength=n + 1)[:n]
+    indptr = np.concatenate([[0], np.cumsum(used)])
+    order = np.argsort(centers * n + others)[: indptr[-1]]
+    weights = 1.0 / np.tile(dist, 2)[order]
+    blend = csr_matrix((weights, others[order], indptr), shape=(n, n))
+    blend.has_sorted_indices = True
     has_neighbours = used > 0
-    blended = weights @ spfh
+    blended = blend @ spfh
     blended[has_neighbours] /= used[has_neighbours, None]
     fpfh = np.where(has_neighbours[:, None], spfh + blended, 0.0)
     return _normalize_blocks(fpfh)

@@ -328,10 +328,10 @@ class AlignmentResult:
 
 
 def _described_downsample(
-    cloud: PointCloud, voxel: float, min_points: int
+    cloud: PointCloud, voxel: float
 ) -> tuple[PointCloud, NDArray[F64]] | None:
     sparse = voxel_downsample(cloud, voxel)
-    if len(sparse) < min_points:
+    if len(sparse) < _RANSAC_SAMPLE_SIZE:
         return None
     k = min(_NORMALS_K, len(sparse))
     with_normals, _ = estimate_normals(sparse, k=k, viewpoint=sparse.centroid())
@@ -364,7 +364,7 @@ def pose_align(src: PointCloud, tgt: PointCloud, *, seed: int = 0) -> AlignmentR
     threshold = _ACCEPT_LOSS_VOXELS * voxel**2
 
     distance_threshold = _RANSAC_DISTANCE_FACTOR * voxel
-    tgt_described = _described_downsample(tgt, voxel, _RANSAC_SAMPLE_SIZE)
+    tgt_described = _described_downsample(tgt, voxel)
     tgt_sparse = tgt_described[0] if tgt_described else None
 
     cumulative = RigidTransform.identity()
@@ -378,7 +378,7 @@ def pose_align(src: PointCloud, tgt: PointCloud, *, seed: int = 0) -> AlignmentR
     for round_index in range(1, _MAX_ROUNDS + 1):
         coarse = RigidTransform.identity()
         failed = True
-        src_described = _described_downsample(current, voxel, _RANSAC_SAMPLE_SIZE)
+        src_described = _described_downsample(current, voxel)
         if src_described is not None and tgt_described is not None:
             src_sparse, src_desc = src_described
             try:

@@ -3,12 +3,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpfh_oracle
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.fpfh import BINS_PER_FEATURE, DESCRIPTOR_SIZE, compute_fpfh
-from pasdf.geometry import PointCloud, apply_transform, random_rigid
+from pasdf.geometry import (
+    PointCloud,
+    apply_transform,
+    estimate_normals,
+    random_rigid,
+    voxel_downsample,
+)
+from pasdf.mesh import sample_surface
+from pasdf.shapes import blob
 
 # Pairs closer than this, or with a normal this close to parallel to the
 # connecting line, have no Darboux frame (the floor compute_fpfh uses).
@@ -108,6 +117,44 @@ def random_cloud_with_normals(seed: int, n: int = 120) -> PointCloud:
     normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1)[:, None]
     return PointCloud(pts, normals)
+
+
+@st.composite
+def clouds_and_radii(draw) -> tuple[PointCloud, float]:
+    """1-200 points in the unit cube with unit normals, and an FPFH radius.
+
+    On top of uniform points and normals a draw can hold:
+    - a point straight along point 0's normal (a frame whose v has zero
+      length);
+    - points sharing one normal (each pair among them is an exact tie);
+    - four pairs whose normals mirror each other across the plane x = z
+      that holds their connecting line, which tie exactly when a dot
+      product adds its x and z terms first, as ``np.einsum`` does;
+    - duplicated points, exact or 1e-13 apart (pairs too short to
+      describe);
+    - a point far from all others.
+    The smallest radii give no pair at all.
+    """
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(size=(n, 3))
+    normals = rng.normal(size=(n, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    if n >= 2 and draw(st.booleans()):
+        points[1] = points[0] + (0.0, 0.0, 0.05)
+        normals[0] = (0.0, 0.0, 1.0)
+    normals[: draw(st.integers(0, n))] = normals[0]
+    if n >= 10 and draw(st.booleans()):
+        points[2:10:2, 2] = points[2:10:2, 0]
+        step = rng.uniform(-0.03, 0.03, size=(4, 2))
+        points[3:10:2] = points[2:10:2] + step[:, [0, 1, 0]]
+        normals[3:10:2] = normals[2:10:2, ::-1]
+    duplicates = draw(st.integers(0, n // 2))
+    points[n - duplicates :] = points[:duplicates] + draw(st.sampled_from([0.0, 1e-13]))
+    if draw(st.booleans()):
+        points[-1] += 10.0
+    radius = draw(st.floats(1e-6, 0.6))
+    return PointCloud(points, normals), radius
 
 
 class TestPairFeatures:
@@ -233,3 +280,35 @@ class TestComputeFpfh:
         assert desc.shape == (25, DESCRIPTOR_SIZE)
         assert (desc >= 0.0).all()
         assert (desc <= 100.0 + 1e-9).all()
+
+    @given(clouds_and_radii())
+    @settings(max_examples=100)
+    def test_bit_identical_to_pair_major_oracle(self, case):
+        cloud, radius = case
+        assert np.array_equal(
+            compute_fpfh(cloud, radius), fpfh_oracle.compute_fpfh(cloud, radius)
+        )
+
+    def test_bit_identical_to_pair_major_oracle_at_alignment_size(self):
+        # A cloud as pose_align describes it: a 2048-point blob sampling,
+        # voxel-downsampled at a twentieth of its diagonal, 16-neighbour
+        # normals and a radius of 5 voxels.
+        dense = sample_surface(blob(), 2048, seed=51)
+        voxel = dense.bbox_diagonal() / 20.0
+        sparse = voxel_downsample(dense, voxel)
+        cloud, _ = estimate_normals(sparse, k=16, viewpoint=sparse.centroid())
+        desc = compute_fpfh(cloud, 5.0 * voxel)
+        assert len(cloud) > 300 and (desc.sum(axis=1) > 0).all()
+        assert np.array_equal(desc, fpfh_oracle.compute_fpfh(cloud, 5.0 * voxel))
+
+    @given(clouds_and_radii(), st.integers(0, 2**32 - 1))
+    def test_permuting_points_permutes_descriptors(self, case, seed):
+        # Each pair's description does not depend on which point comes
+        # first, but the blend adds a row's neighbours in index order, so
+        # a permutation may move the last bits.
+        cloud, radius = case
+        perm = np.random.default_rng(seed).permutation(len(cloud))
+        permuted = PointCloud(cloud.points[perm], cloud.normals[perm])
+        np.testing.assert_allclose(
+            compute_fpfh(permuted, radius), compute_fpfh(cloud, radius)[perm], rtol=1e-12, atol=0.0
+        )
