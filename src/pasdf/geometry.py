@@ -28,7 +28,6 @@ Matrix: TypeAlias = NDArray[F64]
 # Rotations are re-orthonormalised once accumulated drift exceeds this.
 _ROTATION_DRIFT_TOL = 1e-6
 _UNIT_NORMAL_TOL = 1e-6
-_DEGENERATE_NORM = 1e-9
 
 
 def _as_points(array: object, name: str) -> Points:
@@ -146,10 +145,8 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """Replace each occupied voxel cell by the centroid of its points.
 
     Cell membership uses floor(p / voxel_size) per axis.  Output points are
-    ordered by lexicographic cell key, so the result is deterministic.
-    Normals are averaged per cell and renormalised; if any cell averages to a
-    near-zero vector the output drops normals entirely rather than carry a
-    fabricated direction.
+    ordered by lexicographic cell key, so the result is deterministic; it
+    carries no normals.
     """
     if voxel_size <= 0.0 or not np.isfinite(voxel_size):
         raise InvalidParameterError(f"voxel_size must be positive and finite, got {voxel_size}")
@@ -162,19 +159,8 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     inverse[order] = np.cumsum(starts) - 1
     n_cells = int(starts.sum())
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
-
-    def cell_means(values: Points) -> Points:
-        sums = [np.bincount(inverse, weights=col, minlength=n_cells) for col in values.T]
-        return np.column_stack(sums) / counts[:, None]
-
-    centroids = cell_means(cloud.points)
-    normals = None
-    if cloud.normals is not None:
-        means = cell_means(cloud.normals)
-        lengths = np.linalg.norm(means, axis=1)
-        if lengths.min() >= _DEGENERATE_NORM:
-            normals = means / lengths[:, None]
-    return PointCloud(centroids, normals)
+    sums = [np.bincount(inverse, weights=col, minlength=n_cells) for col in cloud.points.T]
+    return PointCloud(np.column_stack(sums) / counts[:, None])
 
 
 def estimate_normals(

@@ -33,11 +33,8 @@ block whose sampled vertices show a sign change, and every vertex of
 the 2-cell blocks whose sampled vertices show one, both levels repeated
 to one fixed point.  Values are exact within one refined 2-cell block
 of any sign change and carry only the sign elsewhere, which is all
-extraction reads, so the mesh equals the one from a dense sweep unless
-a closed component holds no sampled vertex: one smaller than a 4-cell
-block away from refined 4-cell blocks, or, inside a refined 4-cell
-block, one whose vertices all lie on 2-cell block faces, off their
-corners.
+extraction reads, so the mesh equals the one from a dense sweep except
+for the small closed components ``_refine_field`` states it can lose.
 """
 from __future__ import annotations
 
@@ -236,12 +233,8 @@ def evaluate_field(
     Values are exact within one refined 2-cell block of any sign change
     and carry only the sign elsewhere (see ``_refine_field``).  That is
     all ``marching_cubes`` reads: a crossed lattice edge always has both
-    ends evaluated.  The known limit is a closed level-set component
-    that shows the refinement no sign change: one smaller than a 4-cell
-    block that touches no refined 4-cell block, or, inside a refined
-    4-cell block, one whose vertices all lie on 2-cell block faces, off
-    their corners, and that touches no refined 2-cell block.  Its
-    vertices take the sign of their block and it is not extracted.
+    ends evaluated.  A small closed component that shows the refinement
+    no sign change is lost; ``_refine_field`` states which.
 
     The encoding acts on each coordinate alone, so the three axes are
     encoded once and the rows of every forward chunk are gathered from

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import TypeAlias
 
 import numpy as np
@@ -97,6 +98,21 @@ class NormalizationRecord:
     scale: float
     offset: tuple[float, float, float]
 
+    def __post_init__(self) -> None:
+        # JSON true and "012" would convert to numbers; a record takes a
+        # finite positive scale and three finite offsets, nothing else.
+        values = [self.scale, *self.offset] if np.shape(self.offset) == (3,) else []
+        finite = all(
+            isinstance(v, Real) and not isinstance(v, bool) and np.isfinite(v) for v in values
+        )
+        if len(values) != 4 or not finite or self.scale <= 0.0:
+            raise InvalidInputError(
+                "normalisation record needs a finite positive scale and three finite "
+                f"offsets, got scale {self.scale!r} and offset {self.offset!r}"
+            )
+        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
+
     def normalize(self, points: Points) -> Points:
         return (points - np.asarray(self.offset)) / self.scale
 
@@ -108,7 +124,7 @@ class NormalizationRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NormalizationRecord":
-        return cls(scale=float(data["scale"]), offset=tuple(float(v) for v in data["offset"]))
+        return cls(scale=data["scale"], offset=data["offset"])
 
 
 def normalization_from_bounds(lo: Vector, hi: Vector) -> NormalizationRecord:

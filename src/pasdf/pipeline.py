@@ -425,13 +425,14 @@ def cmd_eval(config: RunConfig) -> EvalSummary:
             f"{source}: detect results are not a list of DetectCase rows: {error}"
         ) from error
     # JSON has one number type, so a float field also takes an integer.
+    # Types are matched exactly, so true and false are not numbers.
     field_types = {
-        name: (int, float) if kind is float else kind
+        name: (int, float) if kind is float else (kind,)
         for name, kind in get_type_hints(DetectCase).items()
     }
     for case in cases:
         wrong = [
-            name for name, kind in field_types.items() if not isinstance(getattr(case, name), kind)
+            name for name, kinds in field_types.items() if type(getattr(case, name)) not in kinds
         ]
         if wrong:
             raise InvalidInputError(

@@ -3,12 +3,13 @@
 The alignment loop mirrors a classic global-registration recipe: voxel
 downsample, describe with FPFH, hypothesise a coarse transform with RANSAC
 over descriptor correspondences, polish with point-to-plane ICP, then judge
-the round by symmetric chamfer discrepancy.  Rounds repeat until the
-discrepancy drops below a fixed threshold or the round budget runs out; the
-best state seen is returned either way.  The voxel is a fixed fraction of
-the target's size and the threshold is counted in squared voxels, so the
-loop behaves the same whatever unit the clouds are measured in and takes
-no settings.
+the round by symmetric chamfer discrepancy.  One Procrustes solver, over
+stacks of point sets, fits every RANSAC hypothesis and the inlier refit.
+Rounds repeat until the discrepancy drops below a fixed threshold or the
+round budget runs out; the best pose seen is returned either way.  The
+voxel is a fixed fraction of the target's size and the threshold is
+counted in squared voxels, so the loop behaves the same whatever unit the
+clouds are measured in and takes no settings.
 """
 from __future__ import annotations
 
@@ -74,45 +75,26 @@ _MAX_ROUNDS = 10
 _ACCEPT_LOSS_VOXELS = 4.0
 
 
-def fit_rigid(source: Points, target: Points) -> RigidTransform:
-    """Least-squares rigid motion mapping source points onto target points.
+def fit_rigid(src: NDArray[F64], tgt: NDArray[F64]) -> tuple[NDArray[F64], NDArray[F64]]:
+    """Least-squares rigid motion per row of paired stacks shaped (h, s, 3).
 
-    SVD solution of the orthogonal Procrustes problem with the usual
-    reflection guard (smallest singular direction flipped when the determinant
-    comes out negative).
+    SVD solution of the orthogonal Procrustes problem (Arun, Huang and
+    Blostein, TPAMI 1987), with the usual reflection guard: a row whose
+    rotation comes out with a negative determinant has its smallest
+    singular direction flipped.  Returns rotations (h, 3, 3) and
+    translations (h, 3).
     """
-    src = np.asarray(source, dtype=np.float64)
-    tgt = np.asarray(target, dtype=np.float64)
-    if src.shape != tgt.shape or src.ndim != 2 or src.shape[1] != 3:
-        raise InvalidInputError(
-            f"paired point sets must share shape (n, 3), got {src.shape} and {tgt.shape}"
-        )
-    if src.shape[0] < 3:
+    if src.shape[1] < 3:
         raise InvalidInputError("rigid fit needs at least 3 point pairs")
-    src_mean = src.mean(axis=0)
-    tgt_mean = tgt.mean(axis=0)
-    cov = (src - src_mean).T @ (tgt - tgt_mean)
-    u, _, vt = np.linalg.svd(cov)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    diag = np.diag([1.0, 1.0, sign if sign != 0 else 1.0])
-    rotation = vt.T @ diag @ u.T
-    translation = tgt_mean - rotation @ src_mean
-    return RigidTransform(rotation, translation)
-
-
-def _batched_fit(src: NDArray[F64], tgt: NDArray[F64]) -> tuple[NDArray[F64], NDArray[F64]]:
-    """Procrustes fit per hypothesis; inputs shaped (h, s, 3)."""
     src_mean = src.mean(axis=1, keepdims=True)
     tgt_mean = tgt.mean(axis=1, keepdims=True)
     cov = np.einsum("hsi,hsj->hij", src - src_mean, tgt - tgt_mean)
     u, _, vt = np.linalg.svd(cov)
     rot = np.einsum("hji,hkj->hik", vt, u)
-    dets = np.linalg.det(rot)
-    flip = dets < 0.0
+    flip = np.linalg.det(rot) < 0.0
     if flip.any():
-        vt_fixed = vt.copy()
-        vt_fixed[flip, 2, :] *= -1.0
-        rot = np.einsum("hji,hkj->hik", vt_fixed, u)
+        vt[flip, 2, :] *= -1.0
+        rot = np.einsum("hji,hkj->hik", vt, u)
     trans = tgt_mean[:, 0, :] - np.einsum("hij,hj->hi", rot, src_mean[:, 0, :])
     return rot, trans
 
@@ -123,10 +105,6 @@ class RansacResult:
     inlier_count: int
     correspondence_count: int
     hypotheses_evaluated: int
-
-    @property
-    def inlier_fraction(self) -> float:
-        return self.inlier_count / self.correspondence_count
 
 
 def _mutual_correspondences(
@@ -202,7 +180,7 @@ def ransac_align(
         if not compatible.any():
             continue
 
-        rot, trans = _batched_fit(sample_src[compatible], sample_tgt[compatible])
+        rot, trans = fit_rigid(sample_src[compatible], sample_tgt[compatible])
         moved = np.einsum("hij,cj->hci", rot, p) + trans[:, None, :]
         dist_sq = np.sum((moved - q[None, :, :]) ** 2, axis=2)
         counts = np.sum(dist_sq < distance_threshold**2, axis=1)
@@ -225,7 +203,8 @@ def ransac_align(
     inliers = np.sum((apply_points(transform, p) - q) ** 2, axis=1)
     inlier_mask = inliers < distance_threshold**2
     if int(inlier_mask.sum()) >= 3:
-        transform = fit_rigid(p[inlier_mask], q[inlier_mask])
+        rot, trans = fit_rigid(p[inlier_mask][None], q[inlier_mask][None])
+        transform = RigidTransform(rot[0], trans[0])
         inliers = np.sum((apply_points(transform, p) - q) ** 2, axis=1)
         inlier_mask = inliers < distance_threshold**2
     return RansacResult(
@@ -310,13 +289,6 @@ def icp_refine(
 
 
 @dataclass(frozen=True, slots=True)
-class RoundRecord:
-    delta: RigidTransform
-    chamfer: float
-    ransac_failed: bool
-
-
-@dataclass(frozen=True, slots=True)
 class AlignmentResult:
     aligned: PointCloud
     transform: RigidTransform
@@ -324,7 +296,6 @@ class AlignmentResult:
     rounds: int
     converged: bool
     ransac_failures: int
-    round_log: tuple[RoundRecord, ...]
 
 
 def _described_downsample(
@@ -353,10 +324,12 @@ def pose_align(src: PointCloud, tgt: PointCloud, *, seed: int = 0) -> AlignmentR
     it in squared voxels makes the same rule accept the same round at
     every scale.
 
-    A failed coarse stage (too few correspondences) falls back to an identity
-    initialisation for that round's ICP; it is counted and logged, not fatal.
-    A target whose points all coincide has no voxel and raises
-    InvalidParameterError.
+    The result holds ``src`` moved by the best round's transform, that
+    transform and its discrepancy, the rounds run and whether the last
+    was accepted.  A round without a coarse hypothesis (too few points or
+    correspondences) starts ICP from the identity; it is logged and
+    counted in ``ransac_failures``, not fatal.  A target whose points all
+    coincide has no voxel and raises InvalidParameterError.
     """
     voxel = tgt.bbox_diagonal() / _VOXEL_DIVISOR
     if voxel <= 0.0:
@@ -365,53 +338,42 @@ def pose_align(src: PointCloud, tgt: PointCloud, *, seed: int = 0) -> AlignmentR
 
     distance_threshold = _RANSAC_DISTANCE_FACTOR * voxel
     tgt_described = _described_downsample(tgt, voxel)
-    tgt_sparse = tgt_described[0] if tgt_described else None
 
     cumulative = RigidTransform.identity()
     current = src
     best_loss = np.inf
     best_transform = cumulative
-    records: list[RoundRecord] = []
     converged = False
     failures = 0
 
-    for round_index in range(1, _MAX_ROUNDS + 1):
+    for rounds in range(1, _MAX_ROUNDS + 1):
         coarse = RigidTransform.identity()
-        failed = True
         src_described = _described_downsample(current, voxel)
-        if src_described is not None and tgt_described is not None:
-            src_sparse, src_desc = src_described
+        if src_described is None or tgt_described is None:
+            failures += 1
+            log.warning("round %d skipped coarse alignment: downsampled cloud too small", rounds)
+        else:
             try:
                 coarse = ransac_align(
-                    src_sparse,
+                    src_described[0],
                     tgt_described[0],
-                    src_desc,
+                    src_described[1],
                     tgt_described[1],
                     distance_threshold,
-                    seed=derive_seed(seed, f"coarse-round-{round_index}"),
+                    seed=derive_seed(seed, f"coarse-round-{rounds}"),
                 ).transform
-                failed = False
             except CoarseAlignmentError as exc:
-                log.warning("round %d coarse alignment failed: %s", round_index, exc)
-        else:
-            log.warning(
-                "round %d skipped coarse alignment: downsampled cloud too small",
-                round_index,
-            )
-        if failed:
-            failures += 1
+                failures += 1
+                log.warning("round %d coarse alignment failed: %s", rounds, exc)
 
-        refined = icp_refine(current, tgt, init=coarse)
-        round_delta = refined.transform
+        round_delta = icp_refine(current, tgt, init=coarse).transform
         cumulative = compose(round_delta, cumulative)
         current = apply_transform(round_delta, current)
 
-        if tgt_sparse is None:
+        if tgt_described is None:
             loss = chamfer_loss(current, tgt)
         else:
-            loss = chamfer_loss(voxel_downsample(current, voxel), tgt_sparse)
-        records.append(RoundRecord(delta=round_delta, chamfer=loss, ransac_failed=failed))
-
+            loss = chamfer_loss(voxel_downsample(current, voxel), tgt_described[0])
         if loss <= best_loss:
             best_loss = loss
             best_transform = cumulative
@@ -423,8 +385,7 @@ def pose_align(src: PointCloud, tgt: PointCloud, *, seed: int = 0) -> AlignmentR
         aligned=apply_transform(best_transform, src),
         transform=best_transform,
         chamfer=best_loss,
-        rounds=len(records),
+        rounds=rounds,
         converged=converged,
         ransac_failures=failures,
-        round_log=tuple(records),
     )

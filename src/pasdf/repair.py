@@ -100,14 +100,13 @@ def repair(
     trained on.  The field is evaluated exactly within one refined
     2-cell block of any sign change and only by sign elsewhere
     (``evaluate_field``), which yields the dense-sweep mesh except for
-    closed components that hold no sampled vertex: smaller than a 4-cell
-    block away from refined 4-cell blocks, or, inside a refined 4-cell
-    block, lying on 2-cell block faces off their corners.  Extraction closes the
-    level set at the grid boundary, so shapes whose normalized surface
-    touches the unit cube keep those faces.  The mesh is returned in
-    original units, and the repaired cloud is an area-uniform sample of
-    it.  Extraction yielding no surface, or one of zero area, raises
-    RepairFailedError rather than returning an empty cloud.
+    the small closed components ``marching._refine_field`` states it can
+    lose.  Extraction closes the level set at the grid boundary, so
+    shapes whose normalized surface touches the unit cube keep those
+    faces.  The mesh is returned in original units, and the repaired
+    cloud is an area-uniform sample of it.  Extraction yielding no
+    surface, or one of zero area, raises RepairFailedError rather than
+    returning an empty cloud.
     """
     if n_points < 1:
         raise InvalidParameterError("n_points must be positive")

@@ -97,7 +97,7 @@ def train_model(
     queries: QuerySet,
     train_cfg: TrainConfig,
     encoding: EncodingConfig,
-    network: NetworkConfig | None = None,
+    network: NetworkConfig,
 ) -> TrainResult:
     """Fit the network to labelled query samples.
 
@@ -109,8 +109,6 @@ def train_model(
         raise InvalidInputError("training requires labelled query samples")
     if len(queries) < 1:
         raise InvalidInputError("training requires at least one sample")
-    if network is None:
-        network = NetworkConfig(input_dim=encoding.dim)
     if network.input_dim != encoding.dim:
         raise InvalidParameterError(
             f"network input_dim {network.input_dim} does not match "

@@ -47,7 +47,7 @@ def brute_force_voxel_centroids(points: np.ndarray, voxel: float) -> dict[tuple,
     return {k: np.mean(v, axis=0) for k, v in cells.items()}
 
 
-def unique_rows_voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
+def unique_rows_voxel_centroids(cloud: PointCloud, voxel: float) -> np.ndarray:
     """Cell grouping by ``np.unique(axis=0)`` and sums by ``np.add.at``:
     the earlier implementation, kept as the oracle for the sort-based one."""
     cells = np.floor(cloud.points / voxel).astype(np.int64)
@@ -57,16 +57,7 @@ def unique_rows_voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
     centroids = np.zeros((n_cells, 3))
     np.add.at(centroids, inverse, cloud.points)
-    centroids /= counts[:, None]
-    normals = None
-    if cloud.normals is not None:
-        sums = np.zeros((n_cells, 3))
-        np.add.at(sums, inverse, cloud.normals)
-        means = sums / counts[:, None]
-        lengths = np.linalg.norm(means, axis=1)
-        if lengths.min() >= 1e-9:
-            normals = means / lengths[:, None]
-    return PointCloud(centroids, normals)
+    return centroids / counts[:, None]
 
 
 finite_coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -201,19 +192,6 @@ class TestVoxelDownsample:
         for key, centroid in expected.items():
             np.testing.assert_allclose(got[key], centroid, atol=1e-12)
 
-    def test_normals_averaged_and_renormalised(self):
-        pts = np.array([[0.1, 0.1, 0.1], [0.2, 0.1, 0.1]])
-        normals = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        out = voxel_downsample(PointCloud(pts, normals), 1.0)
-        assert out.normals is not None
-        np.testing.assert_allclose(out.normals[0], [np.sqrt(0.5), np.sqrt(0.5), 0.0])
-
-    def test_opposed_normals_drop_normals(self):
-        pts = np.array([[0.1, 0.1, 0.1], [0.2, 0.1, 0.1]])
-        normals = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        out = voxel_downsample(PointCloud(pts, normals), 1.0)
-        assert out.normals is None
-
     def test_rejects_non_positive_voxel(self):
         cloud = PointCloud(np.zeros((1, 3)))
         with pytest.raises(InvalidParameterError):
@@ -233,11 +211,8 @@ class TestVoxelDownsample:
             normals /= np.linalg.norm(normals, axis=1)[:, None]
         cloud = PointCloud(points, normals)
         got = voxel_downsample(cloud, voxel)
-        expected = unique_rows_voxel_downsample(cloud, voxel)
-        np.testing.assert_array_equal(got.points, expected.points)
-        assert (got.normals is None) == (expected.normals is None)
-        if expected.normals is not None:
-            np.testing.assert_array_equal(got.normals, expected.normals)
+        np.testing.assert_array_equal(got.points, unique_rows_voxel_centroids(cloud, voxel))
+        assert got.normals is None
 
     @given(cloud_strategy(min_points=1, max_points=20), st.floats(0.05, 3.0))
     def test_never_grows_and_stays_in_bounds(self, cloud, voxel):

@@ -519,6 +519,51 @@ def _without_object_score(text: str) -> str:
     return json.dumps(document)
 
 
+def _row_field(field: str, value: object):
+    def corrupt(text: str) -> str:
+        document = json.loads(text)
+        document["cases"][0][field] = value
+        return json.dumps(document)
+
+    return corrupt
+
+
+def _record_field(field: str, value: object):
+    def corrupt(text: str) -> str:
+        document = json.loads(text)
+        document["record"][field] = value
+        return json.dumps(document)
+
+    return corrupt
+
+
+# Normalisation records that convert to numbers but are not a scale and
+# three offsets: JSON booleans and strings, a zero or negative scale, and
+# offsets of the wrong length.
+_BAD_RECORDS = {
+    "scale-true": _record_field("scale", True),
+    "scale-string": _record_field("scale", "1.5"),
+    "scale-zero": _record_field("scale", 0.0),
+    "scale-negative": _record_field("scale", -2.0),
+    "offset-string": _record_field("offset", "012"),
+    "offset-two-numbers": _record_field("offset", [0.0, 1.0]),
+    "offset-four-numbers": _record_field("offset", [0.0, 1.0, 2.0, 3.0]),
+    "offset-boolean": _record_field("offset", [0.0, False, 1.0]),
+}
+
+
+def _copy_run(world, tmp_path: Path, name: str, corrupt) -> tuple[RunConfig, Path]:
+    """The world's run copied under tmp_path with one artifact corrupted,
+    and its config saved beside it."""
+    out = tmp_path / "out"
+    shutil.copytree(world["config"].io.out_dir, out)
+    artifact = out / name
+    artifact.write_text(corrupt(artifact.read_text()))
+    config = replace(world["config"], io=replace(world["config"].io, out_dir=str(out)))
+    save_config(config, tmp_path / "run.json")
+    return config, artifact
+
+
 class TestMalformedArtifacts:
     """The command line exits 2 with one error line naming the bad file."""
 
@@ -532,6 +577,7 @@ class TestMalformedArtifacts:
             ("train", "samples.json", lambda text: "[1, 2]\n"),
             ("detect", "prepare.json", _without_record),
             ("repair", "prepare.json", _without_record),
+            *(("detect", "prepare.json", corrupt) for corrupt in _BAD_RECORDS.values()),
         ],
         ids=[
             "truncated-results",
@@ -541,25 +587,31 @@ class TestMalformedArtifacts:
             "list-sidecar",
             "detect-prepare-without-record",
             "repair-prepare-without-record",
+            *(f"detect-record-{name}" for name in _BAD_RECORDS),
         ],
     )
     def test_exits_with_input_error(self, world, tmp_path, capsys, command, name, corrupt):
-        out = tmp_path / "out"
-        shutil.copytree(world["config"].io.out_dir, out)
-        artifact = out / name
-        artifact.write_text(corrupt(artifact.read_text()))
-        config_path = tmp_path / "run.json"
-        save_config(
-            replace(world["config"], io=replace(world["config"].io, out_dir=str(out))),
-            config_path,
-        )
+        _, artifact = _copy_run(world, tmp_path, name, corrupt)
         capsys.readouterr()
-        assert main([command, "--config", str(config_path)]) == EXIT_INPUT
+        assert main([command, "--config", str(tmp_path / "run.json")]) == EXIT_INPUT
         stderr = capsys.readouterr().err
         assert "Traceback" not in stderr
         errors = [line for line in stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
         assert str(artifact) in errors[0]
+
+    @pytest.mark.parametrize("corrupt", _BAD_RECORDS.values(), ids=_BAD_RECORDS.keys())
+    def test_detect_rejects_bad_normalisation_record(self, world, tmp_path, corrupt):
+        config, artifact = _copy_run(world, tmp_path, "prepare.json", corrupt)
+        with pytest.raises(InvalidInputError, match="normalisation") as raised:
+            cmd_detect(config)
+        assert str(artifact) in str(raised.value)
+
+    @pytest.mark.parametrize("field, value", [("object_score", True), ("n_points", False)])
+    def test_eval_rejects_boolean_numbers(self, world, tmp_path, field, value):
+        config, _ = _copy_run(world, tmp_path, "detect/results.json", _row_field(field, value))
+        with pytest.raises(InvalidInputError, match=f"wrong type: {field}"):
+            cmd_eval(config)
 
 
 class TestArtifactFormat:

@@ -3,14 +3,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from oracles import rotation_angle
 from pasdf import registration, shapes
-from pasdf.errors import CoarseAlignmentError, InvalidParameterError
+from pasdf.errors import CoarseAlignmentError, InvalidInputError, InvalidParameterError
 from pasdf.geometry import (
     PointCloud,
     RigidTransform,
     apply_transform,
+    chamfer_loss,
     compose,
     estimate_normals,
     random_rigid,
@@ -58,29 +60,66 @@ def torus_cloud(sample_seed: int, n: int = 2000, major: float = 0.4, minor: floa
     )
 
 
+def moved_stack(rng: np.random.Generator, h: int, s: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """``h`` random point sets of ``s`` points and each moved by its own motion."""
+    src = rng.normal(size=(h, s, 3))
+    truths = [random_rigid(rng) for _ in range(h)]
+    tgt = np.stack([pts @ t.rotation.T + t.translation for pts, t in zip(src, truths)])
+    return src, tgt, truths
+
+
 class TestFitRigid:
     def test_exact_recovery(self):
-        rng = np.random.default_rng(50)
-        pts = rng.normal(size=(40, 3))
-        truth = random_rigid(rng)
-        moved = pts @ truth.rotation.T + truth.translation
-        fitted = fit_rigid(pts, moved)
-        np.testing.assert_allclose(fitted.rotation, truth.rotation, atol=1e-12)
-        np.testing.assert_allclose(fitted.translation, truth.translation, atol=1e-12)
+        src, tgt, truths = moved_stack(np.random.default_rng(50), h=6, s=40)
+        rot, trans = fit_rigid(src, tgt)
+        assert rot.shape == (6, 3, 3) and trans.shape == (6, 3)
+        for row, truth in enumerate(truths):
+            np.testing.assert_allclose(rot[row], truth.rotation, atol=1e-12)
+            np.testing.assert_allclose(trans[row], truth.translation, atol=1e-12)
 
     def test_never_returns_reflection(self):
         rng = np.random.default_rng(51)
-        for _ in range(50):
-            a = rng.normal(size=(3, 3))
-            b = rng.normal(size=(3, 3))
-            fitted = fit_rigid(a, b)
-            assert np.linalg.det(fitted.rotation) == pytest.approx(1.0, abs=1e-9)
+        rot, _ = fit_rigid(rng.normal(size=(50, 3, 3)), rng.normal(size=(50, 3, 3)))
+        np.testing.assert_allclose(np.linalg.det(rot), 1.0, atol=1e-9)
+
+    def test_mixed_stack_flips_only_the_rows_that_need_it(self):
+        # Rows 1 and 3 map their points onto a mirror image, which the
+        # unguarded SVD product answers with a reflection; the other rows
+        # are proper motions and must come back exact.
+        rng = np.random.default_rng(52)
+        src, tgt, truths = moved_stack(rng, h=5, s=12)
+        mirrored = [1, 3]
+        tgt[mirrored] = src[mirrored] * np.array([-1.0, 1.0, 1.0])
+        src_c = src - src.mean(axis=1, keepdims=True)
+        tgt_c = tgt - tgt.mean(axis=1, keepdims=True)
+        u, _, vt = np.linalg.svd(np.einsum("hsi,hsj->hij", src_c, tgt_c))
+        unguarded = np.linalg.det(np.einsum("hji,hkj->hik", vt, u))
+        assert list(np.flatnonzero(unguarded < 0.0)) == mirrored
+
+        rot, trans = fit_rigid(src, tgt)
+        np.testing.assert_allclose(np.linalg.det(rot), 1.0, atol=1e-12)
+        for row in (0, 2, 4):
+            np.testing.assert_allclose(rot[row], truths[row].rotation, atol=1e-12)
+            np.testing.assert_allclose(trans[row], truths[row].translation, atol=1e-12)
+        # The best rotation onto a mirror image, from scipy's independent
+        # solution of Wahba's problem.
+        for row in mirrored:
+            best, _ = Rotation.align_vectors(tgt_c[row], src_c[row])
+            np.testing.assert_allclose(rot[row], best.as_matrix(), atol=1e-12)
+
+    def test_rows_match_fitting_each_row_alone(self):
+        rng = np.random.default_rng(53)
+        src = rng.normal(size=(20, 7, 3))
+        tgt = rng.normal(size=(20, 7, 3))
+        rot, trans = fit_rigid(src, tgt)
+        for row in range(len(src)):
+            alone_rot, alone_trans = fit_rigid(src[row : row + 1], tgt[row : row + 1])
+            np.testing.assert_allclose(rot[row], alone_rot[0], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(trans[row], alone_trans[0], rtol=0.0, atol=1e-12)
 
     def test_rejects_too_few_points(self):
-        from pasdf.errors import InvalidInputError
-
         with pytest.raises(InvalidInputError):
-            fit_rigid(np.zeros((2, 3)), np.zeros((2, 3)))
+            fit_rigid(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
 
 
 def crafted_pair(seed: int) -> tuple[PointCloud, PointCloud, np.ndarray, RigidTransform, int]:
@@ -109,18 +148,19 @@ class TestRansacAlign:
         assert np.linalg.norm(err.translation) < 1e-3
 
     def test_noise_descriptors_never_beat_true_ones(self):
+        def inlier_ratio(result) -> float:
+            return result.inlier_count / result.correspondence_count
+
         true_fracs, noise_fracs = [], []
         for seed in range(20):
             src, tgt, desc, _, _ = crafted_pair(100 + seed)
-            true_fracs.append(
-                ransac_align(src, tgt, desc, desc, 0.05, seed=seed).inlier_fraction
-            )
+            true_fracs.append(inlier_ratio(ransac_align(src, tgt, desc, desc, 0.05, seed=seed)))
             rng = np.random.default_rng(900 + seed)
             noise_src = rng.normal(size=desc.shape)
             noise_tgt = rng.normal(size=desc.shape)
             try:
                 noise_fracs.append(
-                    ransac_align(src, tgt, noise_src, noise_tgt, 0.05, seed=seed).inlier_fraction
+                    inlier_ratio(ransac_align(src, tgt, noise_src, noise_tgt, 0.05, seed=seed))
                 )
             except CoarseAlignmentError:
                 noise_fracs.append(0.0)
@@ -311,18 +351,18 @@ class TestPoseAlign:
         monkeypatch.setattr(registration, "_MAX_ROUNDS", 3)
         cloud = lumpy_blob(81, n=600)
         moved = apply_transform(random_rigid(np.random.default_rng(82), 0.3), lumpy_blob(83, n=600))
+        losses = []
+
+        def recorded_loss(a, b):
+            losses.append(chamfer_loss(a, b))
+            return losses[-1]
+
+        monkeypatch.setattr(registration, "chamfer_loss", recorded_loss)
         result = pose_align(moved, cloud, seed=0)
         assert result.rounds == 3
         assert not result.converged
-        assert len(result.round_log) == 3
-        # Cumulative transform is the composition of the logged deltas up to
-        # the best-scoring round.
-        best = int(np.argmin([r.chamfer for r in result.round_log]))
-        accum = RigidTransform.identity()
-        for record in result.round_log[: best + 1]:
-            accum = compose(record.delta, accum)
-        np.testing.assert_allclose(accum.rotation, result.transform.rotation, atol=1e-12)
-        np.testing.assert_allclose(accum.translation, result.transform.translation, atol=1e-12)
+        assert len(losses) == 3
+        assert result.chamfer == min(losses)
 
     def test_aligned_cloud_matches_transform_application(self):
         tgt = lumpy_blob(84)

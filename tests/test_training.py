@@ -182,13 +182,6 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in trained.model.params.arrays()
         with pytest.raises(InvalidParameterError, match="input_dim"):
             train_model(queries, TrainConfig(), EncodingConfig(num_frequencies=6), TINY_NET)
 
-    def test_default_network_matches_encoding(self) -> None:
-        queries = volume_queries(8, seed=9, target_fn=radial_targets)
-        cfg = TrainConfig(epochs=0, seed=0)
-        result = train_model(queries, cfg, EncodingConfig())
-        assert result.model.config.input_dim == 39
-        assert result.model.config.hidden_width == 512
-
 
 class TestPredictSdf:
     def test_matches_forward_on_encoded_points(self) -> None:
