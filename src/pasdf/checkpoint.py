@@ -43,8 +43,7 @@ def save_checkpoint(
             MAGIC, cfg.num_layers, cfg.input_dim, cfg.hidden_width, skip, cfg.dropout
         )
     )
-    for array in model.params.arrays():
-        blob += np.ascontiguousarray(array, dtype="<f4").tobytes()
+    blob += model.params.flat.astype("<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
 

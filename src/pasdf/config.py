@@ -11,6 +11,7 @@ keys fall back to the dataclass defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, get_args, get_type_hints
@@ -119,7 +120,7 @@ class BenchConfig:
         if self.crop_cases < 0:
             raise InvalidParameterError("crop_cases must be >= 0")
         for name in ("magnitude_frac", "radius_frac", "crop_radius_frac"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise InvalidParameterError(f"{name} must be positive")
 
 
@@ -156,9 +157,17 @@ def _as_int(value: Any) -> int:
 
 
 def _as_float(value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    # json.loads reads NaN and Infinity as floats, and an integer of any
+    # length as an int, which float() can overflow on.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise TypeError(f"expected a finite number, got {value!r}")
 
 
 def _as_bool(value: Any) -> bool:

@@ -12,10 +12,15 @@ at the precision of the model's parameters: float32 for a trained
 model, whether fresh or loaded from a checkpoint, which stores exactly
 that precision; float64 for a freshly initialized one.
 ``SdfModel.forward`` is inference only: no dropout, no kept
-activations.  ``loss_and_gradients`` is the training pass: it applies
-inverted dropout and keeps only each layer's input for backpropagation.
-Dropout masks come from raw 16-bit words of the bit generator, four to
-each 64-bit output, so a rate acts at 2**-16 resolution.
+activations.  ``loss_and_gradients`` is the training pass, with
+inverted dropout.  Dropout masks come from raw 16-bit words of the bit
+generator, four to each 64-bit output, so a rate acts at 2**-16
+resolution.  The pass keeps each hidden layer's output and one boolean
+mask, ReLU active and unit kept, which gates the output on the way
+forward and the gradient on the way back.  One over the kept share is
+folded into the hidden-input weight columns of the layer after, so no
+activation or gradient row is scaled by it, and the skip layer runs as
+two products instead of reading a concatenated input.
 """
 from __future__ import annotations
 
@@ -80,14 +85,31 @@ class NetworkConfig:
         return shapes
 
 
-@dataclass
 class ParameterSet:
-    """One array triple per layer; also the container for gradients and
-    optimizer moments, which share the model's shapes."""
+    """One (direction, gain, bias) triple per layer; also the container
+    for gradients, which share the model's shapes.
 
-    directions: list[NDArray[F64]]
-    gains: list[NDArray[F64]]
-    biases: list[NDArray[F64]]
+    Every array is a view into one flat vector, ``flat``, laid out in
+    the order of ``arrays()``, so an optimizer can update all of them
+    in one elementwise pass.
+    """
+
+    def __init__(
+        self,
+        directions: list[NDArray[F64]],
+        gains: list[NDArray[F64]],
+        biases: list[NDArray[F64]],
+    ) -> None:
+        triples = [a for layer in zip(directions, gains, biases, strict=True) for a in layer]
+        self.flat = np.concatenate([np.ravel(a) for a in triples])
+        views: list[NDArray[F64]] = []
+        cursor = 0
+        for a in triples:
+            views.append(self.flat[cursor : cursor + a.size].reshape(a.shape))
+            cursor += a.size
+        self.directions = views[0::3]
+        self.gains = views[1::3]
+        self.biases = views[2::3]
 
     def arrays(self) -> list[NDArray[F64]]:
         out: list[NDArray[F64]] = []
@@ -215,23 +237,32 @@ def loss_and_gradients(
     loss itself is taken in float64.  ``targets`` pair with the leading
     rows of ``encoded``; any rows past the last target are padding (see
     ``pad_rows``): they run through the pass, stay out of the loss mean
-    and add exact zeros to every gradient.  It applies inverted dropout
-    whenever the config sets a rate, from ``rng``, which is then
-    required.  Each hidden layer's mask takes ``ceil(rows * width / 4)``
-    raw 64-bit outputs of ``rng.bit_generator``, splits each into four
-    16-bit words, low bits first, and keeps unit ``(i, j)`` where word
-    ``i * width + j`` is below ``t = _keep_threshold(dropout)``.  Kept
-    activations are divided by the kept share ``t / 2**16``, so the
-    dropout is exactly unbiased.  Only each layer's input is kept: a
-    hidden unit passes gradient back exactly where its activation is
-    positive, i.e. where the ReLU was active and dropout kept it.
+    and add exact zeros to every gradient.
+
+    It applies inverted dropout whenever the config sets a rate, from
+    ``rng``, which is then required.  Each hidden layer's mask takes
+    ``ceil(rows * width / 4)`` raw 64-bit outputs of
+    ``rng.bit_generator``, splits each into four 16-bit words, low bits
+    first, and keeps unit ``(i, j)`` where word ``i * width + j`` is
+    below ``t = _keep_threshold(dropout)``.  A hidden layer keeps one
+    boolean mask, ReLU active and unit kept, ``(z > 0) & (word < t)``;
+    it zeroes the layer's output on the way forward and gates the
+    layer's gradient on the way back.  The factor ``2**16 / t``, one
+    over the kept share, which makes the dropout exactly unbiased, is
+    applied once per layer and never to an activation or a gradient
+    row: the layer that reads a hidden output carries it in its
+    hidden-input weight columns, and that layer's weight gradient is
+    scaled by it once.  The skip layer runs as two products, hidden
+    output and encoded input against their own weight columns, so
+    nothing is concatenated, and its backward product takes the hidden
+    columns only.
 
     Subgradient conventions: sign(0) = 0 for the absolute value, zero
     gradient where the clamp saturates (strictly outside [-d_max, d_max]),
     ReLU'(0) = 0, and the dropout mask drawn in the forward pass is reused
     unchanged on the way back.
     """
-    if d_max <= 0.0:
+    if not d_max > 0.0:
         raise InvalidParameterError("d_max must be > 0")
     cfg = model.config
     x = np.asarray(encoded)
@@ -248,28 +279,40 @@ def loss_and_gradients(
         raise InvalidParameterError("training with dropout needs an rng")
 
     threshold = _keep_threshold(cfg.dropout)
-    kept_share = threshold / _WORD_VALUES
-    units = rows * cfg.hidden_width
+    inverse_share = _WORD_VALUES / threshold
+    width = cfg.hidden_width
+    units = rows * width
+    skip = cfg.skip_layer
     weights = model.effective_weights()
+    # Layers past the first read the previous hidden output through their
+    # first ``width`` columns, which carry 1 / kept share folded in; the
+    # skip layer reads the input through the rest.
+    hidden_weights = [w[:, :width] * inverse_share for w in weights[1:]]
+    skip_weight = None if skip is None else np.ascontiguousarray(weights[skip][:, width:])
     x = np.ascontiguousarray(x, dtype=model.dtype)
-    inputs: list[np.ndarray] = []
-    h = x
-    for layer, (weight, bias) in enumerate(zip(weights, model.params.biases)):
-        if layer == cfg.skip_layer:
-            h = np.concatenate([h, x], axis=1)
-        inputs.append(h)
-        h = h @ weight.T
-        h += bias
-        if layer < cfg.num_layers - 1:
-            np.maximum(h, 0.0, out=h)
-            if use_dropout:
-                raw = rng.bit_generator.random_raw(-(-units // 4))
-                # Little-endian, so each output's words come low bits first.
-                words = raw.astype("<u8", copy=False).view("<u2")[:units]
-                h *= words.reshape(h.shape) < threshold
-                h /= kept_share
+    outputs: list[np.ndarray] = []
+    masks: list[np.ndarray] = []
+    for layer, bias in enumerate(model.params.biases):
+        if layer == 0:
+            z = x @ weights[0].T
+        else:
+            z = outputs[-1] @ hidden_weights[layer - 1].T
+        if layer == skip:
+            z += x @ skip_weight.T
+        z += bias
+        if layer == cfg.num_layers - 1:
+            break
+        mask = z > 0.0
+        if use_dropout:
+            raw = rng.bit_generator.random_raw(-(-units // 4))
+            # Little-endian, so each output's words come low bits first.
+            words = raw.astype("<u8", copy=False).view("<u2")[:units]
+            mask &= words.reshape(z.shape) < threshold
+        z *= mask
+        outputs.append(z)
+        masks.append(mask)
 
-    out = h[:samples, 0].astype(np.float64)
+    out = z[:samples, 0].astype(np.float64)
     clamped = np.clip(out, -d_max, d_max)
     loss = float(np.mean(np.abs(clamped - y)))
     d_out = np.zeros(rows)
@@ -277,9 +320,15 @@ def loss_and_gradients(
     d_out[:samples] *= np.abs(out) <= d_max
 
     grads = ParameterSet.zeros_like(model.params)
-    dz = d_out.astype(h.dtype, copy=False)[:, None]
+    dz = d_out.astype(z.dtype, copy=False)[:, None]
     for layer in reversed(range(cfg.num_layers)):
-        d_weight = dz.T @ inputs[layer]
+        if layer == 0:
+            d_weight = dz.T @ x
+        else:
+            d_weight = dz.T @ outputs[layer - 1]
+            d_weight *= inverse_share
+            if layer == skip:
+                d_weight = np.concatenate([d_weight, dz.T @ x], axis=1)
         grads.biases[layer][...] = dz.sum(axis=0)
         v = model.params.directions[layer]
         norms = np.linalg.norm(v, axis=1)
@@ -290,10 +339,6 @@ def loss_and_gradients(
         grads.directions[layer][...] = scale * (d_weight - d_gain[:, None] * unit)
         if layer == 0:
             break
-        dz = dz @ weights[layer]
-        if layer == cfg.skip_layer:
-            dz = dz[:, : cfg.hidden_width]
-        if use_dropout:
-            dz /= kept_share
-        dz *= inputs[layer][:, : cfg.hidden_width] > 0.0
+        dz = dz @ hidden_weights[layer - 1]
+        dz *= masks[layer - 1]
     return loss, grads

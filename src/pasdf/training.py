@@ -2,16 +2,18 @@
 
 Adam over shuffled mini-batches of labelled query samples, in float32:
 parameters, encoded queries and optimizer moments; the targets and the
-loss stay float64.  Everything is driven by named sub-streams of one
-seed (initialization, epoch shuffles, dropout masks), so a run is
-bitwise-reproducible for a seed.  The masks are raw 16-bit words of
-their stream's bit generator, one per hidden unit of every padded row.
-Every batch is zero-padded to a multiple of 64 rows, and with that a run
-gives the same bits at one and at two BLAS threads; unpadded float32
-batches and padded float64 ones both round differently when BLAS splits
-a batch's sums over another number of threads.  A non-finite loss
-aborts immediately with the epoch, batch, and parameter norm at the
-point of failure.
+loss stay float64.  The model's parameters and each gradient are views
+into one flat vector (``ParameterSet.flat``), so an Adam step is one
+elementwise update of that vector against one flat vector per moment.
+Everything is driven by named sub-streams of one seed (initialization,
+epoch shuffles, dropout masks), so a run is bitwise-reproducible for a
+seed.  The masks are raw 16-bit words of their stream's bit generator,
+one per hidden unit of every padded row.  Every batch is zero-padded to
+a multiple of 64 rows, and with that a run gives the same bits at one
+and at two BLAS threads; unpadded float32 batches and padded float64
+ones both round differently when BLAS splits a batch's sums over
+another number of threads.  A non-finite loss aborts immediately with
+the epoch, batch, and parameter norm at the point of failure.
 """
 from __future__ import annotations
 
@@ -41,17 +43,17 @@ class TrainConfig:
     clamp_targets: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise InvalidParameterError("learning_rate must be > 0")
         if self.epochs < 0:
             raise InvalidParameterError("epochs must be >= 0")
         if self.batch_size < 1:
             raise InvalidParameterError("batch_size must be >= 1")
-        if self.d_max <= 0.0:
+        if not self.d_max > 0.0:
             raise InvalidParameterError("d_max must be > 0")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise InvalidParameterError("moment decays must be in [0, 1)")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise InvalidParameterError("epsilon must be > 0")
 
     def to_dict(self) -> dict:
@@ -71,8 +73,8 @@ class TrainResult:
 class _Adam:
     def __init__(self, params: ParameterSet, cfg: TrainConfig) -> None:
         self.cfg = cfg
-        self.first = ParameterSet.zeros_like(params)
-        self.second = ParameterSet.zeros_like(params)
+        self.first = np.zeros_like(params.flat)
+        self.second = np.zeros_like(params.flat)
         self.step = 0
 
     def update(self, params: ParameterSet, grads: ParameterSet) -> None:
@@ -80,17 +82,16 @@ class _Adam:
         self.step += 1
         bias1 = 1.0 - cfg.beta1**self.step
         bias2 = 1.0 - cfg.beta2**self.step
-        triples = zip(params.arrays(), grads.arrays(), self.first.arrays(), self.second.arrays())
-        for param, grad, m, v in triples:
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * grad
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * grad * grad
-            param -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.epsilon)
+        grad, m, v = grads.flat, self.first, self.second
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * grad
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * grad * grad
+        params.flat -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.epsilon)
 
 
 def _param_norm(params: ParameterSet) -> float:
-    return float(np.sqrt(sum(float(np.sum(a * a)) for a in params.arrays())))
+    return float(np.linalg.norm(params.flat))
 
 
 def train_model(

@@ -64,3 +64,11 @@ def test_other_errors_propagate(monkeypatch, config_path):
     with pytest.raises(RuntimeError, match="not ours"):
         run_train_raising(monkeypatch, config_path, RuntimeError("not ours"))
 
+
+def test_non_finite_config_value_exits_as_validation_error(tmp_path, capsys):
+    # json.loads reads NaN; the run stops at validation, before training.
+    path = tmp_path / "nan.json"
+    path.write_text('{"training": {"learning_rate": NaN}}')
+    assert cli.main(["train", "--config", str(path)]) == cli.EXIT_VALIDATION
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: training.learning_rate: expected a finite number, got nan"]

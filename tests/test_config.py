@@ -20,7 +20,7 @@ from pasdf.config import (
     load_config,
 )
 from pasdf.encoding import EncodingConfig
-from pasdf.errors import ConfigValidationError
+from pasdf.errors import ConfigValidationError, InvalidParameterError
 from pasdf.network import NetworkConfig
 from pasdf.queries import QueryCounts
 from pasdf.training import TrainConfig
@@ -206,6 +206,23 @@ class TestDeserialization:
         assert config.io.labels is None
         assert config.network.skip_layer is None
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"training": {"learning_rate": NaN}}',
+            '{"training": {"d_max": Infinity}}',
+            '{"training": {"epsilon": -Infinity}}',
+            '{"bench": {"magnitude_frac": NaN}}',
+            '{"counts": {"bbox_expand": 1e400}}',
+            '{"training": {"learning_rate": 1%s}}' % ("0" * 400),
+        ],
+    )
+    def test_non_finite_number_rejected(self, text: str) -> None:
+        # json.loads parses NaN and Infinity, reads 1e400 as inf, and
+        # reads a 401-digit literal as an int that no float holds.
+        with pytest.raises(ConfigValidationError, match="expected a finite number"):
+            deserialize(text)
+
     def test_invalid_json_rejected(self) -> None:
         with pytest.raises(ConfigValidationError, match="not valid JSON"):
             deserialize("{nope")
@@ -262,6 +279,11 @@ class TestBenchConfig:
         document = {"bench": {"anomaly_kinds": ["scratch"]}}
         with pytest.raises(ConfigValidationError, match="scratch"):
             from_document(document)
+
+    @pytest.mark.parametrize("name", ["magnitude_frac", "radius_frac", "crop_radius_frac"])
+    def test_nan_size_rejected(self, name: str) -> None:
+        with pytest.raises(InvalidParameterError, match=name):
+            BenchConfig(**{name: float("nan")})
 
     def test_default_mix_covers_every_kind(self) -> None:
         bench = BenchConfig()

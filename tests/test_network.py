@@ -308,18 +308,20 @@ class TestTrainingPass:
 
     @given(
         seed=st.integers(0, 2**31 - 1),
-        skip=st.booleans(),
+        skip=st.sampled_from([None, 1, 2, 3]),
         dropout=st.sampled_from([0.0, 0.3]),
         batch=batch_sizes,
         width=st.sampled_from([7, 16]),
     )
     def test_matches_oracle(
-        self, seed: int, skip: bool, dropout: float, batch: int, width: int
+        self, seed: int, skip: int | None, dropout: float, batch: int, width: int
     ) -> None:
         # At width 7 a batch that is not a multiple of 4 leaves part of
-        # each layer's last raw output unused.
+        # each layer's last raw output unused.  The skip layer runs as two
+        # products, so it is drawn at the first hidden-input layer, in the
+        # middle and at the output layer.
         config = tiny_config(
-            num_layers=4, hidden_width=width, skip_layer=2 if skip else None, dropout=dropout
+            num_layers=4, hidden_width=width, skip_layer=skip, dropout=dropout
         )
         model, encoded, targets = gradient_check_draw(config, seed, batch)
         # d_max inside the spread of predictions saturates some rows.
@@ -358,6 +360,12 @@ class TestTrainingPass:
         assert all(a.dtype == np.float32 for a in grads.arrays())
         assert loss == pytest.approx(want_loss, rel=1e-6)
         assert_gradients_close(grads, want, 1e-3)
+
+    @pytest.mark.parametrize("d_max", [0.0, -1.0, float("nan")])
+    def test_rejects_d_max_that_is_not_positive(self, d_max: float) -> None:
+        model, encoded, targets = gradient_check_draw(tiny_config(), 3, 4)
+        with pytest.raises(InvalidParameterError, match="d_max"):
+            loss_and_gradients(model, encoded, targets, d_max)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     def test_draws_a_quarter_raw_output_per_unit(self, dropout: float) -> None:

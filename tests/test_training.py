@@ -16,9 +16,9 @@ from pasdf.errors import (
     InvalidParameterError,
     TrainingDivergedError,
 )
-from pasdf.network import NetworkConfig
+from pasdf.network import NetworkConfig, SdfModel, loss_and_gradients, pad_rows
 from pasdf.queries import QuerySet
-from pasdf.training import TrainConfig, TrainResult, train_model, predict_sdf
+from pasdf.training import TrainConfig, TrainResult, _Adam, train_model, predict_sdf
 
 REPO = Path(__file__).resolve().parents[1]
 ENC = EncodingConfig(num_frequencies=2)
@@ -58,6 +58,11 @@ class TestTrainConfig:
             TrainConfig(d_max=0.0)
         with pytest.raises(InvalidParameterError):
             TrainConfig(beta1=1.0)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "d_max", "epsilon", "beta1", "beta2"])
+    def test_nan_rejected(self, name: str) -> None:
+        with pytest.raises(InvalidParameterError):
+            TrainConfig(**{name: float("nan")})
 
 
 class TestTrainModel:
@@ -181,6 +186,53 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in trained.model.params.arrays()
         queries = volume_queries(8, seed=8, target_fn=radial_targets)
         with pytest.raises(InvalidParameterError, match="input_dim"):
             train_model(queries, TrainConfig(), EncodingConfig(num_frequencies=6), TINY_NET)
+
+
+def per_array_adam_step(
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    first: list[np.ndarray],
+    second: list[np.ndarray],
+    cfg: TrainConfig,
+    step: int,
+) -> None:
+    """Reference Adam step: one update per parameter array, in place."""
+    bias1 = 1.0 - cfg.beta1**step
+    bias2 = 1.0 - cfg.beta2**step
+    for param, grad, m, v in zip(params, grads, first, second, strict=True):
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * grad
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * grad * grad
+        param -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.epsilon)
+
+
+class TestAdam:
+    def test_flat_step_equals_per_array_reference(self) -> None:
+        # The float32 bench setting on a small skip network, fed the
+        # training pass's own gradients for six steps.
+        net = NetworkConfig(
+            input_dim=ENC.dim, hidden_width=8, num_layers=4, skip_layer=2, dropout=0.2
+        )
+        cfg = TrainConfig(learning_rate=3e-3)
+        model = SdfModel.init(net, seed=11).astype(np.float32)
+        queries = volume_queries(100, seed=12, target_fn=radial_targets)
+        encoded = pad_rows(positional_encode(queries.positions, ENC, dtype=np.float32), np.float32)
+        rng = np.random.default_rng(13)
+        optimizer = _Adam(model.params, cfg)
+        initial = model.params.flat.copy()
+        params = [a.copy() for a in model.params.arrays()]
+        first = [np.zeros_like(a) for a in params]
+        second = [np.zeros_like(a) for a in params]
+        for step in range(1, 7):
+            _, grads = loss_and_gradients(model, encoded, queries.sdf, 0.1, rng=rng)
+            optimizer.update(model.params, grads)
+            per_array_adam_step(params, grads.arrays(), first, second, cfg, step)
+            for got, want in zip(model.params.arrays(), params, strict=True):
+                np.testing.assert_array_equal(got, want)
+            for flat, arrays in ((optimizer.first, first), (optimizer.second, second)):
+                np.testing.assert_array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+        assert not np.array_equal(model.params.flat, initial)
 
 
 class TestPredictSdf:
