@@ -18,6 +18,7 @@ from typing import Any, Callable, Mapping, get_args, get_type_hints
 
 from .encoding import EncodingConfig
 from .errors import ConfigValidationError, InvalidParameterError
+from .marching import check_resolution
 from .network import NetworkConfig
 from .queries import QueryCounts
 from .repair import DEFAULT_EMD_SUBSAMPLE, DEFAULT_REPAIR_POINTS
@@ -52,8 +53,7 @@ class GridConfig:
     resolution: int = 128
 
     def __post_init__(self) -> None:
-        if self.resolution < 8:
-            raise InvalidParameterError("grid resolution must be >= 8")
+        check_resolution(self.resolution)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,16 @@ into an edge of four faces.  Triangles wind so normals point toward
 increasing field values.
 
 Extraction itself is vectorized: active cells, stably sorted by case,
-gather edge triples from one padded (256, 5, 3) table; each triangle
-corner is keyed by its grid edge (cell key plus the cube edge's offset)
-so shared edges weld in one ``np.unique``; and positions come from
-linear interpolation along each crossed edge.  The welded mesh is
-returned as built: one vertex per crossed edge, each used by some face.
+gather edge triples from one padded (256, 5, 3) int8 table; each
+triangle corner is keyed by its grid edge (cell key plus the cube
+edge's offset, in int32) so shared edges weld in one ``np.unique``; and
+positions come from linear interpolation along each crossed edge.  To
+close the boundary only the boolean inside mask is padded.  The two end
+values of each crossed edge are read from the caller's field, float32
+or float64, and upcast to float64, so a float32 field and its float64
+upcast give the same bits.  The int32 keys bound the lattice at
+``MAX_RESOLUTION`` (892) vertices a side.  The welded mesh is returned
+as built: one vertex per crossed edge, each used by some face.
 A crossing that lands on a lattice node puts the vertices of several
 edges at one point, and triangles between them have zero area.  They
 are emitted, as in classic marching cubes (Lorensen and Cline, SIGGRAPH
@@ -35,6 +40,8 @@ to one fixed point.  Values are exact within one refined 2-cell block
 of any sign change and carry only the sign elsewhere, which is all
 extraction reads, so the mesh equals the one from a dense sweep except
 for the small closed components ``_refine_field`` states it can lose.
+The field is stored in the model's dtype, float32 for a trained or
+loaded model, with int32 lattice indices.
 """
 from __future__ import annotations
 
@@ -152,10 +159,23 @@ _EDGE_CANONICAL = np.array(_EDGE_CANONICAL, dtype=np.int64)
 
 # CASE_TRIANGLES as one (256, most triangles of any case, 3) array of
 # edge triples, padded with rows of -1.
-_CASE_TABLE = np.full((256, max(map(len, CASE_TRIANGLES)), 3), -1, dtype=np.int64)
+_CASE_TABLE = np.full((256, max(map(len, CASE_TRIANGLES)), 3), -1, dtype=np.int8)
 for _case, _triangles in enumerate(CASE_TRIANGLES):
     if _triangles:
         _CASE_TABLE[_case, : len(_triangles)] = _triangles
+
+
+# Lattice vertices a side.  Extraction keys grid edges in int32 on a
+# lattice closed by one layer each side, so 3·(r + 2)³ stays within 2³¹.
+MIN_RESOLUTION, MAX_RESOLUTION = 8, 892
+
+
+def check_resolution(resolution: int) -> None:
+    """Raise InvalidParameterError unless 8 <= resolution <= 892."""
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise InvalidParameterError(
+            f"grid resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}"
+        )
 
 
 @dataclass(frozen=True)
@@ -167,8 +187,7 @@ class GridSpec:
     upper: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
-        if self.resolution < 8:
-            raise InvalidParameterError("grid resolution must be >= 8")
+        check_resolution(self.resolution)
         lo = np.asarray(self.lower, dtype=np.float64)
         hi = np.asarray(self.upper, dtype=np.float64)
         if lo.shape != (3,) or hi.shape != (3,):
@@ -218,8 +237,12 @@ class GridSpec:
 # Edge length, in lattice cells, of the coarse blocks that evaluate_field
 # refines; a refined coarse block is judged again in blocks half as wide.
 _BLOCK = 4
-# Bits that mark a sampled lattice vertex by its sign.
-_INSIDE, _OUTSIDE = 1, 2
+# Bits that mark a sampled lattice vertex by its sign, and the mark of
+# a vertex queued for sampling.
+_INSIDE, _OUTSIDE, _QUEUED = 1, 2, 4
+# Crossed blocks whose vertices are queued at once: each block adds at
+# most 27 vertex indices of about 10 bytes of temporaries.
+_QUEUE_BLOCKS = 1024
 
 
 def evaluate_field(
@@ -227,14 +250,17 @@ def evaluate_field(
     encoding: EncodingConfig,
     grid: GridSpec,
     chunk_size: int = 8192,
-) -> NDArray[F64]:
-    """The model on the grid's lattice, shape (r, r, r).
+) -> NDArray[np.floating]:
+    """The model on the grid's lattice, shape (r, r, r), in the model's dtype.
 
     Values are exact within one refined 2-cell block of any sign change
     and carry only the sign elsewhere (see ``_refine_field``).  That is
     all ``marching_cubes`` reads: a crossed lattice edge always has both
     ends evaluated.  A small closed component that shows the refinement
-    no sign change is lost; ``_refine_field`` states which.
+    no sign change is lost; ``_refine_field`` states which.  Forward
+    computes in the model's dtype, so storing the lattice in it loses
+    nothing: a float32 model gives a float32 field, half the bytes of
+    float64, and ``marching_cubes`` reads it as it is.
 
     The encoding acts on each coordinate alone, so the three axes are
     encoded once and the rows of every forward chunk are gathered from
@@ -251,26 +277,28 @@ def evaluate_field(
     per_axis = [encoded_axes[:, c::3].astype(model.dtype) for c in range(3)]
 
     def sample(
-        i: NDArray[np.int_], j: NDArray[np.int_], k: NDArray[np.int_]
+        i: NDArray[np.int32], j: NDArray[np.int32], k: NDArray[np.int32]
     ) -> NDArray[F64]:
         rows = np.empty((len(i), encoded_axes.shape[1]), dtype=model.dtype)
         for c, index in enumerate((i, j, k)):
             rows[:, c::3] = per_axis[c][index]
         return model.forward(rows)
 
-    values, _ = _refine_field(sample, grid.resolution, chunk_size)
+    values, _ = _refine_field(sample, grid.resolution, chunk_size, model.dtype)
     return values
 
 
 def _refine_field(
-    sample: Callable[[NDArray[np.int_], NDArray[np.int_], NDArray[np.int_]], NDArray[F64]],
+    sample: Callable[[NDArray[np.int32], NDArray[np.int32], NDArray[np.int32]], NDArray[F64]],
     resolution: int,
     chunk_size: int,
-) -> tuple[NDArray[F64], NDArray[np.bool_]]:
+    dtype: np.dtype | type = np.float64,
+) -> tuple[NDArray[np.floating], NDArray[np.bool_]]:
     """Sign-refined field on an (r, r, r) lattice and the mask of sampled vertices.
 
-    ``sample(i, j, k)`` returns the field at lattice index triples; it is
-    called with at most ``chunk_size`` triples at a time.  The lattice is
+    ``sample(i, j, k)`` returns the field at int32 lattice index triples;
+    it is called with at most ``chunk_size`` triples at a time, and its
+    values are stored as ``dtype``.  The lattice is
     cut into blocks at two sizes, ``_BLOCK`` cells a side and half that
     (the last block per axis partial), so every large block is a union
     of small ones.  The corners of the large blocks are sampled first.
@@ -293,74 +321,78 @@ def _refine_field(
     strictly inside a small block holds its centre, the only such vertex.
     """
     r = resolution
-    values = np.empty(r**3)
-    # The sign of every sampled vertex, and the lattice mask that
-    # deduplicates the vertices of each round's newly crossed blocks.
+    values = np.empty(r**3, dtype=dtype)
+    # The sign of every sampled vertex, and the mark that queues each
+    # vertex of a newly crossed block once for the next round.
     signs = np.zeros(r**3, dtype=np.uint8)
-    pending = np.zeros(r**3, dtype=bool)
     strides = (_BLOCK, _BLOCK // 2)
     # Lattice indices of the block faces along each axis, per size.
-    bounds = [np.append(np.arange(0, r - 1, stride), r - 1) for stride in strides]
+    bounds = [np.append(np.arange(0, r - 1, stride), r - 1).astype(np.int32) for stride in strides]
     coarse, fine = bounds
     refined = [np.zeros((len(b) - 1,) * 3, dtype=bool) for b in bounds]
     # Per size, the offsets of the vertices a crossed block gets sampled
     # at along each axis: the corners and centres of its small blocks,
     # or every vertex of a small block.
-    offsets = [(np.arange(0, _BLOCK + 1, 2), np.arange(1, _BLOCK, 2)), (np.arange(3),)]
+    offsets = [
+        (np.arange(0, _BLOCK + 1, 2, dtype=np.int32), np.arange(1, _BLOCK, 2, dtype=np.int32)),
+        (np.arange(3, dtype=np.int32),),
+    ]
     cube = (r, r, r)
-    todo = ((coarse[:, None, None] * r + coarse[:, None]) * r + coarse).ravel()
-    while True:
-        pending[todo[signs[todo] == 0]] = True
-        todo = np.flatnonzero(pending)
-        if todo.size == 0:
-            break
-        pending[todo] = False
+    signs[((coarse[:, None, None] * r + coarse[:, None]) * r + coarse).ravel()] = _QUEUED
+    while (todo := np.flatnonzero(signs == _QUEUED).astype(np.int32)).size:
         for part, ijk in _chunks(todo, r, chunk_size):
             values[part] = sample(*ijk)
             signs[part] = np.where(values[part] < 0.0, _INSIDE, _OUTSIDE)
-        fresh = []
-        for stride, edges, done, at in zip(strides, bounds, refined, offsets):
-            crossed = _blocks_at_sign_changes(signs.reshape(cube), stride)
-            blocks = np.flatnonzero(crossed & ~done)
-            fresh += [_block_vertices(blocks, edges, offset, r) for offset in at]
-            done |= crossed
-        todo = np.concatenate(fresh)
+        del todo
+        # Both sizes are judged before any vertex is queued: a queued
+        # mark is not a sign.
+        crossed = [_blocks_at_sign_changes(signs.reshape(cube), stride) for stride in strides]
+        for now, edges, done, at in zip(crossed, bounds, refined, offsets):
+            blocks = np.flatnonzero(now & ~done)
+            done |= now
+            for offset in at:
+                _queue_block_vertices(signs, blocks, edges, offset, r)
 
     values = values.reshape(cube)
     sampled = signs.reshape(cube) != 0
+    del signs
     # Fill the fine lattice from the coarse corners, then every vertex
-    # from the fine lattice; sampled vertices keep their values.
+    # from the fine lattice, one slab of planes over a fine plane at a
+    # time so that no temporary spans the lattice; sampled vertices keep
+    # their values.
     below = coarse[np.searchsorted(coarse, fine, side="right") - 1]
-    corners = _take3(values, fine)
-    np.copyto(corners, _take3(values, below), where=~_take3(sampled, fine))
+    fine3, below3 = np.ix_(fine, fine, fine), np.ix_(below, below, below)
+    corners = values[fine3]
+    np.copyto(corners, values[below3], where=~sampled[fine3])
     below = np.searchsorted(fine, np.arange(r), side="right") - 1
-    np.copyto(values, _take3(corners, below), where=~sampled)
+    for at, (lo, hi) in enumerate(zip(fine, np.append(fine[1:], r))):
+        np.copyto(values[lo:hi], corners[at][below][:, below], where=~sampled[lo:hi])
     return values, sampled
 
 
-def _take3(a: NDArray, index: NDArray[np.int_]) -> NDArray:
-    """``a[np.ix_(index, index, index)]``, gathered one axis at a time."""
-    for axis in range(3):
-        a = np.take(a, index, axis=axis)
-    return a
-
-
-def _block_vertices(
-    blocks: NDArray[np.int_], bounds: NDArray[np.int_], offsets: NDArray[np.int_], r: int
-) -> NDArray[np.int_]:
-    """Flat lattice indices of the vertices at ``offsets`` from each
-    block's low corner along every axis, cut at its far faces."""
+def _queue_block_vertices(
+    signs: NDArray[np.uint8],
+    blocks: NDArray[np.int_],
+    bounds: NDArray[np.int32],
+    offsets: NDArray[np.int32],
+    r: int,
+) -> None:
+    """Mark ``_QUEUED`` the unmarked vertices at ``offsets`` from each
+    block's low corner along every axis, cut at its far faces, taking
+    ``_QUEUE_BLOCKS`` blocks at a time."""
     n = len(bounds) - 1
-    i, j, k = (
-        np.minimum(bounds[b, None] + offsets, bounds[b + 1, None])
-        for b in np.unravel_index(blocks, (n, n, n))
-    )
-    return ((i[:, :, None, None] * r + j[:, None, :, None]) * r + k[:, None, None, :]).ravel()
+    for start in range(0, len(blocks), _QUEUE_BLOCKS):
+        i, j, k = (
+            np.minimum(bounds[b, None] + offsets, bounds[b + 1, None])
+            for b in np.unravel_index(blocks[start : start + _QUEUE_BLOCKS], (n, n, n))
+        )
+        flat = ((i[:, :, None, None] * r + j[:, None, :, None]) * r + k[:, None, None, :]).ravel()
+        signs[flat[signs[flat] == 0]] = _QUEUED
 
 
 def _chunks(
-    flat: NDArray[np.int_], r: int, chunk_size: int
-) -> Iterator[tuple[NDArray[np.int_], tuple[NDArray[np.int_], ...]]]:
+    flat: NDArray[np.int32], r: int, chunk_size: int
+) -> Iterator[tuple[NDArray[np.int32], tuple[NDArray[np.int32], ...]]]:
     """Consecutive runs of flat lattice indices with their (i, j, k) arrays."""
     for start in range(0, len(flat), chunk_size):
         part = flat[start : start + chunk_size]
@@ -396,7 +428,7 @@ def _or_over_windows(a: NDArray[np.uint8], stride: int, axis: int) -> NDArray[np
 
 
 def marching_cubes(
-    field: NDArray[F64],
+    field: NDArray[np.floating],
     grid: GridSpec,
     *,
     close_boundary: bool = False,
@@ -411,26 +443,38 @@ def marching_cubes(
     outside, so a sub-level region reaching the grid box gets capped on
     the boundary planes instead of left open there.  Surfaces interior
     to the grid are unaffected, as is the uniform-sign rule.
+
+    A float32 field is read as it is and any other as float64; only the
+    boolean inside mask is padded for the closure.  Grid edges are keyed
+    in int32, which ``MAX_RESOLUTION`` bounds.  The two end values of
+    each crossed edge are gathered, ``_FAR_OUTSIDE`` beyond the grid,
+    and upcast to float64 before interpolating, so a float32 field gives
+    the mesh of its float64 upcast bit for bit.
     """
-    values = np.ascontiguousarray(field, dtype=np.float64)
+    field = np.asarray(field)
+    values = np.ascontiguousarray(
+        field, dtype=np.float32 if field.dtype == np.float32 else np.float64
+    )
     r = grid.resolution
     if values.shape != (r, r, r):
         raise InvalidInputError(
             f"field shape {values.shape} does not match grid resolution {r}"
         )
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j, k = bad[0]
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j, k = np.argwhere(~finite)[0]
         raise InvalidInputError(
             f"non-finite field value at grid vertex ({i}, {j}, {k})"
         )
-
-    padded = close_boundary and bool((values < 0.0).any() and (values >= 0.0).any())
-    if padded:
-        values = _pad_outside(values)
-        r += 2
+    del finite
 
     inside = values < 0.0
+    # Padded lattice indices are shifted by one against the caller's grid.
+    shift = int(close_boundary and inside.any() and not inside.all())
+    if shift:
+        inside = np.pad(inside, 1)
+        r += 2
+
     n_cells = r - 1
     case_index = np.zeros((n_cells, n_cells, n_cells), dtype=np.uint8)
     for corner, (dx, dy, dz) in enumerate(_CORNERS):
@@ -439,9 +483,11 @@ def marching_cubes(
             .astype(np.uint8)
             << corner
         )
+    del inside
 
     i, j, k = np.nonzero((case_index != 0) & (case_index != 255))
     cases = case_index[i, j, k]
+    del case_index
     # Triangles in (case, cell, triangle) order: a stable sort by case
     # keeps cells in lattice order within each case.
     order = np.argsort(cases, kind="stable")
@@ -450,27 +496,26 @@ def marching_cubes(
     # Every triangle corner keyed by its grid edge, ((i*r + j)*r + k)*3 +
     # axis with (i, j, k) the edge's low lattice corner: the cell's key
     # plus the cube edge's offset, so shared edges weld to one vertex.
-    cell_key = ((i * r + j) * r + k)[order] * 3
+    cell_key = ((i * r + j) * r + k).astype(np.int32)[order] * 3
     edge_offset = (_EDGE_CANONICAL[:, :3] @ (r * r, r, 1)) * 3 + _EDGE_CANONICAL[:, 3]
-    keys = cell_key[cell, None] + edge_offset[triangles[cell, slot]]
+    keys = cell_key[cell, None] + edge_offset.astype(np.int32)[triangles[cell, slot]]
+    del i, j, k, cases, order, triangles, cell, slot, cell_key
     unique_keys, face_indices = np.unique(keys, return_inverse=True)
+    del keys
     faces = face_indices.reshape(-1, 3)
 
-    # Interpolate one vertex per unique crossed edge.
+    # Interpolate one vertex per unique crossed edge, in the caller's
+    # lattice indices; interior arithmetic is the same with and without
+    # boundary closure, so those positions are too.
     *low, axis = np.unravel_index(unique_keys, (r, r, r, 3))
-    low = np.stack(low, axis=1)
+    low = np.stack(low, axis=1) - shift
     step = np.eye(3, dtype=np.int64)[axis]
-    high = low + step
-    f_low = values[low[:, 0], low[:, 1], low[:, 2]]
-    f_high = values[high[:, 0], high[:, 1], high[:, 2]]
+    f_low = _edge_ends(values, low)
+    f_high = _edge_ends(values, low + step)
     t = -f_low / (f_high - f_low)
     spacing = grid.spacing()
     origin = np.asarray(grid.lower)
-    # Padded lattice indices are shifted by one against the caller's
-    # grid; undoing the shift here keeps interior vertex arithmetic (and
-    # so their positions) identical with and without boundary closure.
-    shift = 1 if padded else 0
-    positions = origin + ((low - shift) + t[:, None] * step) * spacing
+    positions = origin + (low + t[:, None] * step) * spacing
     return TriMesh(positions, faces)
 
 
@@ -480,10 +525,11 @@ def marching_cubes(
 _FAR_OUTSIDE = 1e30
 
 
-def _pad_outside(values: NDArray[F64]) -> NDArray[F64]:
-    """Wrap the field in one lattice layer of far-outside values."""
-    r = values.shape[0] + 2
-    padded = np.full((r, r, r), _FAR_OUTSIDE, dtype=np.float64)
-    padded[1:-1, 1:-1, 1:-1] = values
-    return padded
-
+def _edge_ends(values: NDArray[np.floating], index: NDArray[np.int64]) -> NDArray[F64]:
+    """The field at (n, 3) lattice indices as float64, ``_FAR_OUTSIDE``
+    at indices one step beyond the lattice."""
+    last = len(values) - 1
+    beyond = ((index < 0) | (index > last)).any(axis=1)
+    ends = values[tuple(np.clip(index, 0, last).T)].astype(np.float64)
+    ends[beyond] = _FAR_OUTSIDE
+    return ends

@@ -49,7 +49,11 @@ class TriMesh:
     def _face_geometry(self) -> tuple[NDArray[F64], Points]:
         """Read-only face areas and unit normals, one cross product per face."""
         a, b, c = (self.vertices[self.faces[:, corner]] for corner in range(3))
-        crosses = np.cross(b - a, c - a)
+        b -= a
+        c -= a
+        del a
+        crosses = np.cross(b, c)
+        del b, c
         areas = 0.5 * np.linalg.norm(crosses, axis=1)
         twice = 2.0 * areas[:, None]
         normals = np.divide(crosses, twice, out=np.zeros_like(crosses), where=twice > 0.0)

@@ -125,7 +125,9 @@ def repair(
     )
     field = evaluate_field(model, encoding, grid)
     surface = marching_cubes(field, grid, close_boundary=True)
+    del field
     world_mesh = TriMesh(record.denormalize(surface.vertices), surface.faces)
+    del surface
     if world_mesh.area == 0.0:
         raise RepairFailedError(
             "model level set has no area on the evaluation grid"

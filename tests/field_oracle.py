@@ -4,12 +4,14 @@
 it through the model in chunks, so nothing here shares code with the
 per-axis gather or the sign refinement of ``evaluate_field``.
 
-``grouped_marching_cubes`` welds the mesh the plain way: cells grouped
-by case in a loop, each triangle corner's grid edge decoded to a lattice
-index and keyed from it, and vertices renumbered over the faces that use
-them.  Zero-area faces are kept.  ``marching_cubes`` must number
-vertices and order faces exactly as it does, since that order decides
-the points ``sample_surface`` draws and the bytes of a repaired OBJ.
+``grouped_marching_cubes`` welds the mesh the plain way: the field
+copied to float64 and padded with ``_FAR_OUTSIDE`` values to close the
+boundary, cells grouped by case in a loop, each triangle corner's grid
+edge decoded to an int64 lattice index and keyed from it, and vertices
+renumbered over the faces that use them.  Zero-area faces are kept.
+``marching_cubes`` must number vertices and order faces exactly as it
+does, since that order decides the points ``sample_surface`` draws and
+the bytes of a repaired OBJ.
 """
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ from pasdf.encoding import EncodingConfig, positional_encode
 from pasdf.marching import (
     _CORNERS,
     _EDGE_CANONICAL,
+    _FAR_OUTSIDE,
     CASE_TRIANGLES,
     GridSpec,
-    _pad_outside,
 )
 from pasdf.mesh import TriMesh
 from pasdf.network import SdfModel
@@ -46,6 +48,14 @@ def dense_field(model: SdfModel, encoding: EncodingConfig, grid: GridSpec) -> np
     )
     r = grid.resolution
     return values.reshape(r, r, r)
+
+
+def _pad_outside(values: np.ndarray) -> np.ndarray:
+    """Wrap the field in one lattice layer of far-outside values."""
+    r = values.shape[0] + 2
+    padded = np.full((r, r, r), _FAR_OUTSIDE, dtype=np.float64)
+    padded[1:-1, 1:-1, 1:-1] = values
+    return padded
 
 
 def grouped_marching_cubes(

@@ -72,3 +72,11 @@ def test_non_finite_config_value_exits_as_validation_error(tmp_path, capsys):
     assert cli.main(["train", "--config", str(path)]) == cli.EXIT_VALIDATION
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert errors == ["error: training.learning_rate: expected a finite number, got nan"]
+
+
+def test_grid_resolution_beyond_the_bound_exits_as_validation_error(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text('{"grid": {"resolution": 893}}')
+    assert cli.main(["repair", "--config", str(path)]) == cli.EXIT_VALIDATION
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: grid: grid resolution must be in [8, 892], got 893"]

@@ -186,6 +186,12 @@ class TestDeserialization:
         with pytest.raises(ConfigValidationError, match="resolution"):
             from_document({"grid": {"resolution": 0}})
 
+    def test_grid_resolution_bounds_are_the_grid_spec_bounds(self) -> None:
+        assert from_document({"grid": {"resolution": 892}}).grid.resolution == 892
+        for resolution in (7, 893):
+            with pytest.raises(ConfigValidationError, match=r"\[8, 892\]"):
+                from_document({"grid": {"resolution": resolution}})
+
     def test_out_of_range_value_reports_section(self) -> None:
         with pytest.raises(ConfigValidationError, match="scoring"):
             from_document({"scoring": {"top_k": 0}})

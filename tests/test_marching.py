@@ -1,6 +1,8 @@
 """Tests for isosurface extraction and the evaluation grid."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -57,6 +59,15 @@ class TestGridSpec:
     def test_rejects_small_resolution(self) -> None:
         with pytest.raises(InvalidParameterError):
             GridSpec(7)
+
+    def test_rejects_resolution_beyond_int32_edge_keys(self) -> None:
+        # The largest r whose closed lattice, r + 2 a side, keys every
+        # grid edge below 2**31.
+        top = marching.MAX_RESOLUTION
+        assert 3 * (top + 2) ** 3 <= 2**31 < 3 * (top + 3) ** 3
+        assert GridSpec(top).resolution == 892
+        with pytest.raises(InvalidParameterError, match=r"\[8, 892\], got 893"):
+            GridSpec(top + 1)
 
     def test_rejects_degenerate_bounds(self) -> None:
         with pytest.raises(InvalidParameterError):
@@ -409,6 +420,58 @@ class TestWeldOrder:
         assert mesh.is_empty
         assert_same_mesh(mesh, grouped_marching_cubes(field, grid, close_boundary))
 
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_float32_field_welds_as_its_float64_upcast(
+        self, seed: int, close_boundary: bool
+    ) -> None:
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(8, 16))
+        # Exact zeros on many nodes, and magnitudes over 60 decades, up
+        # to that of _FAR_OUTSIDE, so that a crossing on the boundary
+        # also reads the far value's float64 bits.
+        field = rng.integers(-2, 3, size=(r, r, r)) * rng.random((r, r, r))
+        field = (field * 10.0 ** rng.uniform(-30, 30, size=(r, r, r))).astype(np.float32)
+        grid = GridSpec(r, (0.1, 0.2, 0.0), (0.9, 0.7, 1.0))
+        narrow = marching_cubes(field, grid, close_boundary=close_boundary)
+        wide = marching_cubes(field.astype(np.float64), grid, close_boundary=close_boundary)
+        assert_same_mesh(narrow, wide)
+        assert_same_mesh(narrow, grouped_marching_cubes(field, grid, close_boundary))
+
+
+def traced_peak(call):
+    """``call()``'s result and the most bytes it held at once."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+class TestMemory:
+    """Extraction and evaluation hold no lattice-sized float64 temporary."""
+
+    def test_marching_cubes_peaks_below_a_float64_copy_of_the_field(self) -> None:
+        grid = GridSpec(96)
+        # A ball cut by the top face, so the closure caps it.
+        field = sphere_field(grid, np.array([0.5, 0.45, 0.8]), 0.3)
+        mesh, peak = traced_peak(lambda: marching_cubes(field, grid, close_boundary=True))
+        assert len(mesh.faces) > 20000
+        assert peak < field.nbytes
+
+    def test_evaluate_field_peaks_below_twice_its_field(self, sphere_world) -> None:
+        grid = GridSpec(64, (0.1, 0.1, 0.1), (0.9, 0.9, 0.9))
+        # 512-row chunks keep the forward's own buffers small against
+        # the lattice, so the bound is on the lattice arrays.
+        field, peak = traced_peak(
+            lambda: evaluate_field(
+                sphere_world.model, sphere_world.encoding, grid, chunk_size=512
+            )
+        )
+        assert peak < 2 * field.nbytes
+
 
 def evaluate_recording_samples(monkeypatch, model, encoding, grid, **kwargs):
     """``evaluate_field`` plus the mask of vertices it ran the model on."""
@@ -490,6 +553,14 @@ class TestEvaluateField:
         assert np.abs(radial - 0.3).max() < 0.08
         exact = 4.0 / 3.0 * np.pi * 0.3**3
         assert signed_volume(mesh) == pytest.approx(exact, rel=0.2)
+
+    def test_returns_the_model_dtype(self, sphere_world) -> None:
+        grid = GridSpec(16, (0.1, 0.1, 0.1), (0.9, 0.9, 0.9))
+        model = sphere_world.model
+        assert model.dtype == np.float32
+        for dtype in (np.float32, np.float64):
+            field = evaluate_field(model.astype(dtype), sphere_world.encoding, grid)
+            assert field.dtype == dtype
 
     def test_rejects_bad_chunk_size(self, sphere_world) -> None:
         grid = GridSpec(8)
