@@ -1,13 +1,14 @@
 """Versioned model checkpoints.
 
 Binary container: 8 magic bytes, a fixed little-endian architecture
-descriptor, then all parameters layer-major (directions, gains, biases per
-layer) as row-major f32.  A JSON sidecar carries the caller's metadata
-(``pasdf train`` passes epochs run, final loss and record count) plus the
-network and encoding configs; the normalization record is in
-``prepare.json``.  Training happens in f32, so a trained model is stored
-exactly; a float64 model is narrowed to f32.  Loading keeps the stored
-values as f32, so a loaded model infers in f32.
+descriptor, then the parameter vector ``ParameterSet.flat`` as
+little-endian f32, laid out as that class describes.  A JSON sidecar
+carries the caller's metadata (``pasdf train`` passes epochs run, final
+loss and record count) plus the network and encoding configs; the
+normalization record is in ``prepare.json``.  Training happens in f32,
+so a trained model is stored exactly; a float64 model is narrowed to
+f32.  Loading keeps the stored values as f32, so a loaded model infers
+in f32.
 """
 from __future__ import annotations
 
@@ -77,27 +78,18 @@ def load_checkpoint(path: str | Path) -> tuple[SdfModel, EncodingConfig, dict]:
     except Exception as exc:
         raise CheckpointMismatchError(f"{path}: invalid architecture descriptor") from exc
 
-    directions: list[np.ndarray] = []
-    gains: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    offset = _HEADER.size
-    for fan_out, fan_in in config.layer_shapes():
-        for target, shape in (
-            (directions, (fan_out, fan_in)),
-            (gains, (fan_out,)),
-            (biases, (fan_out,)),
-        ):
-            count = int(np.prod(shape))
-            end = offset + 4 * count
-            if end > len(raw):
-                raise CheckpointMismatchError(f"{path}: truncated parameter block")
-            flat = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-            target.append(flat.astype(np.float32).reshape(shape))
-            offset = end
-    if offset != len(raw):
+    # The count is closed-form in the header's fields, so a header that
+    # claims billions of layers is refused by size before any is listed.
+    count = config.parameter_count()
+    end = _HEADER.size + 4 * count
+    if end > len(raw):
+        raise CheckpointMismatchError(f"{path}: truncated parameter block")
+    if end < len(raw):
         raise CheckpointMismatchError(
-            f"{path}: {len(raw) - offset} trailing bytes after parameters"
+            f"{path}: {len(raw) - end} trailing bytes after parameters"
         )
+    flat = np.frombuffer(raw, dtype="<f4", count=count, offset=_HEADER.size)
+    params = ParameterSet(config, flat.astype(np.float32))
 
     sidecar = path.with_suffix(".json")
     try:
@@ -115,5 +107,4 @@ def load_checkpoint(path: str | Path) -> tuple[SdfModel, EncodingConfig, dict]:
             f"{path}: encoding dimension {encoding.dim} does not match "
             f"network input {config.input_dim}"
         )
-    model = SdfModel(config, ParameterSet(directions, gains, biases))
-    return model, encoding, meta
+    return SdfModel(config, params), encoding, meta

@@ -243,13 +243,15 @@ _INSIDE, _OUTSIDE, _QUEUED = 1, 2, 4
 # Crossed blocks whose vertices are queued at once: each block adds at
 # most 27 vertex indices of about 10 bytes of temporaries.
 _QUEUE_BLOCKS = 1024
+# Rows per forward chunk of ``evaluate_field``: one float32 layer of
+# width 64 at 2 MiB, within a typical L2 cache.
+_CHUNK_ROWS = 8192
 
 
 def evaluate_field(
     model: SdfModel,
     encoding: EncodingConfig,
     grid: GridSpec,
-    chunk_size: int = 8192,
 ) -> NDArray[np.floating]:
     """The model on the grid's lattice, shape (r, r, r), in the model's dtype.
 
@@ -267,12 +269,9 @@ def evaluate_field(
     them, already cast to the model's precision: column ``c::3`` of a
     row comes from axis ``c``.  This equals encoding the vertex
     positions bit for bit without building them.  ``SdfModel.forward``
-    pads every batch to 64 rows, so no value depends on the chunking;
-    the 8,192-row default keeps one float32 layer of width 64 at 2 MiB,
-    within a typical L2 cache.
+    pads every batch to 64 rows, so no value depends on the chunking
+    into ``_CHUNK_ROWS``-row batches.
     """
-    if chunk_size < 1:
-        raise InvalidParameterError("chunk_size must be positive")
     encoded_axes = positional_encode(np.stack(grid.axes(), axis=1), encoding)
     per_axis = [encoded_axes[:, c::3].astype(model.dtype) for c in range(3)]
 
@@ -284,7 +283,7 @@ def evaluate_field(
             rows[:, c::3] = per_axis[c][index]
         return model.forward(rows)
 
-    values, _ = _refine_field(sample, grid.resolution, chunk_size, model.dtype)
+    values, _ = _refine_field(sample, grid.resolution, _CHUNK_ROWS, model.dtype)
     return values
 
 
@@ -430,8 +429,6 @@ def _or_over_windows(a: NDArray[np.uint8], stride: int, axis: int) -> NDArray[np
 def marching_cubes(
     field: NDArray[np.floating],
     grid: GridSpec,
-    *,
-    close_boundary: bool = False,
 ) -> TriMesh:
     """Extract the zero level set of a sampled scalar field.
 
@@ -439,10 +436,10 @@ def marching_cubes(
     (i, j, k) index order.  A field of uniform sign yields an empty mesh.
     Faces of zero area, where crossings land on lattice nodes, are kept.
 
-    With ``close_boundary`` everything beyond the grid counts as far
-    outside, so a sub-level region reaching the grid box gets capped on
-    the boundary planes instead of left open there.  Surfaces interior
-    to the grid are unaffected, as is the uniform-sign rule.
+    Everything beyond the grid counts as far outside, so a sub-level
+    region reaching the grid box gets capped on the boundary planes
+    instead of left open there.  Surfaces interior to the grid are
+    unaffected, as is the uniform-sign rule.
 
     A float32 field is read as it is and any other as float64; only the
     boolean inside mask is padded for the closure.  Grid edges are keyed
@@ -470,7 +467,7 @@ def marching_cubes(
 
     inside = values < 0.0
     # Padded lattice indices are shifted by one against the caller's grid.
-    shift = int(close_boundary and inside.any() and not inside.all())
+    shift = int(inside.any() and not inside.all())
     if shift:
         inside = np.pad(inside, 1)
         r += 2
@@ -505,8 +502,8 @@ def marching_cubes(
     faces = face_indices.reshape(-1, 3)
 
     # Interpolate one vertex per unique crossed edge, in the caller's
-    # lattice indices; interior arithmetic is the same with and without
-    # boundary closure, so those positions are too.
+    # lattice indices; interior arithmetic is the same whether or not
+    # the mask was padded, so those positions are too.
     *low, axis = np.unravel_index(unique_keys, (r, r, r, 3))
     low = np.stack(low, axis=1) - shift
     step = np.eye(3, dtype=np.int64)[axis]

@@ -24,6 +24,7 @@ two products instead of reading a concatenated input.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,46 +85,51 @@ class NetworkConfig:
             shapes.append((fan_out, fan_in))
         return shapes
 
+    def parameter_count(self) -> int:
+        """Values in ``ParameterSet.flat``: out * (in + 2) summed over
+        ``layer_shapes()``, in closed form, so it costs the same for any
+        number of layers."""
+        width, dim, layers = self.hidden_width, self.input_dim, self.num_layers
+        count = width * (dim + 2) + (layers - 2) * width * (width + 2) + width + 2
+        if self.skip_layer is not None:
+            count += dim * (1 if self.skip_layer == layers - 1 else width)
+        return count
+
 
 class ParameterSet:
-    """One (direction, gain, bias) triple per layer; also the container
-    for gradients, which share the model's shapes.
+    """The network's parameters, or gradients of the same shapes, as
+    views of one flat vector.
 
-    Every array is a view into one flat vector, ``flat``, laid out in
-    the order of ``arrays()``, so an optimizer can update all of them
-    in one elementwise pass.
+    ``flat`` holds every array, layer by layer in the order of
+    ``NetworkConfig.layer_shapes()``: each layer's direction, (out, in)
+    row-major, then its gain and its bias, (out,) each.  ``directions``,
+    ``gains`` and ``biases`` are views into it, so an optimizer updates
+    every array in one elementwise pass on ``flat``, and a checkpoint
+    stores ``flat`` as it is.
     """
 
-    def __init__(
-        self,
-        directions: list[NDArray[F64]],
-        gains: list[NDArray[F64]],
-        biases: list[NDArray[F64]],
-    ) -> None:
-        triples = [a for layer in zip(directions, gains, biases, strict=True) for a in layer]
-        self.flat = np.concatenate([np.ravel(a) for a in triples])
-        views: list[NDArray[F64]] = []
+    def __init__(self, config: NetworkConfig, flat: NDArray[F64]) -> None:
+        """Views of ``flat``, which the set takes over without a copy."""
+        count = config.parameter_count()
+        if flat.shape != (count,):
+            raise InvalidInputError(
+                f"flat parameter vector has shape {flat.shape}, the network needs ({count},)"
+            )
+        self.flat = flat
+        self._arrays: list[NDArray[F64]] = []
         cursor = 0
-        for a in triples:
-            views.append(self.flat[cursor : cursor + a.size].reshape(a.shape))
-            cursor += a.size
-        self.directions = views[0::3]
-        self.gains = views[1::3]
-        self.biases = views[2::3]
+        for fan_out, fan_in in config.layer_shapes():
+            for shape in ((fan_out, fan_in), (fan_out,), (fan_out,)):
+                size = math.prod(shape)
+                self._arrays.append(flat[cursor : cursor + size].reshape(shape))
+                cursor += size
+        self.directions = self._arrays[0::3]
+        self.gains = self._arrays[1::3]
+        self.biases = self._arrays[2::3]
 
     def arrays(self) -> list[NDArray[F64]]:
-        out: list[NDArray[F64]] = []
-        for layer in range(len(self.directions)):
-            out.extend([self.directions[layer], self.gains[layer], self.biases[layer]])
-        return out
-
-    @classmethod
-    def zeros_like(cls, other: "ParameterSet") -> "ParameterSet":
-        return cls(
-            [np.zeros_like(a) for a in other.directions],
-            [np.zeros_like(a) for a in other.gains],
-            [np.zeros_like(a) for a in other.biases],
-        )
+        """Every array, in the order they lie in ``flat``."""
+        return list(self._arrays)
 
 
 @dataclass
@@ -136,32 +142,20 @@ class SdfModel:
         """Gaussian directions scaled by 1/sqrt(fan_in); gains set to the row
         norms so the effective weights equal the raw draw; zero biases."""
         rng = np.random.default_rng(seed)
-        directions: list[NDArray[F64]] = []
-        gains: list[NDArray[F64]] = []
-        biases: list[NDArray[F64]] = []
+        parts: list[NDArray[F64]] = []
         for fan_out, fan_in in config.layer_shapes():
             weight = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
-            directions.append(weight)
-            gains.append(np.linalg.norm(weight, axis=1))
-            biases.append(np.zeros(fan_out))
-        return cls(config, ParameterSet(directions, gains, biases))
+            parts += [weight.ravel(), np.linalg.norm(weight, axis=1), np.zeros(fan_out)]
+        return cls(config, ParameterSet(config, np.concatenate(parts)))
 
     def astype(self, dtype: np.dtype | type) -> "SdfModel":
         """A copy of the model with its parameters cast to ``dtype``."""
-        p = self.params
-        return SdfModel(
-            self.config,
-            ParameterSet(
-                [a.astype(dtype) for a in p.directions],
-                [a.astype(dtype) for a in p.gains],
-                [a.astype(dtype) for a in p.biases],
-            ),
-        )
+        return SdfModel(self.config, ParameterSet(self.config, self.params.flat.astype(dtype)))
 
     @property
     def dtype(self) -> np.dtype:
         """Precision of the parameters, which inference computes in."""
-        return self.params.biases[0].dtype
+        return self.params.flat.dtype
 
     def effective_weights(self) -> list[NDArray[F64]]:
         weights: list[NDArray[F64]] = []
@@ -319,7 +313,7 @@ def loss_and_gradients(
     d_out[:samples] = np.sign(clamped - y) / samples
     d_out[:samples] *= np.abs(out) <= d_max
 
-    grads = ParameterSet.zeros_like(model.params)
+    grads = ParameterSet(cfg, np.zeros_like(model.params.flat))
     dz = d_out.astype(z.dtype, copy=False)[:, None]
     for layer in reversed(range(cfg.num_layers)):
         if layer == 0:

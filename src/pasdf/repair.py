@@ -124,7 +124,7 @@ def repair(
         record.normalize(aligned.points), resolution=resolution, expand=expand
     )
     field = evaluate_field(model, encoding, grid)
-    surface = marching_cubes(field, grid, close_boundary=True)
+    surface = marching_cubes(field, grid)
     del field
     world_mesh = TriMesh(record.denormalize(surface.vertices), surface.faces)
     del surface

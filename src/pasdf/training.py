@@ -3,8 +3,8 @@
 Adam over shuffled mini-batches of labelled query samples, in float32:
 parameters, encoded queries and optimizer moments; the targets and the
 loss stay float64.  The model's parameters and each gradient are views
-into one flat vector (``ParameterSet.flat``), so an Adam step is one
-elementwise update of that vector against one flat vector per moment.
+into one flat vector (``ParameterSet`` gives its layout), so an Adam
+step is one elementwise update of it against one vector per moment.
 Everything is driven by named sub-streams of one seed (initialization,
 epoch shuffles, dropout masks), so a run is bitwise-reproducible for a
 seed.  The masks are raw 16-bit words of their stream's bit generator,

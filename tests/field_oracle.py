@@ -58,14 +58,12 @@ def _pad_outside(values: np.ndarray) -> np.ndarray:
     return padded
 
 
-def grouped_marching_cubes(
-    field: np.ndarray, grid: GridSpec, close_boundary: bool = False
-) -> TriMesh:
+def grouped_marching_cubes(field: np.ndarray, grid: GridSpec) -> TriMesh:
     """``marching_cubes`` with triangles gathered case by case."""
     empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     values = np.asarray(field, dtype=np.float64)
     r = grid.resolution
-    padded = close_boundary and bool((values < 0.0).any() and (values >= 0.0).any())
+    padded = bool((values < 0.0).any() and (values >= 0.0).any())
     if padded:
         values = _pad_outside(values)
         r += 2

@@ -7,36 +7,30 @@ pre-activation.  It cuts the dropout words from the bit generator's raw
 outputs by shift and mask, not through a dtype view as the pass does.
 ``pasdf.network.loss_and_gradients`` must agree with it, and its loss
 is ``clamped_l1_loss``, which finite-difference checks take through
-``SdfModel.forward`` on the flat parameter vector of ``flatten`` and
-``overwrite_from_flat``.
+``SdfModel.forward`` by bumping entries of ``ParameterSet.flat``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from pasdf.errors import InvalidInputError, InvalidParameterError
-from pasdf.network import ParameterSet, SdfModel
+from pasdf.network import NetworkConfig, ParameterSet, SdfModel
 
 
-def flatten(params: ParameterSet) -> np.ndarray:
-    """Every parameter array, layer-major, in one vector."""
-    return np.concatenate([a.ravel() for a in params.arrays()])
-
-
-def overwrite_from_flat(params: ParameterSet, flat: np.ndarray) -> None:
-    """Write a vector laid out as ``flatten`` lays it out back into
-    ``params`` in place."""
-    cursor = 0
-    for array in params.arrays():
-        chunk = flat[cursor : cursor + array.size]
-        if chunk.size != array.size:
-            raise InvalidInputError("flat parameter vector has the wrong length")
-        array[...] = chunk.reshape(array.shape)
-        cursor += array.size
-    if cursor != flat.size:
-        raise InvalidInputError("flat parameter vector has the wrong length")
+@st.composite
+def architectures(draw) -> NetworkConfig:
+    """Small legal networks: no skip layer, or a skip at any legal layer."""
+    layers = draw(st.integers(2, 6))
+    return NetworkConfig(
+        input_dim=draw(st.integers(1, 12)),
+        hidden_width=draw(st.integers(1, 12)),
+        num_layers=layers,
+        skip_layer=draw(st.sampled_from([None, *range(1, layers)])),
+        dropout=draw(st.sampled_from([0.0, 0.2])),
+    )
 
 
 def clamped_l1_loss(pred: np.ndarray, target: np.ndarray, d_max: float) -> float:
@@ -138,7 +132,7 @@ def loss_and_gradients(
 
     cfg = model.config
     keep = kept_share(cfg.dropout)
-    grads = ParameterSet.zeros_like(model.params)
+    grads = ParameterSet(cfg, np.zeros_like(model.params.flat))
     dz = d_out[:, None]
     for layer in reversed(range(cfg.num_layers)):
         h = cache.inputs[layer]

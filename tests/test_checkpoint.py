@@ -1,19 +1,25 @@
 """Checkpoint container round trips and corruption handling."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from pasdf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from network_oracle import architectures
+from pasdf.checkpoint import _HEADER, MAGIC, load_checkpoint, save_checkpoint
 from pasdf.encoding import EncodingConfig, positional_encode
 from pasdf.errors import CheckpointMismatchError
 from pasdf.marching import GridSpec, evaluate_field
 from pasdf.network import NetworkConfig, SdfModel
 
 ENC = EncodingConfig(num_frequencies=2)
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def small_model(seed: int = 0) -> SdfModel:
@@ -78,6 +84,28 @@ class TestRoundTrip:
         assert loaded_encoding == encoding
         assert loaded.config == cfg
         assert meta["encoding"] == {"num_frequencies": 3, "include_input": False}
+
+    @given(architectures())
+    def test_random_architectures_round_trip_bit_for_bit(
+        self, tmp_path_factory, config
+    ) -> None:
+        # Hypothesis reruns the body, so each example gets its own directory.
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        encoding = EncodingConfig(num_frequencies=1, include_input=False)
+        config = dataclasses.replace(config, input_dim=encoding.dim)
+        model = SdfModel.init(config, seed=5).astype(np.float32)
+        save_checkpoint(path, model, encoding=encoding)
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.config == model.config
+        assert loaded.params.flat.dtype == np.float32
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+
+    @pytest.mark.parametrize("kind", ["torus", "blob"])
+    def test_perfbench_fixtures_load_the_stored_bytes(self, kind) -> None:
+        path = FIXTURES / f"{kind}.f32"
+        loaded, _, _ = load_checkpoint(path)
+        stored = path.read_bytes()[_HEADER.size :]
+        assert loaded.params.flat.astype("<f4").tobytes() == stored
 
     def test_metadata_extra_fields_preserved(self, tmp_path) -> None:
         path = tmp_path / "model.ckpt"
@@ -219,6 +247,19 @@ class TestCorruption:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(CheckpointMismatchError, match="dimension"):
             load_checkpoint(path)
+
+    def test_header_claiming_every_layer_is_refused_by_size(self, tmp_path) -> None:
+        # The parameter count comes from the header in closed form, so a
+        # claim of 2**32 - 1 layers is checked against the file size
+        # without listing a single layer.
+        path = self.write_good(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 8, 2**32 - 1)
+        path.write_bytes(bytes(raw))
+        start = time.perf_counter()
+        with pytest.raises(CheckpointMismatchError, match="truncated"):
+            load_checkpoint(path)
+        assert time.perf_counter() - start < 1.0
 
     def test_header_too_short(self, tmp_path) -> None:
         path = tmp_path / "stub.ckpt"

@@ -138,15 +138,27 @@ class TestCaseTable:
                     assert inside[a] != inside[b]
 
 
+def off_box_faces(mesh, grid: GridSpec) -> np.ndarray:
+    """Mask of the faces not lying in one boundary plane of the grid box:
+    all but the caps that close a level set at the box."""
+    corners = mesh.vertices[mesh.faces]
+    lo, hi = np.asarray(grid.lower), np.asarray(grid.upper)
+    on_plane = (np.abs(corners - lo) <= 1e-12).all(axis=1) | (
+        np.abs(corners - hi) <= 1e-12
+    ).all(axis=1)
+    return ~on_plane.any(axis=1)
+
+
 class TestMarchingCubes:
     def test_axis_plane_is_exact(self) -> None:
         grid = GridSpec(32)
         gx = sample_grid(grid)[0]
         mesh = marching_cubes(gx - 0.437, grid)
-        assert len(mesh.faces) > 0
-        np.testing.assert_allclose(mesh.vertices[:, 0], 0.437, atol=1e-9)
+        plane = off_box_faces(mesh, grid)
+        assert 0 < plane.sum() < len(mesh.faces)
+        np.testing.assert_allclose(mesh.vertices[mesh.faces[plane], 0], 0.437, atol=1e-9)
         # Normals follow increasing field values.
-        np.testing.assert_allclose(mesh.face_normals[:, 0], 1.0, atol=1e-9)
+        np.testing.assert_allclose(mesh.face_normals[plane, 0], 1.0, atol=1e-9)
 
     def test_tilted_plane_is_exact(self) -> None:
         grid = GridSpec(24)
@@ -155,10 +167,12 @@ class TestMarchingCubes:
         gx, gy, gz = sample_grid(grid)
         field = (gx - 0.5) * normal[0] + (gy - 0.5) * normal[1] + (gz - 0.5) * normal[2]
         mesh = marching_cubes(field - 0.07, grid)
-        residual = (mesh.vertices - 0.5) @ normal - 0.07
+        plane = off_box_faces(mesh, grid)
+        assert 0 < plane.sum() < len(mesh.faces)
+        residual = (mesh.vertices[mesh.faces[plane]] - 0.5) @ normal - 0.07
         # Linear fields are reproduced exactly by linear interpolation.
         assert np.abs(residual).max() < 1e-9
-        assert (mesh.face_normals @ normal).min() > 1.0 - 1e-9
+        assert (mesh.face_normals[plane] @ normal).min() > 1.0 - 1e-9
 
     def test_sphere_watertight_and_oriented(self) -> None:
         grid = GridSpec(64)
@@ -221,8 +235,9 @@ class TestMarchingCubes:
         gx = sample_grid(grid)[0]
         x0 = grid.axes()[0][8]
         mesh = marching_cubes(gx - x0, grid)
-        assert len(mesh.faces) > 0
-        np.testing.assert_allclose(mesh.vertices[:, 0], x0, atol=0.0)
+        plane = off_box_faces(mesh, grid)
+        assert 0 < plane.sum() < len(mesh.faces)
+        np.testing.assert_allclose(mesh.vertices[mesh.faces[plane], 0], x0, atol=0.0)
 
     def test_vertices_inside_bounds(self) -> None:
         grid = GridSpec(16, (0.2, 0.1, 0.0), (0.8, 0.9, 1.0))
@@ -284,7 +299,7 @@ class TestMarchingCubes:
         # ran a diagonal across such a face's inside band from both
         # neighbouring cells would meet in an edge of four faces.
         field = np.random.default_rng(100 + seed).standard_normal((12, 12, 12))
-        mesh = marching_cubes(field, GridSpec(12), close_boundary=True)
+        mesh = marching_cubes(field, GridSpec(12))
         watertight, bad_edges = check_watertight(mesh)
         assert watertight, f"{bad_edges} edges not on exactly two faces"
 
@@ -335,12 +350,7 @@ class TestCloseBoundary:
     def test_halfspace_gets_capped(self) -> None:
         grid = GridSpec(16)
         gx, _, _ = sample_grid(grid)
-        field = gx - 0.35
-
-        open_mesh = marching_cubes(field, grid)
-        assert not check_watertight(open_mesh)[0]
-
-        closed = marching_cubes(field, grid, close_boundary=True)
+        closed = marching_cubes(gx - 0.35, grid)
         watertight, open_edges = check_watertight(closed)
         assert watertight, f"{open_edges} open edges"
         # The enclosed region is the slab x < 0.35 of the unit cube.
@@ -349,23 +359,28 @@ class TestCloseBoundary:
     def test_cap_vertices_sit_on_grid_bounds(self) -> None:
         grid = GridSpec(16)
         gx, _, _ = sample_grid(grid)
-        closed = marching_cubes(gx - 0.35, grid, close_boundary=True)
+        closed = marching_cubes(gx - 0.35, grid)
         lo, hi = closed.bounds()
         np.testing.assert_allclose(lo, [0.0, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(hi, [0.35, 1.0, 1.0], atol=1e-9)
 
     def test_interior_surface_unchanged(self) -> None:
+        # The sphere stays inside the box, so the closure adds nothing:
+        # the mesh is the one on a grid a cell wider each way, whose
+        # outer layer holds the sphere's own positive values.
         grid = GridSpec(24)
-        field = sphere_field(grid, np.array([0.5, 0.5, 0.5]), 0.3)
-        plain = marching_cubes(field, grid)
-        closed = marching_cubes(field, grid, close_boundary=True)
-        np.testing.assert_array_equal(plain.vertices, closed.vertices)
-        np.testing.assert_array_equal(plain.faces, closed.faces)
+        step = grid.spacing()
+        wider = GridSpec(26, tuple(-step), tuple(1.0 + step))
+        center = np.array([0.5, 0.5, 0.5])
+        closed = marching_cubes(sphere_field(grid, center, 0.3), grid)
+        plain = marching_cubes(sphere_field(wider, center, 0.3), wider)
+        np.testing.assert_array_equal(closed.faces, plain.faces)
+        np.testing.assert_allclose(closed.vertices, plain.vertices, rtol=0.0, atol=1e-12)
 
     def test_half_ball_capped_volume(self) -> None:
         grid = GridSpec(48)
         field = sphere_field(grid, np.array([0.5, 0.5, 0.0]), 0.3)
-        closed = marching_cubes(field, grid, close_boundary=True)
+        closed = marching_cubes(field, grid)
         assert check_watertight(closed)[0]
         half_ball = 0.5 * (4.0 / 3.0) * np.pi * 0.3**3
         assert signed_volume(closed) == pytest.approx(half_ball, rel=5e-3)
@@ -373,57 +388,52 @@ class TestCloseBoundary:
     def test_uniform_sign_still_empty(self) -> None:
         grid = GridSpec(8)
         for value in (1.0, -1.0):
-            mesh = marching_cubes(
-                np.full((8, 8, 8), value), grid, close_boundary=True
-            )
-            assert mesh.is_empty
+            assert marching_cubes(np.full((8, 8, 8), value), grid).is_empty
 
 
 class TestWeldOrder:
     """Vertex numbering and face order equal the case-by-case weld's.
 
     Faces come in (case, cell, triangle) order and vertices in grid-edge
-    key order; both decide which points ``sample_surface`` draws.
+    key order; both decide which points ``sample_surface`` draws.  The
+    example cases run each field as float64 and cast to float32, the
+    dtype ``evaluate_field`` returns for a trained model.
     """
 
-    @pytest.mark.parametrize("close_boundary", [False, True])
+    @pytest.mark.parametrize("float32", [False, True])
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_signs_with_exact_zeros(self, seed: int, close_boundary: bool) -> None:
+    def test_random_signs_with_exact_zeros(self, seed: int, float32: bool) -> None:
         rng = np.random.default_rng(seed)
         r = int(rng.integers(8, 20))
         # Whole-number levels put exact zeros on many nodes, so many
-        # faces have zero area; they stay, and a closed mesh stays closed.
+        # faces have zero area; they stay, and the mesh stays closed.
         field = rng.integers(-2, 3, size=(r, r, r)) * rng.random((r, r, r))
+        field = field.astype(np.float32 if float32 else np.float64)
         grid = GridSpec(r, (0.1, 0.2, 0.0), (0.9, 0.7, 1.0))
-        mesh = marching_cubes(field, grid, close_boundary=close_boundary)
+        mesh = marching_cubes(field, grid)
         assert len(mesh.faces) > 0
-        assert_same_mesh(mesh, grouped_marching_cubes(field, grid, close_boundary))
-        if close_boundary:
-            assert check_watertight(mesh) == (True, 0)
+        assert_same_mesh(mesh, grouped_marching_cubes(field, grid))
+        assert check_watertight(mesh) == (True, 0)
 
-    @pytest.mark.parametrize("close_boundary", [False, True])
-    def test_noisy_sphere(self, close_boundary: bool) -> None:
+    @pytest.mark.parametrize("float32", [False, True])
+    def test_noisy_sphere(self, float32: bool) -> None:
         grid = GridSpec(24)
         field = sphere_field(grid, np.array([0.5, 0.4, 0.6]), 0.45)
         field += 0.02 * np.random.default_rng(7).standard_normal(field.shape)
-        assert_same_mesh(
-            marching_cubes(field, grid, close_boundary=close_boundary),
-            grouped_marching_cubes(field, grid, close_boundary),
-        )
+        field = field.astype(np.float32 if float32 else np.float64)
+        assert_same_mesh(marching_cubes(field, grid), grouped_marching_cubes(field, grid))
 
-    @pytest.mark.parametrize("close_boundary", [False, True])
+    @pytest.mark.parametrize("float32", [False, True])
     @pytest.mark.parametrize("value", [-1.0, 0.0, 1.0])
-    def test_uniform_field(self, value: float, close_boundary: bool) -> None:
+    def test_uniform_field(self, value: float, float32: bool) -> None:
         grid = GridSpec(9)
-        field = np.full((9, 9, 9), value)
-        mesh = marching_cubes(field, grid, close_boundary=close_boundary)
+        field = np.full((9, 9, 9), value, dtype=np.float32 if float32 else np.float64)
+        mesh = marching_cubes(field, grid)
         assert mesh.is_empty
-        assert_same_mesh(mesh, grouped_marching_cubes(field, grid, close_boundary))
+        assert_same_mesh(mesh, grouped_marching_cubes(field, grid))
 
-    @given(st.integers(0, 2**32 - 1), st.booleans())
-    def test_float32_field_welds_as_its_float64_upcast(
-        self, seed: int, close_boundary: bool
-    ) -> None:
+    @given(st.integers(0, 2**32 - 1))
+    def test_float32_field_welds_as_its_float64_upcast(self, seed: int) -> None:
         rng = np.random.default_rng(seed)
         r = int(rng.integers(8, 16))
         # Exact zeros on many nodes, and magnitudes over 60 decades, up
@@ -432,10 +442,10 @@ class TestWeldOrder:
         field = rng.integers(-2, 3, size=(r, r, r)) * rng.random((r, r, r))
         field = (field * 10.0 ** rng.uniform(-30, 30, size=(r, r, r))).astype(np.float32)
         grid = GridSpec(r, (0.1, 0.2, 0.0), (0.9, 0.7, 1.0))
-        narrow = marching_cubes(field, grid, close_boundary=close_boundary)
-        wide = marching_cubes(field.astype(np.float64), grid, close_boundary=close_boundary)
+        narrow = marching_cubes(field, grid)
+        wide = marching_cubes(field.astype(np.float64), grid)
         assert_same_mesh(narrow, wide)
-        assert_same_mesh(narrow, grouped_marching_cubes(field, grid, close_boundary))
+        assert_same_mesh(narrow, grouped_marching_cubes(field, grid))
 
 
 def traced_peak(call):
@@ -457,24 +467,27 @@ class TestMemory:
         grid = GridSpec(96)
         # A ball cut by the top face, so the closure caps it.
         field = sphere_field(grid, np.array([0.5, 0.45, 0.8]), 0.3)
-        mesh, peak = traced_peak(lambda: marching_cubes(field, grid, close_boundary=True))
+        mesh, peak = traced_peak(lambda: marching_cubes(field, grid))
         assert len(mesh.faces) > 20000
         assert peak < field.nbytes
 
-    def test_evaluate_field_peaks_below_twice_its_field(self, sphere_world) -> None:
+    def test_evaluate_field_peaks_below_twice_its_field(
+        self, sphere_world, monkeypatch
+    ) -> None:
         grid = GridSpec(64, (0.1, 0.1, 0.1), (0.9, 0.9, 0.9))
         # 512-row chunks keep the forward's own buffers small against
         # the lattice, so the bound is on the lattice arrays.
+        monkeypatch.setattr(marching, "_CHUNK_ROWS", 512)
         field, peak = traced_peak(
-            lambda: evaluate_field(
-                sphere_world.model, sphere_world.encoding, grid, chunk_size=512
-            )
+            lambda: evaluate_field(sphere_world.model, sphere_world.encoding, grid)
         )
         assert peak < 2 * field.nbytes
 
 
-def evaluate_recording_samples(monkeypatch, model, encoding, grid, **kwargs):
-    """``evaluate_field`` plus the mask of vertices it ran the model on."""
+def evaluate_recording_samples(monkeypatch, model, encoding, grid, chunk_rows: int):
+    """``evaluate_field`` in ``chunk_rows``-row forward chunks, plus the
+    mask of vertices it ran the model on."""
+    monkeypatch.setattr(marching, "_CHUNK_ROWS", chunk_rows)
     masks = []
     refine = marching._refine_field
 
@@ -484,7 +497,7 @@ def evaluate_recording_samples(monkeypatch, model, encoding, grid, **kwargs):
         return values, sampled
 
     monkeypatch.setattr(marching, "_refine_field", spy)
-    field = evaluate_field(model, encoding, grid, **kwargs)
+    field = evaluate_field(model, encoding, grid)
     (sampled,) = masks
     return field, sampled
 
@@ -498,7 +511,7 @@ class TestEvaluateField:
     def test_matches_direct_forward(self, sphere_world, monkeypatch) -> None:
         grid = GridSpec(32, (0.1, 0.1, 0.1), (0.9, 0.9, 0.9))
         field, sampled = evaluate_recording_samples(
-            monkeypatch, sphere_world.model, sphere_world.encoding, grid, chunk_size=100
+            monkeypatch, sphere_world.model, sphere_world.encoding, grid, chunk_rows=100
         )
         dense = dense_field(sphere_world.model, sphere_world.encoding, grid)
         # Only the band around the sphere is evaluated, and exactly.
@@ -509,11 +522,7 @@ class TestEvaluateField:
         # smaller than a block can go unsampled.  The Parked guard item
         # for sub-block components in ROADMAP.md covers this.
         np.testing.assert_array_equal(field < 0.0, dense < 0.0)
-        for close in (False, True):
-            assert_same_mesh(
-                marching_cubes(field, grid, close_boundary=close),
-                marching_cubes(dense, grid, close_boundary=close),
-            )
+        assert_same_mesh(marching_cubes(field, grid), marching_cubes(dense, grid))
 
     @pytest.mark.parametrize("chunk_size", [100, 77, 4096])
     def test_non_cubic_grid_equals_encoded_vertices(
@@ -524,7 +533,7 @@ class TestEvaluateField:
         grid = GridSpec(17, (0.1, 0.3, 0.2), (0.9, 0.6, 0.8))
         model = sphere_world.model
         field, sampled = evaluate_recording_samples(
-            monkeypatch, model, sphere_world.encoding, grid, chunk_size=chunk_size
+            monkeypatch, model, sphere_world.encoding, grid, chunk_rows=chunk_size
         )
         dense = dense_field(model, sphere_world.encoding, grid)
         assert sampled.any()
@@ -533,10 +542,7 @@ class TestEvaluateField:
         # holds for this fixture's training seed, not by evaluate_field's
         # contract (see the Parked guard item in ROADMAP.md).
         np.testing.assert_array_equal(field < 0.0, dense < 0.0)
-        assert_same_mesh(
-            marching_cubes(field, grid, close_boundary=True),
-            marching_cubes(dense, grid, close_boundary=True),
-        )
+        assert_same_mesh(marching_cubes(field, grid), marching_cubes(dense, grid))
 
     def test_extracts_learned_sphere(self, sphere_world) -> None:
         grid = GridSpec(32, (0.1, 0.1, 0.1), (0.9, 0.9, 0.9))
@@ -562,11 +568,6 @@ class TestEvaluateField:
             field = evaluate_field(model.astype(dtype), sphere_world.encoding, grid)
             assert field.dtype == dtype
 
-    def test_rejects_bad_chunk_size(self, sphere_world) -> None:
-        grid = GridSpec(8)
-        with pytest.raises(InvalidParameterError):
-            evaluate_field(sphere_world.model, sphere_world.encoding, grid, chunk_size=0)
-
 
 def refine_analytic(field, grid: GridSpec, chunk_size: int = 65536):
     """Sign-refined and dense samples of ``field(x, y, z)`` on the grid,
@@ -578,14 +579,11 @@ def refine_analytic(field, grid: GridSpec, chunk_size: int = 65536):
     return values, sampled, field(*sample_grid(grid))
 
 
-def assert_refined_like_dense(field, grid: GridSpec, close_boundary: bool) -> None:
+def assert_refined_like_dense(field, grid: GridSpec) -> None:
     values, sampled, dense = refine_analytic(field, grid)
     np.testing.assert_array_equal(values[sampled], dense[sampled])
     np.testing.assert_array_equal(values < 0.0, dense < 0.0)
-    assert_same_mesh(
-        marching_cubes(values, grid, close_boundary=close_boundary),
-        marching_cubes(dense, grid, close_boundary=close_boundary),
-    )
+    assert_same_mesh(marching_cubes(values, grid), marching_cubes(dense, grid))
 
 
 def ball(center, radius: float):
@@ -619,10 +617,10 @@ class TestRefineField:
     so refinement must reproduce the dense mesh bit for bit.
     """
 
-    @given(boxes, st.tuples(unit, unit, unit), unit, st.booleans())
-    def test_sphere(self, grid, where, grow, close) -> None:
+    @given(boxes, st.tuples(unit, unit, unit), unit)
+    def test_sphere(self, grid, where, grow) -> None:
         radius = block_edge(grid) * (2.0 + 2.0 * grow)
-        assert_refined_like_dense(ball(point_in(grid, where), radius), grid, close)
+        assert_refined_like_dense(ball(point_in(grid, where), radius), grid)
 
     @given(
         boxes,
@@ -630,14 +628,13 @@ class TestRefineField:
         st.tuples(unit, unit, unit),
         unit,
         unit,
-        st.booleans(),
     )
-    def test_two_sphere_union(self, grid, where_a, where_b, grow_a, grow_b, close) -> None:
+    def test_two_sphere_union(self, grid, where_a, where_b, grow_a, grow_b) -> None:
         edge = block_edge(grid)
         a = ball(point_in(grid, where_a), edge * (2.0 + grow_a))
         b = ball(point_in(grid, where_b), edge * (2.0 + grow_b))
         assert_refined_like_dense(
-            lambda x, y, z: np.minimum(a(x, y, z), b(x, y, z)), grid, close
+            lambda x, y, z: np.minimum(a(x, y, z), b(x, y, z)), grid
         )
 
     @given(
@@ -646,13 +643,12 @@ class TestRefineField:
             lambda n: np.linalg.norm(n) > 0.1
         ),
         st.tuples(*[st.floats(1 / 3, 2 / 3)] * 3),
-        st.booleans(),
     )
-    def test_tilted_plane(self, grid, normal, through, close) -> None:
+    def test_tilted_plane(self, grid, normal, through) -> None:
         nx, ny, nz = np.asarray(normal) / np.linalg.norm(normal)
         px, py, pz = point_in(grid, through)
         assert_refined_like_dense(
-            lambda x, y, z: (x - px) * nx + (y - py) * ny + (z - pz) * nz, grid, close
+            lambda x, y, z: (x - px) * nx + (y - py) * ny + (z - pz) * nz, grid
         )
 
     @given(
@@ -674,14 +670,14 @@ class TestRefineField:
             ring = np.sqrt((x - 0.5) ** 2 + (y - 0.5) ** 2) - major
             return np.sqrt(ring**2 + (z - 0.5) ** 2) - minor
 
-        assert_refined_like_dense(torus, grid, close_boundary=slab < 1.0)
+        assert_refined_like_dense(torus, grid)
 
     def test_level_set_touching_the_box_is_capped_exactly(self) -> None:
         grid = GridSpec(33, (0.0, 0.0, 0.0), (1.0, 1.0, 0.5))
         field = ball((0.5, 0.5, 0.45), 0.3)
         values, sampled, dense = refine_analytic(field, grid)
-        closed = marching_cubes(values, grid, close_boundary=True)
-        assert_same_mesh(closed, marching_cubes(dense, grid, close_boundary=True))
+        closed = marching_cubes(values, grid)
+        assert_same_mesh(closed, marching_cubes(dense, grid))
         assert check_watertight(closed)[0]
         # The cap on the top face came from sampled values, not a sign.
         assert sampled[:, :, -1][dense[:, :, -1] < 0.0].all()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import network_oracle as oracle
 from pasdf.errors import InvalidInputError, InvalidParameterError
-from network_oracle import clamped_l1_loss, flatten, overwrite_from_flat
+from network_oracle import architectures, clamped_l1_loss
 from pasdf.network import NetworkConfig, ParameterSet, SdfModel, loss_and_gradients
 
 
@@ -20,18 +20,16 @@ def finite_difference_gradients(
     h: float = 1e-5,
 ) -> np.ndarray:
     """Central differences of the loss through the full forward pass."""
-    flat = flatten(model.params)
+    flat = model.params.flat
+    saved = flat.copy()
     grads = np.empty_like(flat)
     for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] += h
-        overwrite_from_flat(model.params, bumped)
+        flat[i] += h
         loss_up = clamped_l1_loss(model.forward(encoded), targets, d_max)
-        bumped[i] -= 2 * h
-        overwrite_from_flat(model.params, bumped)
+        flat[i] -= 2 * h
         loss_down = clamped_l1_loss(model.forward(encoded), targets, d_max)
         grads[i] = (loss_up - loss_down) / (2 * h)
-    overwrite_from_flat(model.params, flat)
+        flat[i] = saved[i]
     return grads
 
 
@@ -74,7 +72,7 @@ def assert_matches_finite_differences(
     model, encoded, targets = gradient_check_draw(config, seed, batch)
     _, grads = loss_and_gradients(model, encoded, targets, d_max)
     fd = finite_difference_gradients(model, encoded, targets, d_max)
-    analytic = flatten(grads)
+    analytic = grads.flat
     err = np.abs(analytic - fd)
     tol = np.maximum(1e-7, 1e-4 * np.abs(fd))
     assert (err <= tol).all(), f"gradient mismatch: worst abs err {err.max():.3e}"
@@ -134,12 +132,12 @@ class TestForward:
 
     def test_eval_forward_is_pure_and_deterministic(self) -> None:
         model = SdfModel.init(tiny_config(dropout=0.2), seed=3)
-        before = flatten(model.params).copy()
+        before = model.params.flat.copy()
         x = np.random.default_rng(2).normal(size=(11, 9))
         first = model.forward(x)
         second = model.forward(x)
         np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(flatten(model.params), before)
+        np.testing.assert_array_equal(model.params.flat, before)
 
     def test_eval_forward_equals_cached_forward_bitwise(self) -> None:
         model = SdfModel.init(tiny_config(num_layers=4, skip_layer=2), seed=5)
@@ -244,7 +242,7 @@ class TestGradients:
         d_max = np.abs(out).min() / 2.0
         targets = np.zeros(8)
         _, grads = loss_and_gradients(model, x, targets, float(d_max))
-        assert np.all(flatten(grads) == 0.0)
+        assert np.all(grads.flat == 0.0)
 
     def test_duplicated_batch_leaves_gradients_unchanged(self) -> None:
         model = SdfModel.init(tiny_config(num_layers=4, skip_layer=2), seed=16)
@@ -253,7 +251,7 @@ class TestGradients:
         y = rng.normal(size=10)
         _, once = loss_and_gradients(model, x, y, 5.0)
         _, twice = loss_and_gradients(model, np.vstack([x, x]), np.concatenate([y, y]), 5.0)
-        np.testing.assert_allclose(flatten(once), flatten(twice), atol=1e-15)
+        np.testing.assert_allclose(once.flat, twice.flat, atol=1e-15)
 
     def test_dropout_gradients_deterministic_per_stream(self) -> None:
         model = SdfModel.init(tiny_config(dropout=0.4), seed=17)
@@ -263,7 +261,7 @@ class TestGradients:
         loss_a, grads_a = loss_and_gradients(model, x, y, 5.0, rng=np.random.default_rng(55))
         loss_b, grads_b = loss_and_gradients(model, x, y, 5.0, rng=np.random.default_rng(55))
         assert loss_a == loss_b
-        np.testing.assert_array_equal(flatten(grads_a), flatten(grads_b))
+        np.testing.assert_array_equal(grads_a.flat, grads_b.flat)
 
     def test_rejects_empty_batch(self) -> None:
         model = SdfModel.init(tiny_config(), seed=0)
@@ -403,21 +401,41 @@ class TestTrainingPass:
 
 
 class TestParameterSet:
-    def test_flatten_round_trip(self) -> None:
-        model = SdfModel.init(tiny_config(num_layers=3, skip_layer=1), seed=20)
-        flat = flatten(model.params)
-        clone = SdfModel.init(tiny_config(num_layers=3, skip_layer=1), seed=21)
-        overwrite_from_flat(clone.params, flat)
-        np.testing.assert_array_equal(flatten(clone.params), flat)
+    @given(architectures())
+    def test_arrays_are_views_of_flat_in_layer_shapes_order(self, config) -> None:
+        model = SdfModel.init(config, seed=20)
+        flat = model.params.flat
+        arrays = model.params.arrays()
+        shapes = [
+            shape
+            for fan_out, fan_in in config.layer_shapes()
+            for shape in ((fan_out, fan_in), (fan_out,), (fan_out,))
+        ]
+        assert [a.shape for a in arrays] == shapes
+        assert all(np.shares_memory(a, flat) for a in arrays)
+        np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]), flat)
+        assert flat.size == config.parameter_count()
 
-    def test_overwrite_rejects_wrong_length(self) -> None:
-        model = SdfModel.init(tiny_config(), seed=0)
-        with pytest.raises(InvalidInputError):
-            overwrite_from_flat(model.params, np.zeros(3))
+    def test_takes_flat_without_a_copy(self) -> None:
+        config = tiny_config(num_layers=3, skip_layer=2)
+        flat = np.arange(config.parameter_count(), dtype=np.float64)
+        params = ParameterSet(config, flat)
+        assert params.flat is flat
+        flat[-1] = -1.0
+        assert params.biases[-1][0] == -1.0
 
-    def test_zeros_like_matches_shapes(self) -> None:
+    def test_rejects_wrong_length(self) -> None:
+        config = tiny_config()
+        count = config.parameter_count()
+        for flat in (np.zeros(count - 1), np.zeros(count + 1), np.zeros((1, count))):
+            with pytest.raises(InvalidInputError, match="flat parameter vector"):
+                ParameterSet(config, flat)
+
+    def test_gradients_share_the_model_layout(self) -> None:
         model = SdfModel.init(tiny_config(num_layers=4, skip_layer=3), seed=1)
-        zeros = ParameterSet.zeros_like(model.params)
-        for a, b in zip(zeros.arrays(), model.params.arrays()):
+        model = model.astype(np.float32)
+        rng = np.random.default_rng(2)
+        _, grads = loss_and_gradients(model, rng.normal(size=(5, 9)), rng.normal(size=5), 1.0)
+        assert grads.flat.dtype == np.float32
+        for a, b in zip(grads.arrays(), model.params.arrays(), strict=True):
             assert a.shape == b.shape
-            assert np.all(a == 0.0)

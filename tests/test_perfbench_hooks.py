@@ -125,9 +125,7 @@ def test_repair_mesh_equals_dense_field_mesh(monkeypatch) -> None:
             align=False,
         )
         grid = GridSpec.for_cloud(world.record.normalize(case.cloud.points), resolution=64)
-        dense = marching_cubes(
-            dense_field(world.model, inputs.ENCODING, grid), grid, close_boundary=True
-        )
+        dense = marching_cubes(dense_field(world.model, inputs.ENCODING, grid), grid)
         np.testing.assert_array_equal(
             result.mesh.vertices, world.record.denormalize(dense.vertices)
         )

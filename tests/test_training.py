@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from network_oracle import flatten
 from pasdf.encoding import EncodingConfig, positional_encode
 from pasdf.errors import (
     InvalidInputError,
@@ -91,10 +90,10 @@ class TestTrainModel:
         cfg = TrainConfig(learning_rate=1e-3, epochs=8, batch_size=64, d_max=0.1, seed=9)
         a = train_model(queries, cfg, ENC, net)
         b = train_model(queries, cfg, ENC, net)
-        np.testing.assert_array_equal(flatten(a.model.params), flatten(b.model.params))
+        np.testing.assert_array_equal(a.model.params.flat, b.model.params.flat)
         assert a.loss_history == b.loss_history
         c = train_model(queries, TrainConfig(**{**cfg.to_dict(), "seed": 10}), ENC, net)
-        assert not np.array_equal(flatten(a.model.params), flatten(c.model.params))
+        assert not np.array_equal(a.model.params.flat, c.model.params.flat)
 
     def test_bitwise_identical_across_blas_thread_counts(self) -> None:
         # The bench network on 5,000 queries: one 4,096-row batch and one
@@ -112,7 +111,7 @@ sdf = np.linalg.norm(positions - 0.5, axis=1) - 0.3
 queries = QuerySet(positions, np.zeros(5000, dtype=np.uint8), sdf)
 cfg = TrainConfig(learning_rate=3e-4, epochs=2, batch_size=4096, seed=5, clamp_targets=True)
 trained = train_model(queries, cfg, config.encoding, config.network)
-print(hashlib.sha256(b"".join(a.tobytes() for a in trained.model.params.arrays())).hexdigest())
+print(hashlib.sha256(trained.model.params.flat.tobytes()).hexdigest())
 """
         digests = []
         for threads in ("1", "2"):
@@ -138,7 +137,7 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in trained.model.params.arrays()
         assert np.isnan(result.final_loss)
         again = train_model(queries, cfg, ENC, TINY_NET)
         np.testing.assert_array_equal(
-            flatten(result.model.params), flatten(again.model.params)
+            result.model.params.flat, again.model.params.flat
         )
 
     def test_diverged_training_aborts_with_diagnostics(self) -> None:
@@ -174,7 +173,7 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in trained.model.params.arrays()
             TINY_NET,
         )
         np.testing.assert_array_equal(
-            flatten(flagged.model.params), flatten(manual.model.params)
+            flagged.model.params.flat, manual.model.params.flat
         )
 
     def test_rejects_unlabelled_queries(self) -> None:
