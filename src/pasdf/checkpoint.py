@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_section
 from .encoding import EncodingConfig
-from .errors import CheckpointMismatchError, ConfigValidationError, InvalidInputError
-from .meshio import read_json, write_json
+from .errors import CheckpointMismatchError, InvalidInputError
+from .meshio import read_json, read_record, write_json
 from .network import NetworkConfig, ParameterSet, SdfModel
 
 MAGIC = b"PASDF001"
@@ -94,14 +93,9 @@ def load_checkpoint(path: str | Path) -> tuple[SdfModel, EncodingConfig, dict]:
     sidecar = path.with_suffix(".json")
     try:
         meta = read_json(sidecar, "checkpoint sidecar")
+        encoding = read_record(EncodingConfig, meta.get("encoding"), f"{sidecar}: encoding")
     except InvalidInputError as exc:
         raise CheckpointMismatchError(str(exc)) from exc
-    if "encoding" not in meta:
-        raise CheckpointMismatchError(f"{sidecar}: missing encoding config")
-    try:
-        encoding = read_section("encoding", meta["encoding"])
-    except ConfigValidationError as exc:
-        raise CheckpointMismatchError(f"{sidecar}: {exc}") from exc
     if encoding.dim != config.input_dim:
         raise CheckpointMismatchError(
             f"{path}: encoding dimension {encoding.dim} does not match "

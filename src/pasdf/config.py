@@ -2,23 +2,23 @@
 
 The schema is the dataclass fields: each section of the document is one
 field of RunConfig, and each key of a section is one field of that
-section's dataclass, read with the cast its type annotation names.
-Deserialization is strict.  Unknown keys, wrong types, and out-of-range
-values all raise ConfigValidationError before any work starts, so a
-failed run never leaves partial artifacts behind.  Missing sections and
-keys fall back to the dataclass defaults.
+section's dataclass, read by ``meshio.read_record`` with the cast its
+type annotation names.  Deserialization is strict.  Unknown keys, wrong
+types, and out-of-range values all raise ConfigValidationError before
+any work starts, so a failed run never leaves partial artifacts behind.
+Missing sections and keys fall back to the dataclass defaults.
 """
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, get_args, get_type_hints
+from typing import Any
 
 from .encoding import EncodingConfig
-from .errors import ConfigValidationError, InvalidParameterError
+from .errors import ConfigValidationError, InvalidInputError, InvalidParameterError
 from .marching import check_resolution
+from .meshio import read_record
 from .network import NetworkConfig
 from .queries import QueryCounts
 from .repair import DEFAULT_EMD_SUBSAMPLE, DEFAULT_REPAIR_POINTS
@@ -150,129 +150,16 @@ class RunConfig:
             )
 
 
-def _as_int(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value: Any) -> float:
-    # json.loads reads NaN and Infinity as floats, and an integer of any
-    # length as an int, which float() can overflow on.
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-        else:
-            if math.isfinite(number):
-                return number
-    raise TypeError(f"expected a finite number, got {value!r}")
-
-
-def _as_bool(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected a boolean, got {value!r}")
-    return value
-
-
-def _as_str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _as_str_tuple(value: Any) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"expected a list of strings, got {value!r}")
-    return tuple(value)
-
-
-_CASTS: dict[Any, Callable[[Any], Any]] = {
-    int: _as_int,
-    float: _as_float,
-    bool: _as_bool,
-    str: _as_str,
-    tuple[str, ...]: _as_str_tuple,
-}
-
-
-def _cast_for(annotation: Any) -> Callable[[Any], Any]:
-    """The cast for one field's annotation; ``X | None`` also takes null."""
-    args = get_args(annotation)
-    if type(None) not in args:
-        return _CASTS[annotation]
-    (inner,) = (arg for arg in args if arg is not type(None))
-    cast = _CASTS[inner]
-    return lambda value: None if value is None else cast(value)
-
-
-# Every stage derives its randomness from the root seed, so the training
-# seed is left out of the document, which then carries exactly one seed.
-_DERIVED_FIELD = ("training", "seed")
-
-_SECTION_TYPES: dict[str, type] = {
-    name: kind
-    for name, kind in get_type_hints(RunConfig).items()
-    if is_dataclass(kind)
-}
-
-
-def _section_schema(name: str, kind: type) -> dict[str, Callable[[Any], Any]]:
-    hints = get_type_hints(kind)
-    return {
-        f.name: _cast_for(hints[f.name])
-        for f in fields(kind)
-        if (name, f.name) != _DERIVED_FIELD
-    }
-
-
-# Section name -> key -> cast, in field order.
-_SCHEMA = {name: _section_schema(name, kind) for name, kind in _SECTION_TYPES.items()}
-
-
-def read_section(name: str, data: Any) -> Any:
-    """Build section ``name`` of a RunConfig from its parsed JSON object,
-    as strictly as a whole document is read."""
-    if not isinstance(data, Mapping):
-        raise ConfigValidationError(f"section '{name}' must be an object")
-    fields_spec = _SCHEMA[name]
-    unknown = sorted(set(data) - set(fields_spec))
-    if unknown:
-        raise ConfigValidationError(f"unknown key '{name}.{unknown[0]}'")
-    kwargs: dict[str, Any] = {}
-    for key, cast in fields_spec.items():
-        if key in data:
-            try:
-                kwargs[key] = cast(data[key])
-            except TypeError as error:
-                raise ConfigValidationError(f"{name}.{key}: {error}") from error
-    try:
-        return _SECTION_TYPES[name](**kwargs)
-    except InvalidParameterError as error:
-        raise ConfigValidationError(f"{name}: {error}") from error
-
-
-def from_document(document: Mapping[str, Any]) -> RunConfig:
+def from_document(document: Any) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON document."""
-    if not isinstance(document, Mapping):
-        raise ConfigValidationError("configuration must be a JSON object")
-    allowed = {"seed"} | set(_SCHEMA)
-    unknown = sorted(set(document) - allowed)
-    if unknown:
-        raise ConfigValidationError(f"unknown key '{unknown[0]}'")
-    kwargs: dict[str, Any] = {}
-    if "seed" in document:
-        try:
-            kwargs["seed"] = _as_int(document["seed"])
-        except TypeError as error:
-            raise ConfigValidationError(f"seed: {error}") from error
-    for name in _SCHEMA:
-        if name in document:
-            kwargs[name] = read_section(name, document[name])
+    # Every stage derives its randomness from the root seed, so the training
+    # seed is left out of the document, which then carries exactly one seed.
+    training = document.get("training") if isinstance(document, dict) else None
+    if isinstance(training, dict) and "seed" in training:
+        raise ConfigValidationError("unknown key 'training.seed'")
     try:
-        return RunConfig(**kwargs)
-    except InvalidParameterError as error:
+        return read_record(RunConfig, document, "")
+    except InvalidInputError as error:
         raise ConfigValidationError(str(error)) from error
 
 

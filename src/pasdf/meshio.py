@@ -8,19 +8,27 @@ written; readers tolerate and ignore extras.
 JSON covers the sample and checkpoint sidecars, ``prepare.json``,
 ``results.json``, ``eval.json``, the bench's ``metrics.json`` and
 ``manifest.json``, and the labels manifest.  All are written with sorted
-keys, two-space indent and a trailing newline.
+keys, two-space indent and a trailing newline.  ``read_json`` parses a
+file into a dict, and ``read_record`` turns a parsed object into a
+dataclass by the field annotations, holding every typed read (the run
+config, the checkpoint's encoding, detect rows, labels entries and the
+normalisation record) to one set of rules: a bool is not a number, an
+integer also counts as a float, floats are finite, and unknown keys are
+rejected.
 """
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import Any, TypeVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, PasdfError
 from .geometry import PointCloud, Points
 from .mesh import TriMesh
 
@@ -224,3 +232,93 @@ def read_json(path: str | Path, what: str) -> dict:
     if not isinstance(document, dict):
         raise InvalidInputError(f"{path}: {what} is not a JSON object")
     return document
+
+
+_Record = TypeVar("_Record")
+
+# The JSON values each scalar annotation takes, matched by exact type so
+# that true and false are not numbers; an integer also counts as a float.
+_SCALARS: dict[type, tuple[str, tuple[type, ...]]] = {
+    int: ("an integer", (int,)),
+    float: ("a finite number", (int, float)),
+    bool: ("a boolean", (bool,)),
+    str: ("a string", (str,)),
+}
+
+
+def read_record(kind: type[_Record], data: Any, where: str) -> _Record:
+    """Dataclass ``kind`` built from ``data``, a parsed JSON object.
+
+    Each key is read with the cast its field's annotation names: int,
+    finite float, bool, str, ``X | None``, ``tuple[X, ...]`` or a
+    fixed-length tuple from a list, and a nested dataclass from an
+    object.  A missing key takes the field's default.  Unknown keys,
+    missing required keys, wrong types and values the dataclass rejects
+    raise InvalidInputError naming the dotted key after ``where``; an
+    empty ``where`` leaves that prefix out.
+    """
+    return _read(kind, data, where, "")
+
+
+def _read(kind: type[_Record], data: Any, where: str, key: str) -> _Record:
+    if not isinstance(data, dict):
+        raise _invalid(where, key, f"expected a JSON object, got {data!r}")
+    members = fields(kind)
+    unknown = sorted(set(data) - {member.name for member in members})
+    if unknown:
+        raise _invalid(where, "", f"unknown key '{_join(key, unknown[0])}'")
+    hints = get_type_hints(kind)
+    values: dict[str, Any] = {}
+    for member in members:
+        path = _join(key, member.name)
+        if member.name in data:
+            values[member.name] = _cast(hints[member.name], data[member.name], where, path)
+        elif member.default is MISSING and member.default_factory is MISSING:
+            raise _invalid(where, "", f"missing key '{path}'")
+    try:
+        return kind(**values)
+    except PasdfError as error:
+        raise _invalid(where, key, str(error)) from error
+
+
+def _cast(annotation: Any, value: Any, where: str, key: str) -> Any:
+    if is_dataclass(annotation):
+        return _read(annotation, value, where, key)
+    args = get_args(annotation)
+    if type(None) in args:
+        if value is None:
+            return None
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return _cast(inner, value, where, key)
+    if get_origin(annotation) is tuple:
+        if not isinstance(value, list):
+            raise _invalid(where, key, f"expected a list, got {value!r}")
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(kinds) != len(value):
+            raise _invalid(where, key, f"expected {len(kinds)} items, got {value!r}")
+        return tuple(
+            _cast(inner, item, where, f"{key}[{index}]")
+            for index, (inner, item) in enumerate(zip(kinds, value))
+        )
+    name, kinds = _SCALARS[annotation]
+    if type(value) in kinds and (annotation is not float or _finite(value)):
+        return float(value) if annotation is float else value
+    raise _invalid(where, key, f"expected {name}, got {value!r}")
+
+
+def _finite(number: int | float) -> bool:
+    # json.loads reads NaN and Infinity as floats, and an integer of any
+    # length as an int, which a float can overflow on.
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
+def _join(key: str, name: str) -> str:
+    return f"{key}.{name}" if key else name
+
+
+def _invalid(where: str, key: str, problem: str) -> InvalidInputError:
+    text = f"{key}: {problem}" if key else problem
+    return InvalidInputError(f"{where}: {text}" if where else text)

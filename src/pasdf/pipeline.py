@@ -17,19 +17,20 @@ row is exactly the fields of ``DetectCase`` or ``RepairCase``.
 
 The optional labels manifest is a JSON document
 ``{"cases": {"<id>": {"object": 0 or 1, "anomalous_points": [...],
-"reference": "clean.ply"}}}`` keyed by input file stem;
-``anomalous_points`` lists anomalous point indices for point-level
-metrics and ``reference`` names a clean cloud (relative paths resolve
+"reference": "clean.ply"}}}`` keyed by input file stem; each entry is
+read as a ``LabelEntry``.  ``anomalous_points`` lists anomalous point
+indices for point-level metrics, each of which must lie in the case's
+cloud, and ``reference`` names a clean cloud (relative paths resolve
 against the manifest's directory, and the cloud lives in the canonical
-frame) for repair quality.  Every key of an entry is optional, and a
-null value counts as absent.
+frame) for repair quality.  Every key of an entry is optional, a null
+value counts as absent, and an unknown key is rejected.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,7 +46,15 @@ from .errors import (
 )
 from .geometry import PointCloud, apply_points, estimate_normals
 from .mesh import NormalizationRecord, TriMesh, normalization_from_bounds
-from .meshio import PlyContent, read_json, read_ply, write_cloud_ply, write_json, write_obj
+from .meshio import (
+    PlyContent,
+    read_json,
+    read_ply,
+    read_record,
+    write_cloud_ply,
+    write_json,
+    write_obj,
+)
 from .network import SdfModel
 from .queries import QuerySet, label_queries, read_samples, sample_queries_from_cloud, write_samples
 from .registration import pose_align
@@ -94,6 +103,19 @@ class DetectCase:
     converged: bool
     n_points: int
     score_map: str
+
+
+@dataclass(frozen=True)
+class LabelEntry:
+    """One case of the labels manifest, as the module docstring lays out."""
+
+    object: int | None = None
+    anomalous_points: tuple[int, ...] | None = None
+    reference: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.object not in (None, 0, 1):
+            raise InvalidInputError(f"object must be 0 or 1, got {self.object!r}")
 
 
 @dataclass(frozen=True)
@@ -378,8 +400,8 @@ def cmd_repair(config: RunConfig) -> RepairSummary:
         )
         chamfer = emd = None
         entry = labels.get(case_id) if labels else None
-        if entry and entry.get("reference"):
-            reference_path = Path(entry["reference"])
+        if entry and entry.reference:
+            reference_path = Path(entry.reference)
             if not reference_path.is_absolute():
                 reference_path = labels_root / reference_path
             reference = _cloud_from_ply(read_ply(reference_path))
@@ -418,26 +440,10 @@ def cmd_eval(config: RunConfig) -> EvalSummary:
     labels = _read_labels(config.io.labels)
     detect_dir = Path(config.io.out_dir) / DETECT_DIR
     source = detect_dir / RESULTS_FILE
-    try:
-        cases = [DetectCase(**row) for row in read_json(source, "detect results")["cases"]]
-    except (KeyError, TypeError) as error:
-        raise InvalidInputError(
-            f"{source}: detect results are not a list of DetectCase rows: {error}"
-        ) from error
-    # JSON has one number type, so a float field also takes an integer.
-    # Types are matched exactly, so true and false are not numbers.
-    field_types = {
-        name: (int, float) if kind is float else (kind,)
-        for name, kind in get_type_hints(DetectCase).items()
-    }
-    for case in cases:
-        wrong = [
-            name for name, kinds in field_types.items() if type(getattr(case, name)) not in kinds
-        ]
-        if wrong:
-            raise InvalidInputError(
-                f"{source}: case {case.id!r} has fields of the wrong type: {', '.join(wrong)}"
-            )
+    rows = read_json(source, "detect results").get("cases")
+    if not isinstance(rows, list):
+        raise InvalidInputError(f"{source}: detect results need a 'cases' list")
+    cases = [read_record(DetectCase, row, f"{source}: cases[{i}]") for i, row in enumerate(rows)]
     n_cases = len(_labelled_cases(cases, labels))
     if not n_cases:
         raise InvalidInputError("labels manifest covers none of the detected cases")
@@ -466,21 +472,21 @@ def cmd_bench(config: RunConfig) -> BenchResult:
 
 
 def _labelled_cases(
-    cases: Sequence[DetectCase], labels: dict[str, dict]
-) -> list[tuple[DetectCase, dict]]:
+    cases: Sequence[DetectCase], labels: dict[str, LabelEntry]
+) -> list[tuple[DetectCase, LabelEntry]]:
     """Cases whose manifest entry carries an object label, with the entry."""
     entries = [(case, labels.get(case.id)) for case in cases]
     return [
         (case, entry)
         for case, entry in entries
-        if entry is not None and entry.get("object") is not None
+        if entry is not None and entry.object is not None
     ]
 
 
 def _dataset_metrics(
     cases: Sequence[DetectCase],
     scores_of: Callable[[DetectCase], np.ndarray],
-    labels: dict[str, dict],
+    labels: dict[str, LabelEntry],
     strict: bool,
 ) -> tuple[float | None, float | None]:
     """Object AUROC over labelled cases and point AUROC pooled over the
@@ -495,18 +501,20 @@ def _dataset_metrics(
     pooled_labels: list[np.ndarray] = []
     for case, entry in _labelled_cases(cases, labels):
         object_scores.append(case.object_score)
-        object_labels.append(int(entry["object"]))
-        points = entry.get("anomalous_points")
+        object_labels.append(entry.object)
+        points = entry.anomalous_points
         if points is None:
             continue
         scores = scores_of(case)
-        marks = np.zeros(len(scores), dtype=np.int64)
-        index = np.asarray(points, dtype=np.int64)
-        if index.size and (index.min() < 0 or index.max() >= len(scores)):
+        # Checked as Python ints, before numpy narrows them to int64.
+        outside = [i for i in points if not 0 <= i < len(scores)]
+        if outside:
             raise InvalidInputError(
-                f"{case.id}: anomalous point index out of range"
+                f"{case.id}: anomalous point index {outside[0]} is outside the "
+                f"cloud's {len(scores)} points"
             )
-        marks[index] = 1
+        marks = np.zeros(len(scores), dtype=np.int64)
+        marks[np.asarray(points, dtype=np.int64)] = 1
         pooled_scores.append(np.asarray(scores, dtype=np.float64))
         pooled_labels.append(marks)
 
@@ -545,13 +553,11 @@ def _load_model_artifacts(
             f"checkpoint network {model.config} does not match configured {config.network}"
         )
     prepare_path = out_dir / PREPARE_FILE
-    prepare_meta = read_json(prepare_path, "prepare metadata")
-    try:
-        record = NormalizationRecord.from_dict(prepare_meta["record"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise InvalidInputError(
-            f"{prepare_path}: prepare metadata has no valid normalisation record: {error!r}"
-        ) from error
+    record = read_record(
+        NormalizationRecord,
+        read_json(prepare_path, "prepare metadata").get("record"),
+        f"{prepare_path}: normalisation record",
+    )
     canonical = _cloud_from_ply(read_ply(out_dir / CANONICAL_FILE))
     return model, encoding, canonical, record
 
@@ -576,26 +582,12 @@ def _outward_normals(cloud: PointCloud) -> PointCloud:
     return PointCloud(cloud.points, -oriented.normals)
 
 
-def _read_labels(path: str | Path) -> dict[str, dict]:
-    """The manifest's entries by case id, each checked against the schema
-    in the module docstring."""
+def _read_labels(path: str | Path) -> dict[str, LabelEntry]:
+    """The manifest's entries by case id."""
     cases = read_json(path, "labels manifest").get("cases")
     if not isinstance(cases, dict):
         raise InvalidInputError(f"{path}: labels manifest needs a 'cases' object")
-    for case_id, entry in cases.items():
-        where = f"{path}: labels manifest case {case_id!r}"
-        if not isinstance(entry, dict):
-            raise InvalidInputError(f"{where} is not an object")
-        # Exact type checks: JSON true and 1.0 are not labels or indices.
-        mark = entry.get("object")
-        if mark is not None and (type(mark) is not int or mark not in (0, 1)):
-            raise InvalidInputError(f"{where}: 'object' must be 0 or 1")
-        points = entry.get("anomalous_points")
-        if points is not None and (
-            not isinstance(points, list) or any(type(i) is not int for i in points)
-        ):
-            raise InvalidInputError(f"{where}: 'anomalous_points' must be a list of integers")
-        reference = entry.get("reference")
-        if reference is not None and not isinstance(reference, str):
-            raise InvalidInputError(f"{where}: 'reference' must be a string")
-    return cases
+    return {
+        case_id: read_record(LabelEntry, entry, f"{path}: labels manifest case {case_id!r}")
+        for case_id, entry in cases.items()
+    }

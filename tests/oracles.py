@@ -9,12 +9,13 @@ and ``serialize`` and ``save_config`` write the documents
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from pasdf.config import _SCHEMA, RunConfig
+from pasdf.config import RunConfig
 from pasdf.errors import InvalidInputError
 from pasdf.mesh import TriMesh
 
@@ -76,9 +77,14 @@ def read_obj(path: str | Path) -> TriMesh:
 def to_document(config: RunConfig) -> dict[str, Any]:
     """Emit the complete JSON document for a config, defaults included."""
     document: dict[str, Any] = {"seed": config.seed}
-    for name, keys in _SCHEMA.items():
-        section = getattr(config, name)
-        document[name] = {key: _json_value(getattr(section, key)) for key in keys}
+    for section in (f for f in fields(config) if f.name != "seed"):
+        values = getattr(config, section.name)
+        # The training seed derives from the root seed and is left out.
+        document[section.name] = {
+            key.name: _json_value(getattr(values, key.name))
+            for key in fields(values)
+            if (section.name, key.name) != ("training", "seed")
+        }
     return document
 
 

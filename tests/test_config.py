@@ -179,7 +179,7 @@ class TestDeserialization:
             from_document({"seed": True})
 
     def test_section_must_be_object(self) -> None:
-        with pytest.raises(ConfigValidationError, match="'grid'"):
+        with pytest.raises(ConfigValidationError, match="^grid: expected a JSON object"):
             from_document({"grid": 64})
 
     def test_zero_grid_resolution_rejected_before_any_work(self) -> None:

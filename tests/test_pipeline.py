@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
@@ -477,12 +478,21 @@ class TestLabelsManifest:
     @pytest.mark.parametrize(
         "entry, problem",
         [
-            ({"object": "yes"}, "'object' must be 0 or 1"),
-            ({"object": 1, "anomalous_points": [0.5]}, "'anomalous_points' must be"),
-            ([1, [0]], "is not an object"),
-            ({"object": 1, "reference": 3}, "'reference' must be a string"),
+            ({"object": "yes"}, "object: expected an integer, got 'yes'"),
+            ({"object": 2}, "object must be 0 or 1, got 2"),
+            ({"object": 1, "anomalous_points": [0.5]}, "anomalous_points[0]: expected an integer"),
+            ([1, [0]], "expected a JSON object, got [1, [0]]"),
+            ({"object": 1, "reference": 3}, "reference: expected a string, got 3"),
+            ({"object": 1, "anomalus_points": [0]}, "unknown key 'anomalus_points'"),
         ],
-        ids=["object-not-a-label", "fractional-point", "list-entry", "reference-not-a-path"],
+        ids=[
+            "object-not-a-label",
+            "object-out-of-range",
+            "fractional-point",
+            "list-entry",
+            "reference-not-a-path",
+            "misspelt-key",
+        ],
     )
     def test_malformed_entry_names_manifest_and_case(self, world, tmp_path, entry, problem):
         manifest = tmp_path / "labels.json"
@@ -491,10 +501,33 @@ class TestLabelsManifest:
             world["config"], io=replace(world["config"].io, labels=str(manifest))
         )
         for command in (cmd_detect, cmd_repair, cmd_eval):
-            with pytest.raises(InvalidInputError, match=problem) as raised:
+            with pytest.raises(InvalidInputError, match=re.escape(problem)) as raised:
                 command(config)
             assert str(manifest) in str(raised.value)
             assert "'dented'" in str(raised.value)
+
+    @pytest.mark.parametrize("index", [2**70, -1, 1024], ids=["huge", "negative", "one-past"])
+    def test_point_index_outside_the_cloud_exits_with_input_error(
+        self, world, tmp_path, capsys, index
+    ):
+        # An index too large for int64 is refused as the others are,
+        # not turned into an overflow traceback.
+        manifest = tmp_path / "labels.json"
+        entry = {"object": 1, "anomalous_points": [0, index]}
+        manifest.write_text(json.dumps({"cases": {"normal": {"object": 0}, "dented": entry}}))
+        out = tmp_path / "out"
+        shutil.copytree(world["config"].io.out_dir, out)
+        io = replace(world["config"].io, out_dir=str(out), labels=str(manifest))
+        save_config(replace(world["config"], io=io), tmp_path / "run.json")
+        for command in ("detect", "eval"):
+            capsys.readouterr()
+            assert main([command, "--config", str(tmp_path / "run.json")]) == EXIT_INPUT
+            stderr = capsys.readouterr().err
+            assert "Traceback" not in stderr
+            errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+            assert errors == [
+                f"error: dented: anomalous point index {index} is outside the cloud's 1024 points"
+            ]
 
 
 def _truncated(text: str) -> str:
@@ -573,6 +606,9 @@ class TestMalformedArtifacts:
             ("eval", "detect/results.json", _truncated),
             ("eval", "detect/results.json", _without_object_score),
             ("eval", "detect/results.json", _score_map_not_a_path),
+            ("eval", "detect/results.json", _row_field("object_score", float("nan"))),
+            ("eval", "detect/results.json", _row_field("object_score", 10**400)),
+            ("eval", "detect/results.json", _row_field("object_score", True)),
             ("train", "samples.json", _truncated),
             ("train", "samples.json", lambda text: "[1, 2]\n"),
             ("detect", "prepare.json", _without_record),
@@ -583,6 +619,9 @@ class TestMalformedArtifacts:
             "truncated-results",
             "row-missing-field",
             "row-field-wrong-type",
+            "row-score-nan",
+            "row-score-integer-beyond-float",
+            "row-score-boolean",
             "truncated-sidecar",
             "list-sidecar",
             "detect-prepare-without-record",
@@ -609,9 +648,13 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("field, value", [("object_score", True), ("n_points", False)])
     def test_eval_rejects_boolean_numbers(self, world, tmp_path, field, value):
-        config, _ = _copy_run(world, tmp_path, "detect/results.json", _row_field(field, value))
-        with pytest.raises(InvalidInputError, match=f"wrong type: {field}"):
+        config, artifact = _copy_run(
+            world, tmp_path, "detect/results.json", _row_field(field, value)
+        )
+        problem = re.escape(f"cases[0]: {field}: expected ")
+        with pytest.raises(InvalidInputError, match=problem) as raised:
             cmd_eval(config)
+        assert str(artifact) in str(raised.value)
 
 
 class TestArtifactFormat:
