@@ -240,8 +240,14 @@ def read_samples(path: str | Path) -> tuple[QuerySet, dict]:
         np.ascontiguousarray(records["tier"]),
         np.ascontiguousarray(records["sdf"], dtype=np.float64),
     )
-    if meta.get("total") not in (None, len(queries)):
+    total = meta.get("total")
+    if type(total) is not int:
         raise InvalidInputError(
-            f"{path}: sidecar total {meta['total']} does not match {len(queries)} records"
+            f"{path.with_suffix('.json')}: total: expected an integer, got {total!r}"
+        )
+    if total != len(queries):
+        raise InvalidInputError(
+            f"{path.with_suffix('.json')}: total: {total} does not match the "
+            f"{len(queries)} records of {path}"
         )
     return queries, meta

@@ -1,15 +1,14 @@
 """Coarse-to-fine rigid registration.
 
-The alignment loop mirrors a classic global-registration recipe: voxel
-downsample, describe with FPFH, hypothesise a coarse transform with RANSAC
-over descriptor correspondences, polish with point-to-plane ICP, then judge
-the round by symmetric chamfer discrepancy.  One Procrustes solver, over
-stacks of point sets, fits every RANSAC hypothesis and the inlier refit.
-Rounds repeat until the discrepancy drops below a fixed threshold or the
-round budget runs out; the best pose seen is returned either way.  The
-voxel is a fixed fraction of the target's size and the threshold is
-counted in squared voxels, so the loop behaves the same whatever unit the
-clouds are measured in and takes no settings.
+One pass of a classic global-registration recipe (Fast Global
+Registration, Zhou, Park and Koltun, ECCV 2016): voxel downsample,
+describe with FPFH, hypothesise a coarse transform with RANSAC over
+descriptor correspondences, polish with point-to-plane ICP, then judge the
+pose by symmetric chamfer discrepancy.  One Procrustes solver, over stacks
+of point sets, fits every RANSAC hypothesis and the inlier refit.  The
+voxel is a fixed fraction of the target's size and the acceptance
+threshold is counted in squared voxels, so the pass behaves the same
+whatever unit the clouds are measured in and takes no settings.
 """
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ from .runtime import worker_count
 
 log = logging.getLogger(__name__)
 
-# Geometric factors of the alignment loop, relative to the voxel size:
+# Geometric factors of the alignment, relative to the voxel size:
 # the voxel is the target's bounding-box diagonal over _VOXEL_DIVISOR,
 # FPFH radius and RANSAC inlier distance scale the voxel, and normals fit
 # over _NORMALS_K neighbours.
@@ -66,12 +65,11 @@ _ICP_TOLERANCE = 1e-10
 _ICP_RCOND = 1e-12
 _ICP_REJECT_FACTOR = 3.0
 
-# Alignment loop: the round budget, and the chamfer loss in squared
-# voxels below which a round is accepted.  Aligned rounds on the bench
-# shapes measure under 2 voxel^2.  The loss of the downsampled pair ranks
-# poses only coarsely (a blob turned half a turn measures under 3
-# voxel^2), so acceptance ends the loop; RANSAC and ICP choose the pose.
-_MAX_ROUNDS = 10
+# The chamfer loss in squared voxels below which a pose is accepted.
+# Aligned poses on the bench shapes measure under 2 voxel^2.  The loss of
+# the downsampled pair ranks poses only coarsely (a blob turned half a
+# turn measures under 3 voxel^2), so acceptance only reports on the pose;
+# RANSAC and ICP choose it.
 _ACCEPT_LOSS_VOXELS = 4.0
 
 
@@ -293,6 +291,7 @@ class AlignmentResult:
     aligned: PointCloud
     transform: RigidTransform
     chamfer: float
+    # Always 1; perfbench's ``registration.pose_align`` counter reads it.
     rounds: int
     converged: bool
     ransac_failures: int
@@ -311,81 +310,63 @@ def _described_downsample(
 
 
 def pose_align(src: PointCloud, tgt: PointCloud, *, seed: int = 0) -> AlignmentResult:
-    """Align ``src`` onto ``tgt`` with the coarse-to-fine loop.
+    """Align ``src`` onto ``tgt`` with one coarse-to-fine pass.
 
-    The voxel is the target bounding-box diagonal divided by 20.  Each
-    round runs downsample, FPFH, RANSAC and ICP, accumulates the round's
-    full transform, and measures the symmetric chamfer discrepancy of the
-    downsampled pair (the full clouds when the target is too sparse to
-    describe).  A round whose discrepancy is below 4 squared voxels ends
-    the loop as converged; otherwise the loop runs up to 10 rounds and
-    returns the best round seen.  The discrepancy is a mean of squared
-    distances, so it scales with the square of the clouds' unit; counting
-    it in squared voxels makes the same rule accept the same round at
-    every scale.
+    The voxel is the target bounding-box diagonal divided by 20.  Both
+    clouds are downsampled and described once, RANSAC finds a coarse
+    transform and ICP refines it on the full clouds.  The pose is judged
+    by the symmetric chamfer discrepancy of the downsampled pair (the full
+    clouds when the target is too sparse to describe), and is
+    ``converged`` when that is below 4 squared voxels.  The discrepancy is
+    a mean of squared distances, so it scales with the square of the
+    clouds' unit; counting it in squared voxels makes the same rule accept
+    the same pose at every scale.
 
-    The result holds ``src`` moved by the best round's transform, that
-    transform and its discrepancy, the rounds run and whether the last
-    was accepted.  A round without a coarse hypothesis (too few points or
-    correspondences) starts ICP from the identity; it is logged and
-    counted in ``ransac_failures``, not fatal.  A target whose points all
-    coincide has no voxel and raises InvalidParameterError.
+    The result holds ``src`` moved by the transform, the transform and its
+    discrepancy.  ``rounds`` is always 1.  Without a coarse hypothesis (too
+    few points or correspondences) ICP starts from the identity; that is
+    logged and counted in ``ransac_failures``, not fatal.  A target whose
+    points all coincide has no voxel and raises InvalidParameterError.
     """
     voxel = tgt.bbox_diagonal() / _VOXEL_DIVISOR
     if voxel <= 0.0:
         raise InvalidParameterError(f"voxel size must be positive, got {voxel}")
-    threshold = _ACCEPT_LOSS_VOXELS * voxel**2
 
-    distance_threshold = _RANSAC_DISTANCE_FACTOR * voxel
     tgt_described = _described_downsample(tgt, voxel)
-
-    cumulative = RigidTransform.identity()
-    current = src
-    best_loss = np.inf
-    best_transform = cumulative
-    converged = False
+    src_described = _described_downsample(src, voxel)
+    coarse = RigidTransform.identity()
     failures = 0
+    if src_described is None or tgt_described is None:
+        failures = 1
+        log.warning("skipped coarse alignment: downsampled cloud too small")
+    else:
+        try:
+            coarse = ransac_align(
+                src_described[0],
+                tgt_described[0],
+                src_described[1],
+                tgt_described[1],
+                _RANSAC_DISTANCE_FACTOR * voxel,
+                # The seed name dates from when alignment ran in rounds;
+                # keeping it keeps every pose, and so every output,
+                # bit-identical to what the first round gave.
+                seed=derive_seed(seed, "coarse-round-1"),
+            ).transform
+        except CoarseAlignmentError as exc:
+            failures = 1
+            log.warning("coarse alignment failed: %s", exc)
 
-    for rounds in range(1, _MAX_ROUNDS + 1):
-        coarse = RigidTransform.identity()
-        src_described = _described_downsample(current, voxel)
-        if src_described is None or tgt_described is None:
-            failures += 1
-            log.warning("round %d skipped coarse alignment: downsampled cloud too small", rounds)
-        else:
-            try:
-                coarse = ransac_align(
-                    src_described[0],
-                    tgt_described[0],
-                    src_described[1],
-                    tgt_described[1],
-                    distance_threshold,
-                    seed=derive_seed(seed, f"coarse-round-{rounds}"),
-                ).transform
-            except CoarseAlignmentError as exc:
-                failures += 1
-                log.warning("round %d coarse alignment failed: %s", rounds, exc)
-
-        round_delta = icp_refine(current, tgt, init=coarse).transform
-        cumulative = compose(round_delta, cumulative)
-        current = apply_transform(round_delta, current)
-
-        if tgt_described is None:
-            loss = chamfer_loss(current, tgt)
-        else:
-            loss = chamfer_loss(voxel_downsample(current, voxel), tgt_described[0])
-        if loss <= best_loss:
-            best_loss = loss
-            best_transform = cumulative
-        if loss < threshold:
-            converged = True
-            break
-
+    transform = icp_refine(src, tgt, init=coarse).transform
+    aligned = apply_transform(transform, src)
+    if tgt_described is None:
+        loss = chamfer_loss(aligned, tgt)
+    else:
+        loss = chamfer_loss(voxel_downsample(aligned, voxel), tgt_described[0])
     return AlignmentResult(
-        aligned=apply_transform(best_transform, src),
-        transform=best_transform,
-        chamfer=best_loss,
-        rounds=rounds,
-        converged=converged,
+        aligned=aligned,
+        transform=transform,
+        chamfer=loss,
+        rounds=1,
+        converged=loss < _ACCEPT_LOSS_VOXELS * voxel**2,
         ransac_failures=failures,
     )

@@ -561,6 +561,15 @@ def _row_field(field: str, value: object):
     return corrupt
 
 
+def _sidecar_total(cast):
+    def corrupt(text: str) -> str:
+        document = json.loads(text)
+        document["total"] = cast(document["total"])
+        return json.dumps(document)
+
+    return corrupt
+
+
 def _record_field(field: str, value: object):
     def corrupt(text: str) -> str:
         document = json.loads(text)
@@ -611,6 +620,10 @@ class TestMalformedArtifacts:
             ("eval", "detect/results.json", _row_field("object_score", True)),
             ("train", "samples.json", _truncated),
             ("train", "samples.json", lambda text: "[1, 2]\n"),
+            ("train", "samples.json", _sidecar_total(float)),
+            ("train", "samples.json", _sidecar_total(str)),
+            ("train", "samples.json", _sidecar_total(lambda total: True)),
+            ("train", "samples.json", _sidecar_total(lambda total: total + 1)),
             ("detect", "prepare.json", _without_record),
             ("repair", "prepare.json", _without_record),
             *(("detect", "prepare.json", corrupt) for corrupt in _BAD_RECORDS.values()),
@@ -624,6 +637,10 @@ class TestMalformedArtifacts:
             "row-score-boolean",
             "truncated-sidecar",
             "list-sidecar",
+            "sidecar-total-float",
+            "sidecar-total-string",
+            "sidecar-total-boolean",
+            "sidecar-total-off-by-one",
             "detect-prepare-without-record",
             "repair-prepare-without-record",
             *(f"detect-record-{name}" for name in _BAD_RECORDS),

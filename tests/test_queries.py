@@ -356,5 +356,24 @@ class TestSampleStream:
         sidecar = json.loads((tmp_path / "samples.json").read_text())
         sidecar["total"] = 99
         (tmp_path / "samples.json").write_text(json.dumps(sidecar))
-        with pytest.raises(InvalidInputError, match="total"):
+        with pytest.raises(InvalidInputError, match="total") as raised:
             read_samples(path)
+        assert str(raised.value) == (
+            f"{tmp_path / 'samples.json'}: total: 99 does not match the 4 records of {path}"
+        )
+
+    @pytest.mark.parametrize("total", [4.0, "4", True, None], ids=["float", "string", "bool", "null"])
+    def test_total_must_be_an_integer(self, tmp_path, total) -> None:
+        # Only a JSON integer counts records: 4.0 and "4" name the right
+        # count in the wrong type, and true would pass an int comparison.
+        queries = self.make_labelled(n=4)
+        path = tmp_path / "samples.bin"
+        write_samples(path, queries, {})
+        sidecar = json.loads((tmp_path / "samples.json").read_text())
+        sidecar["total"] = total
+        (tmp_path / "samples.json").write_text(json.dumps(sidecar))
+        with pytest.raises(InvalidInputError) as raised:
+            read_samples(path)
+        assert str(raised.value) == (
+            f"{tmp_path / 'samples.json'}: total: expected an integer, got {total!r}"
+        )

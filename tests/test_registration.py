@@ -1,4 +1,4 @@
-"""Tests for rigid registration: Procrustes fit, RANSAC, ICP, and the full loop."""
+"""Tests for rigid registration: Procrustes fit, RANSAC, ICP, and the full pass."""
 from __future__ import annotations
 
 import numpy as np
@@ -17,8 +17,9 @@ from pasdf.geometry import (
     estimate_normals,
     random_rigid,
     rotation_about_axis,
+    voxel_downsample,
 )
-from pasdf.mesh import sample_surface
+from pasdf.mesh import TriMesh, sample_surface
 from pasdf.registration import (
     fit_rigid,
     icp_refine,
@@ -334,8 +335,8 @@ class TestPoseAlign:
 
     @pytest.mark.parametrize("scale", [0.125, 1.0, 8.0, 64.0])
     def test_acceptance_does_not_depend_on_units(self, scale):
-        # Two samplings of one surface in one pose align in the first round
-        # whatever the unit; powers of two rescale the points exactly.
+        # Two samplings of one surface in one pose are accepted whatever
+        # the unit; powers of two rescale the points exactly.
         mesh = shapes.blob()
         tgt, src = (sample_surface(mesh, 2000, seed) for seed in (1, 2))
         result = pose_align(
@@ -344,25 +345,52 @@ class TestPoseAlign:
             seed=0,
         )
         assert result.converged
-        assert result.rounds == 1
 
-    def test_round_budget_is_respected_when_threshold_unreachable(self, monkeypatch):
+    def test_unaccepted_pose_comes_back_after_one_icp(self, monkeypatch):
+        # With no reachable threshold the pass still ends after its one
+        # ICP, and reports the discrepancy of the pose it returns.
         monkeypatch.setattr(registration, "_ACCEPT_LOSS_VOXELS", 0.0)
-        monkeypatch.setattr(registration, "_MAX_ROUNDS", 3)
         cloud = lumpy_blob(81, n=600)
         moved = apply_transform(random_rigid(np.random.default_rng(82), 0.3), lumpy_blob(83, n=600))
-        losses = []
+        calls = []
 
         def recorded_loss(a, b):
-            losses.append(chamfer_loss(a, b))
-            return losses[-1]
+            calls.append((a, chamfer_loss(a, b)))
+            return calls[-1][1]
 
         monkeypatch.setattr(registration, "chamfer_loss", recorded_loss)
         result = pose_align(moved, cloud, seed=0)
-        assert result.rounds == 3
         assert not result.converged
-        assert len(losses) == 3
-        assert result.chamfer == min(losses)
+        assert len(calls) == 1
+        measured, loss = calls[0]
+        voxel = cloud.bbox_diagonal() / registration._VOXEL_DIVISOR
+        np.testing.assert_array_equal(
+            measured.points, voxel_downsample(result.aligned, voxel).points
+        )
+        assert result.chamfer == loss
+
+    @pytest.mark.parametrize("accept", [4.0, 0.0], ids=["converging", "unaccepted"])
+    def test_one_pass_describes_twice_and_refines_once(self, monkeypatch, accept):
+        monkeypatch.setattr(registration, "_ACCEPT_LOSS_VOXELS", accept)
+        calls = []
+
+        def count(name):
+            inner = getattr(registration, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(registration, name, counted)
+
+        count("compute_fpfh")
+        count("icp_refine")
+        mesh = shapes.blob()
+        tgt, src = (sample_surface(mesh, 2000, seed) for seed in (1, 2))
+        posed = apply_transform(random_rigid(np.random.default_rng(9), 0.3), src)
+        result = pose_align(posed, tgt, seed=0)
+        assert result.converged == (accept > 0.0)
+        assert calls == ["compute_fpfh", "compute_fpfh", "icp_refine"]
 
     def test_aligned_cloud_matches_transform_application(self):
         tgt = lumpy_blob(84)
@@ -382,14 +410,12 @@ class TestPoseAlign:
 
     def test_coarse_failure_falls_back_to_icp(self, monkeypatch):
         # A voxel bigger than the cloud leaves too few points for RANSAC;
-        # every round logs a failure yet alignment still runs.
+        # the failure is logged and counted, yet ICP still runs.
         monkeypatch.setattr(registration, "_VOXEL_DIVISOR", 0.1)
-        monkeypatch.setattr(registration, "_MAX_ROUNDS", 2)
         tgt = lumpy_blob(90, n=300)
         src = lumpy_blob(91, n=300)
         result = pose_align(src, tgt, seed=0)
-        assert result.ransac_failures == result.rounds
-        assert result.rounds >= 1
+        assert result.ransac_failures == 1
 
     def test_validates_parameters(self):
         # A target whose points coincide has a zero voxel.
@@ -397,3 +423,88 @@ class TestPoseAlign:
         point = PointCloud(np.ones((100, 3)))
         with pytest.raises(InvalidParameterError):
             pose_align(cloud, point)
+
+
+def stress_view(
+    mesh: TriMesh, seed: int, *, half: bool = False, outliers: float = 0.0
+) -> tuple[PointCloud, RigidTransform]:
+    """A 2,048-point sampling of ``mesh`` in a random pose, and that pose.
+
+    ``half`` keeps the side of a random plane through the centroid, as a
+    single scan sees it; ``outliers`` adds that share of points drawn
+    uniformly in the bounding box.
+    """
+    rng = np.random.default_rng(seed)
+    points = sample_surface(mesh, 2048, seed).points
+    if half:
+        points = points[(points - points.mean(axis=0)) @ rng.normal(size=3) >= 0.0]
+    if outliers:
+        extra = rng.uniform(points.min(axis=0), points.max(axis=0), (round(outliers * len(points)), 3))
+        points = np.vstack([points, extra])
+    truth = random_rigid(rng)
+    return apply_transform(truth, PointCloud(points)), truth
+
+
+def blob_error(src: PointCloud, truth: RigidTransform, target: PointCloud) -> float:
+    """Degrees between the recovered pose and the true one."""
+    result = pose_align(src, target, seed=0)
+    return np.degrees(rotation_angle(compose(result.transform, truth).rotation))
+
+
+def torus_axis_error(src: PointCloud, truth: RigidTransform, target: PointCloud) -> float:
+    """Degrees between the recovered and the true axis; the torus turns
+    freely about its axis and flips onto itself."""
+    result = pose_align(src, target, seed=0)
+    tilt = compose(result.transform, truth).rotation[2, 2]
+    return np.degrees(np.arccos(min(abs(tilt), 1.0)))
+
+
+def known_misses(seeds, misses: dict[int, str]) -> list:
+    return [
+        pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=misses[seed]))
+        if seed in misses
+        else seed
+        for seed in seeds
+    ]
+
+
+# Half views whose ICP ends on a step that raises the point-to-point
+# residual, a few degrees short of the pose; judging steps by the
+# point-to-plane residual (ROADMAP item 2) brings all twelve within 0.8.
+_ICP_STOPS_EARLY = "ICP stops short on a half view (ROADMAP item 2)"
+_HALF_BLOB_MISSES = {seed: _ICP_STOPS_EARLY for seed in (105, 106, 108, 110)}
+_HALF_TORUS_MISSES = {104: "RANSAC picks a wrong pose (ROADMAP item 3)"}
+
+
+@pytest.fixture(scope="module")
+def blob_target() -> PointCloud:
+    return sample_surface(shapes.blob(), 2048, 1)
+
+
+@pytest.fixture(scope="module")
+def torus_target() -> PointCloud:
+    return sample_surface(shapes.torus(), 2048, 1)
+
+
+class TestPoseStress:
+    """Partial and cluttered clouds with known poses, against a full
+    sampling of the same shape."""
+
+    @pytest.mark.parametrize("seed", known_misses(range(100, 112), _HALF_BLOB_MISSES))
+    def test_blob_half_view(self, blob_target, seed):
+        src, truth = stress_view(shapes.blob(), seed, half=True)
+        assert blob_error(src, truth, blob_target) < 2.0
+
+    @pytest.mark.parametrize("seed", known_misses(range(100, 112), _HALF_TORUS_MISSES))
+    def test_torus_half_view(self, torus_target, seed):
+        src, truth = stress_view(shapes.torus(), seed, half=True)
+        assert torus_axis_error(src, truth, torus_target) < 2.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    @pytest.mark.parametrize("outliers", [0.1, 0.2])
+    def test_blob_with_uniform_outliers(self, blob_target, outliers):
+        errors = [
+            blob_error(*stress_view(shapes.blob(), seed, outliers=outliers), blob_target)
+            for seed in range(100, 112)
+        ]
+        assert max(errors) < 2.0
