@@ -10,9 +10,10 @@ JSON covers the sample and checkpoint sidecars, ``prepare.json``,
 ``manifest.json``, and the labels manifest.  All are written with sorted
 keys, two-space indent and a trailing newline.  ``read_json`` parses a
 file into a dict, and ``read_record`` turns a parsed object into a
-dataclass by the field annotations, holding every typed read (the run
-config, the checkpoint's encoding, detect rows, labels entries and the
-normalisation record) to one set of rules: a bool is not a number, an
+dataclass by the field annotations, with ``read_value`` casting each
+field.  They hold every typed read (the run config, the checkpoint's
+encoding, detect rows, labels entries, the normalisation record and the
+sample sidecar's total) to one set of rules: a bool is not a number, an
 integer also counts as a float, floats are finite, and unknown keys are
 rejected.
 """
@@ -272,7 +273,9 @@ def _read(kind: type[_Record], data: Any, where: str, key: str) -> _Record:
     for member in members:
         path = _join(key, member.name)
         if member.name in data:
-            values[member.name] = _cast(hints[member.name], data[member.name], where, path)
+            values[member.name] = read_value(
+                hints[member.name], data[member.name], where, path
+            )
         elif member.default is MISSING and member.default_factory is MISSING:
             raise _invalid(where, "", f"missing key '{path}'")
     try:
@@ -281,7 +284,10 @@ def _read(kind: type[_Record], data: Any, where: str, key: str) -> _Record:
         raise _invalid(where, key, str(error)) from error
 
 
-def _cast(annotation: Any, value: Any, where: str, key: str) -> Any:
+def read_value(annotation: Any, value: Any, where: str, key: str) -> Any:
+    """``value`` read with the cast ``annotation`` names, as ``read_record``
+    reads the field ``key``; a wrong type raises InvalidInputError naming
+    ``key`` after ``where``."""
     if is_dataclass(annotation):
         return _read(annotation, value, where, key)
     args = get_args(annotation)
@@ -289,7 +295,7 @@ def _cast(annotation: Any, value: Any, where: str, key: str) -> Any:
         if value is None:
             return None
         (inner,) = (arg for arg in args if arg is not type(None))
-        return _cast(inner, value, where, key)
+        return read_value(inner, value, where, key)
     if get_origin(annotation) is tuple:
         if not isinstance(value, list):
             raise _invalid(where, key, f"expected a list, got {value!r}")
@@ -297,7 +303,7 @@ def _cast(annotation: Any, value: Any, where: str, key: str) -> Any:
         if len(kinds) != len(value):
             raise _invalid(where, key, f"expected {len(kinds)} items, got {value!r}")
         return tuple(
-            _cast(inner, item, where, f"{key}[{index}]")
+            read_value(inner, item, where, f"{key}[{index}]")
             for index, (inner, item) in enumerate(zip(kinds, value))
         )
     name, kinds = _SCALARS[annotation]

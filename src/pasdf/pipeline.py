@@ -195,7 +195,7 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
         if not result.converged:
             log.warning(
                 "training cloud %s did not meet the alignment threshold "
-                "(chamfer %.6f); keeping its pose",
+                "(chamfer %.6f); keeping its first round's pose",
                 case_id,
                 result.chamfer,
             )

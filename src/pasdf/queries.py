@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import F64, PointCloud, Points
 from .mesh import TriMesh, sample_surface
-from .meshio import read_json, write_json
+from .meshio import read_json, read_value, write_json
 from .rng import derive_seed, stream
 from .runtime import worker_count
 
@@ -240,11 +240,7 @@ def read_samples(path: str | Path) -> tuple[QuerySet, dict]:
         np.ascontiguousarray(records["tier"]),
         np.ascontiguousarray(records["sdf"], dtype=np.float64),
     )
-    total = meta.get("total")
-    if type(total) is not int:
-        raise InvalidInputError(
-            f"{path.with_suffix('.json')}: total: expected an integer, got {total!r}"
-        )
+    total = read_value(int, meta.get("total"), str(path.with_suffix(".json")), "total")
     if total != len(queries):
         raise InvalidInputError(
             f"{path.with_suffix('.json')}: total: {total} does not match the "

@@ -1,19 +1,21 @@
 """Coarse-to-fine rigid registration.
 
-One pass of a classic global-registration recipe (Fast Global
-Registration, Zhou, Park and Koltun, ECCV 2016): voxel downsample,
-describe with FPFH, hypothesise a coarse transform with RANSAC over
-descriptor correspondences, polish with point-to-plane ICP, then judge the
-pose by symmetric chamfer discrepancy.  One Procrustes solver, over stacks
-of point sets, fits every RANSAC hypothesis and the inlier refit.  The
-voxel is a fixed fraction of the target's size and the acceptance
-threshold is counted in squared voxels, so the pass behaves the same
-whatever unit the clouds are measured in and takes no settings.
+A classic global-registration recipe (Fast Global Registration, Zhou,
+Park and Koltun, ECCV 2016): voxel downsample, describe with FPFH,
+hypothesise a coarse transform with RANSAC over descriptor
+correspondences, polish with point-to-plane ICP, then judge the pose by
+symmetric chamfer discrepancy.  One Procrustes solver, over stacks of
+point sets, fits every RANSAC hypothesis and the inlier refit.  Both
+clouds are described once; while the pose is not accepted, RANSAC is
+rerun with a fresh seed, up to a fixed number of rounds.  The voxel is a
+fixed fraction of the target's size and the acceptance threshold is
+counted in squared voxels, so alignment behaves the same whatever unit
+the clouds are measured in and takes no settings.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -65,11 +67,13 @@ _ICP_TOLERANCE = 1e-10
 _ICP_RCOND = 1e-12
 _ICP_REJECT_FACTOR = 3.0
 
-# The chamfer loss in squared voxels below which a pose is accepted.
-# Aligned poses on the bench shapes measure under 2 voxel^2.  The loss of
-# the downsampled pair ranks poses only coarsely (a blob turned half a
-# turn measures under 3 voxel^2), so acceptance only reports on the pose;
-# RANSAC and ICP choose it.
+# Rounds: the seed budget, and the chamfer loss in squared voxels below
+# which a pose is accepted.  Aligned poses on the bench shapes measure
+# under 2 voxel^2, and the wrong RANSAC poses seen on the perfbench torus
+# clouds about 22.  Otherwise the loss of the downsampled pair ranks poses
+# only coarsely (a blob turned half a turn measures under 3 voxel^2, and
+# right half views 6-8), so an unaccepted round never replaces the first.
+_MAX_ROUNDS = 10
 _ACCEPT_LOSS_VOXELS = 4.0
 
 
@@ -291,7 +295,6 @@ class AlignmentResult:
     aligned: PointCloud
     transform: RigidTransform
     chamfer: float
-    # Always 1; perfbench's ``registration.pose_align`` counter reads it.
     rounds: int
     converged: bool
     ransac_failures: int
@@ -310,63 +313,72 @@ def _described_downsample(
 
 
 def pose_align(src: PointCloud, tgt: PointCloud, *, seed: int = 0) -> AlignmentResult:
-    """Align ``src`` onto ``tgt`` with one coarse-to-fine pass.
+    """Align ``src`` onto ``tgt``, coarse to fine, in up to 10 rounds.
 
     The voxel is the target bounding-box diagonal divided by 20.  Both
-    clouds are downsampled and described once, RANSAC finds a coarse
-    transform and ICP refines it on the full clouds.  The pose is judged
-    by the symmetric chamfer discrepancy of the downsampled pair (the full
-    clouds when the target is too sparse to describe), and is
-    ``converged`` when that is below 4 squared voxels.  The discrepancy is
-    a mean of squared distances, so it scales with the square of the
-    clouds' unit; counting it in squared voxels makes the same rule accept
-    the same pose at every scale.
+    clouds are downsampled and described once.  Each round runs RANSAC
+    with its own seed and refines that coarse transform with ICP on the
+    full clouds, starting from ``src``.  The pose is judged by the
+    symmetric chamfer discrepancy of the downsampled pair (the full clouds
+    when the target is too sparse to describe) and is accepted below 4
+    squared voxels.  The discrepancy is a mean of squared distances, so it
+    scales with the square of the clouds' unit; counting it in squared
+    voxels makes the same rule accept the same pose at every scale.
 
-    The result holds ``src`` moved by the transform, the transform and its
-    discrepancy.  ``rounds`` is always 1.  Without a coarse hypothesis (too
-    few points or correspondences) ICP starts from the identity; that is
-    logged and counted in ``ransac_failures``, not fatal.  A target whose
-    points all coincide has no voxel and raises InvalidParameterError.
+    The first accepted round ends the search and is returned as
+    ``converged``.  When none is accepted, the first round's pose is
+    returned, not converged: the discrepancy does not rank unaccepted
+    poses reliably.  ``rounds`` counts the rounds run.  A round without a
+    coarse hypothesis (too few points or correspondences) is logged and
+    counted in ``ransac_failures``, not fatal: the first such round starts
+    ICP from the identity and a later one refines nothing.  A cloud too
+    small to describe gets one round.  A target whose points all coincide
+    has no voxel and raises InvalidParameterError.
     """
     voxel = tgt.bbox_diagonal() / _VOXEL_DIVISOR
     if voxel <= 0.0:
         raise InvalidParameterError(f"voxel size must be positive, got {voxel}")
+    threshold = _ACCEPT_LOSS_VOXELS * voxel**2
 
+    distance_threshold = _RANSAC_DISTANCE_FACTOR * voxel
     tgt_described = _described_downsample(tgt, voxel)
     src_described = _described_downsample(src, voxel)
-    coarse = RigidTransform.identity()
+    described = src_described is not None and tgt_described is not None
+    first: AlignmentResult | None = None
     failures = 0
-    if src_described is None or tgt_described is None:
-        failures = 1
-        log.warning("skipped coarse alignment: downsampled cloud too small")
-    else:
-        try:
-            coarse = ransac_align(
-                src_described[0],
-                tgt_described[0],
-                src_described[1],
-                tgt_described[1],
-                _RANSAC_DISTANCE_FACTOR * voxel,
-                # The seed name dates from when alignment ran in rounds;
-                # keeping it keeps every pose, and so every output,
-                # bit-identical to what the first round gave.
-                seed=derive_seed(seed, "coarse-round-1"),
-            ).transform
-        except CoarseAlignmentError as exc:
-            failures = 1
-            log.warning("coarse alignment failed: %s", exc)
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        coarse = RigidTransform.identity()
+        if not described:
+            failures += 1
+            log.warning("round %d skipped coarse alignment: downsampled cloud too small", rounds)
+        else:
+            try:
+                coarse = ransac_align(
+                    src_described[0],
+                    tgt_described[0],
+                    src_described[1],
+                    tgt_described[1],
+                    distance_threshold,
+                    seed=derive_seed(seed, f"coarse-round-{rounds}"),
+                ).transform
+            except CoarseAlignmentError as exc:
+                failures += 1
+                log.warning("round %d coarse alignment failed: %s", rounds, exc)
+                # Only the first round falls back to the identity; a later
+                # round exists to refine a new hypothesis.
+                if rounds > 1:
+                    continue
 
-    transform = icp_refine(src, tgt, init=coarse).transform
-    aligned = apply_transform(transform, src)
-    if tgt_described is None:
-        loss = chamfer_loss(aligned, tgt)
-    else:
-        loss = chamfer_loss(voxel_downsample(aligned, voxel), tgt_described[0])
-    return AlignmentResult(
-        aligned=aligned,
-        transform=transform,
-        chamfer=loss,
-        rounds=1,
-        converged=loss < _ACCEPT_LOSS_VOXELS * voxel**2,
-        ransac_failures=failures,
-    )
+        transform = icp_refine(src, tgt, init=coarse).transform
+        aligned = apply_transform(transform, src)
+        if tgt_described is None:
+            loss = chamfer_loss(aligned, tgt)
+        else:
+            loss = chamfer_loss(voxel_downsample(aligned, voxel), tgt_described[0])
+        if loss < threshold:
+            return AlignmentResult(aligned, transform, loss, rounds, True, failures)
+        if first is None:
+            first = AlignmentResult(aligned, transform, loss, rounds, False, failures)
+        if not described:
+            break
+    return replace(first, rounds=rounds, ransac_failures=failures)

@@ -261,6 +261,7 @@ class TestScorePoints:
 
     def test_non_convergence_still_scores(self, sphere_world, monkeypatch) -> None:
         monkeypatch.setattr(registration, "_ACCEPT_LOSS_VOXELS", 0.0)
+        monkeypatch.setattr(registration, "_MAX_ROUNDS", 2)
         report = score_points(
             sphere_world.model,
             sphere_world.encoding,
