@@ -47,7 +47,7 @@ _COMMANDS = (
     ("prepare", "align training clouds and write the labelled sample file"),
     ("train", "fit the distance field and write a checkpoint"),
     ("detect", "score test clouds and write score maps"),
-    ("repair", "reconstruct clean stand-ins for test clouds"),
+    ("repair", "reconstruct clean stand-ins for detected clouds at detect's poses"),
     ("eval", "recompute dataset metrics from detect artifacts"),
     ("bench", "run the synthetic end-to-end benchmark"),
 )

@@ -52,7 +52,13 @@ class TriMesh:
         b -= a
         c -= a
         del a
-        crosses = np.cross(b, c)
+        # np.cross's products in its order, so the bits match, without its
+        # full-size temporaries: one spare column at a time.
+        crosses = np.empty_like(b)
+        for axis in range(3):
+            j, k = (axis + 1) % 3, (axis + 2) % 3
+            np.multiply(b[:, j], c[:, k], out=crosses[:, axis])
+            crosses[:, axis] -= b[:, k] * c[:, j]
         del b, c
         areas = 0.5 * np.linalg.norm(crosses, axis=1)
         twice = 2.0 * areas[:, None]

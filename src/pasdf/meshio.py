@@ -147,7 +147,8 @@ def _read_vertex_block(fh, fmt: str, count: int, props: list) -> dict[str, NDArr
 
 def read_ply(path: str | Path) -> PlyContent:
     """Vertex positions, and normals and scores when present; every other
-    element is skipped.  Malformed content raises InvalidInputError."""
+    element is skipped.  A missing file raises FileNotFoundError; one
+    that cannot be read, or malformed content, raises InvalidInputError."""
     vertex_data: dict[str, NDArray] | None = None
     try:
         with open(path, "rb") as fh:
@@ -157,6 +158,10 @@ def read_ply(path: str | Path) -> PlyContent:
                     vertex_data = _read_vertex_block(fh, fmt, count, props)
                 else:
                     _skip_element(fh, fmt, count, props)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: PLY file is not readable: {exc}") from exc
     except (ValueError, IndexError, KeyError) as exc:
         # Bad counts, short rows, truncated binary data and unknown types
         # surface from int(), indexing, numpy and the type table.

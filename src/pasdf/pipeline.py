@@ -1,11 +1,11 @@
 """End-to-end commands behind the command line.
 
 Each command reads what the previous one wrote under the configured
-output directory, so prepare -> train -> detect/repair chains through
-files rather than shared state, and eval recomputes metrics from
-detect's artifacts without touching the model again.  Every artifact is
-deterministic for a fixed config and seed: sorted case order, sorted
-JSON keys, no timestamps.
+output directory, so prepare -> train -> detect -> repair/eval chains
+through files rather than shared state: detect aligns each test cloud
+once, and repair and eval start from its artifacts, eval without the
+model.  Every artifact is deterministic for a fixed config and seed:
+sorted case order, sorted JSON keys, no timestamps.
 
 Prepare writes ``samples.bin`` with its ``samples.json`` sidecar,
 ``canonical.ply`` and ``prepare.json``; train writes ``model.ckpt`` with
@@ -13,7 +13,9 @@ its ``model.json`` sidecar and ``loss_history.csv``; detect writes
 ``detect/<id>_scores.ply`` per case and ``detect/results.json``; repair
 writes ``repair/<id>_repaired.ply`` and ``.obj`` per repaired case and
 ``repair/results.json``; eval writes ``eval.json``.  A ``results.json``
-row is exactly the fields of ``DetectCase`` or ``RepairCase``.
+row is exactly the fields of ``DetectCase`` or ``RepairCase``; a detect
+row's ``rotation`` and ``translation`` move its score map's float64
+points into the canonical frame, exactly as detect scored them.
 
 The optional labels manifest is a JSON document
 ``{"cases": {"<id>": {"object": 0 or 1, "anomalous_points": [...],
@@ -44,7 +46,7 @@ from .errors import (
     PasdfError,
     UndefinedMetricError,
 )
-from .geometry import PointCloud, apply_points, estimate_normals
+from .geometry import PointCloud, RigidTransform, apply_points, apply_transform, estimate_normals
 from .mesh import NormalizationRecord, TriMesh, normalization_from_bounds
 from .meshio import (
     PlyContent,
@@ -76,6 +78,7 @@ RESULTS_FILE = "results.json"
 EVAL_FILE = "eval.json"
 
 _NORMALS_K = 16
+_Row = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,15 @@ class DetectCase:
     converged: bool
     n_points: int
     score_map: str
+    rotation: tuple[_Row, _Row, _Row]
+    translation: _Row
+
+    def __post_init__(self) -> None:
+        self.pose()  # RigidTransform refuses a reflection.
+
+    def pose(self) -> RigidTransform:
+        """The input-to-canonical motion detect's alignment found."""
+        return RigidTransform(np.array(self.rotation), np.array(self.translation))
 
 
 @dataclass(frozen=True)
@@ -131,7 +143,6 @@ class RepairCase:
     id: str
     failed: bool = False
     error: str | None = None
-    converged: bool | None = None
     cloud: str | None = None
     mesh: str | None = None
     chamfer: float | None = None
@@ -290,11 +301,11 @@ def cmd_train(config: RunConfig) -> TrainSummary:
 
 
 def cmd_detect(config: RunConfig) -> DetectSummary:
-    """Score test clouds against the trained field.
+    """Align each test cloud once and score it against the trained field.
 
-    Each input gets a score-map PLY (the cloud in its original pose
-    with per-point scores) and a row in the results JSON; when a labels
-    manifest covers the inputs, dataset AUROCs are attached.
+    Each input gets a score-map PLY (the cloud in its original pose with
+    per-point scores) and a results row with its score and pose; when a
+    labels manifest covers the inputs, dataset AUROCs are attached.
     """
     model, encoding, canonical, record = _load_model_artifacts(config)
     paths = _scan_clouds(config.io.test_dir)
@@ -330,6 +341,8 @@ def cmd_detect(config: RunConfig) -> DetectSummary:
                 converged=report.converged,
                 n_points=len(cloud),
                 score_map=score_map,
+                rotation=tuple(map(tuple, report.transform.rotation.tolist())),
+                translation=tuple(report.transform.translation.tolist()),
             )
         )
 
@@ -352,75 +365,65 @@ def cmd_detect(config: RunConfig) -> DetectSummary:
 
 
 def cmd_repair(config: RunConfig) -> RepairSummary:
-    """Reconstruct a clean stand-in for each test cloud.
+    """Reconstruct a clean stand-in for each case detect scored.
 
-    A failed repair marks its row and the batch continues.  Repaired
-    clouds are written in the input's own pose; quality against a
-    reference from the labels manifest is measured in the canonical
-    frame, where the reference lives.
+    The cloud is read from the case's score map and moved by detect's
+    pose, not aligned again.  A failed repair marks its row and the
+    batch continues.  Outputs are written in the input's own pose;
+    quality against a reference from the labels manifest is measured
+    in the canonical frame, where the reference lives.
     """
     model, encoding, canonical, record = _load_model_artifacts(config)
-    paths = _scan_clouds(config.io.test_dir)
-    labels = _read_labels(config.io.labels) if config.io.labels else None
-    labels_root = Path(config.io.labels).parent if config.io.labels else None
+    detect_dir = Path(config.io.out_dir) / DETECT_DIR
+    detected = _read_detect_results(detect_dir)
+    labels = _read_labels(config.io.labels) if config.io.labels else {}
 
     repair_dir = Path(config.io.out_dir) / REPAIR_DIR
     repair_dir.mkdir(parents=True, exist_ok=True)
     cases: list[RepairCase] = []
-    if not paths:
-        log.warning("no test clouds to repair in %s", config.io.test_dir)
-    for path in paths:
-        case_id = path.stem
-        cloud = _cloud_from_ply(read_ply(path))
+    for case in detected:
+        pose = case.pose()
+        cloud = _cloud_from_ply(read_ply(detect_dir / case.score_map))
         try:
             result = repair(
-                cloud,
+                apply_transform(pose, cloud),
                 model,
                 encoding,
                 canonical,
                 record,
-                seed=derive_seed(config.seed, f"repair-{case_id}"),
+                seed=derive_seed(config.seed, f"repair-{case.id}"),
                 expand=config.counts.bbox_expand,
                 resolution=config.grid.resolution,
                 n_points=config.repair.n_points,
-                align=True,
+                align=False,
             )
         except PasdfError as error:
-            log.warning("repair of %s failed: %s", case_id, error)
-            cases.append(RepairCase(id=case_id, failed=True, error=str(error)))
+            log.warning("repair of %s failed: %s", case.id, error)
+            cases.append(RepairCase(id=case.id, failed=True, error=str(error)))
             continue
 
-        cloud_file = f"{case_id}_repaired.ply"
-        mesh_file = f"{case_id}_repaired.obj"
-        write_cloud_ply(repair_dir / cloud_file, result.in_input_frame())
-        back = result.transform.inverse()
+        cloud_file = f"{case.id}_repaired.ply"
+        mesh_file = f"{case.id}_repaired.obj"
+        back = pose.inverse()
+        write_cloud_ply(repair_dir / cloud_file, apply_transform(back, result.repaired))
         write_obj(
             repair_dir / mesh_file,
             TriMesh(apply_points(back, result.mesh.vertices), result.mesh.faces),
         )
         chamfer = emd = None
-        entry = labels.get(case_id) if labels else None
+        entry = labels.get(case.id)
         if entry and entry.reference:
-            reference_path = Path(entry.reference)
-            if not reference_path.is_absolute():
-                reference_path = labels_root / reference_path
-            reference = _cloud_from_ply(read_ply(reference_path))
+            # An absolute reference replaces the manifest's directory.
+            reference = _cloud_from_ply(read_ply(Path(config.io.labels).parent / entry.reference))
             quality = repair_quality(
                 result.repaired,
                 reference,
-                seed=derive_seed(config.seed, f"quality-{case_id}"),
+                seed=derive_seed(config.seed, f"quality-{case.id}"),
                 emd_subsample=config.repair.emd_subsample,
             )
             chamfer, emd = quality.chamfer, quality.emd
         cases.append(
-            RepairCase(
-                id=case_id,
-                converged=result.converged,
-                cloud=cloud_file,
-                mesh=mesh_file,
-                chamfer=chamfer,
-                emd=emd,
-            )
+            RepairCase(id=case.id, cloud=cloud_file, mesh=mesh_file, chamfer=chamfer, emd=emd)
         )
 
     results_path = repair_dir / RESULTS_FILE
@@ -439,11 +442,7 @@ def cmd_eval(config: RunConfig) -> EvalSummary:
         raise InvalidInputError("evaluation requires a labels manifest (io.labels)")
     labels = _read_labels(config.io.labels)
     detect_dir = Path(config.io.out_dir) / DETECT_DIR
-    source = detect_dir / RESULTS_FILE
-    rows = read_json(source, "detect results").get("cases")
-    if not isinstance(rows, list):
-        raise InvalidInputError(f"{source}: detect results need a 'cases' list")
-    cases = [read_record(DetectCase, row, f"{source}: cases[{i}]") for i, row in enumerate(rows)]
+    cases = _read_detect_results(detect_dir)
     n_cases = len(_labelled_cases(cases, labels))
     if not n_cases:
         raise InvalidInputError("labels manifest covers none of the detected cases")
@@ -469,6 +468,15 @@ def cmd_bench(config: RunConfig) -> BenchResult:
     out_dir = Path(config.io.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return run_bench(config, out_dir=out_dir)
+
+
+def _read_detect_results(detect_dir: Path) -> list[DetectCase]:
+    """The rows of detect's results file, which names its score maps."""
+    source = detect_dir / RESULTS_FILE
+    rows = read_json(source, "detect results").get("cases")
+    if not isinstance(rows, list):
+        raise InvalidInputError(f"{source}: detect results need a 'cases' list")
+    return [read_record(DetectCase, row, f"{source}: cases[{i}]") for i, row in enumerate(rows)]
 
 
 def _labelled_cases(

@@ -17,12 +17,7 @@ from .assignment import solve_assignment
 # perfbench/layers.py hooks pasdf.repair.positional_encode, so the name stays.
 from .encoding import EncodingConfig, positional_encode  # noqa: F401
 from .errors import InvalidInputError, InvalidParameterError, RepairFailedError
-from .geometry import (
-    PointCloud,
-    RigidTransform,
-    apply_transform,
-    chamfer_metric,
-)
+from .geometry import PointCloud, RigidTransform, chamfer_metric
 from .marching import GridSpec, evaluate_field, marching_cubes
 from .mesh import NormalizationRecord, TriMesh, sample_surface
 from .network import SdfModel
@@ -63,9 +58,6 @@ class RepairResult:
     mesh: TriMesh
     transform: RigidTransform
     converged: bool
-
-    def in_input_frame(self) -> PointCloud:
-        return apply_transform(self.transform.inverse(), self.repaired)
 
 
 @dataclass(frozen=True)

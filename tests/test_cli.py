@@ -5,7 +5,7 @@ import pytest
 
 from oracles import save_config
 from pasdf import cli, pipeline
-from pasdf.config import RunConfig
+from pasdf.config import IoConfig, RunConfig
 from pasdf.errors import (
     CheckpointMismatchError,
     CoarseAlignmentError,
@@ -80,3 +80,19 @@ def test_grid_resolution_beyond_the_bound_exits_as_validation_error(tmp_path, ca
     assert cli.main(["repair", "--config", str(path)]) == cli.EXIT_VALIDATION
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert errors == ["error: grid: grid resolution must be in [8, 892], got 893"]
+
+
+def test_unopenable_training_cloud_exits_as_input_error(tmp_path, capsys):
+    # A directory that matches *.ply cannot be opened as a file.
+    (tmp_path / "train" / "x.ply").mkdir(parents=True)
+    path = tmp_path / "run.json"
+    save_config(
+        RunConfig(io=IoConfig(train_dir=str(tmp_path / "train"), out_dir=str(tmp_path / "out"))),
+        path,
+    )
+    assert cli.main(["prepare", "--config", str(path)]) == cli.EXIT_INPUT
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert f"{tmp_path / 'train' / 'x.ply'}: PLY file is not readable" in errors[0]

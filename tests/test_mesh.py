@@ -64,6 +64,23 @@ class TestTriMesh:
         x, y = cloud.points[:, 0], cloud.points[:, 1]
         assert (x >= 0).all() and (y >= 0).all() and (x + y <= 1.0 + 1e-12).all()
 
+    def test_face_geometry_keeps_the_bits_of_np_cross(self):
+        rng = np.random.default_rng(3)
+        verts = rng.standard_normal((600, 3)) * 10.0 ** rng.integers(-6, 7, (600, 1))
+        faces = rng.integers(0, 600, (3000, 3))
+        # Zero-area faces: a repeated corner, and three identical corners.
+        faces[:300, 2] = faces[:300, 1]
+        faces[300:400, 1:] = faces[300:400, :1]
+        mesh = TriMesh(verts, faces)
+        a, b, c = (verts[faces[:, corner]] for corner in range(3))
+        crosses = np.cross(b - a, c - a)
+        areas = 0.5 * np.linalg.norm(crosses, axis=1)
+        twice = 2.0 * areas[:, None]
+        normals = np.divide(crosses, twice, out=np.zeros_like(crosses), where=twice > 0.0)
+        assert (areas[:400] == 0.0).all()
+        assert mesh.face_areas.tobytes() == areas.tobytes()
+        assert mesh.face_normals.tobytes() == normals.tobytes()
+
     def test_empty_mesh_is_allowed(self):
         mesh = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
         assert mesh.is_empty
@@ -313,6 +330,17 @@ class TestPlyReader:
         path.write_bytes(make())
         with pytest.raises(InvalidInputError, match="broken.ply"):
             read_ply(path)
+
+
+    def test_path_that_cannot_be_opened_is_invalid_input_naming_it(self, tmp_path):
+        path = tmp_path / "folder.ply"
+        path.mkdir()
+        with pytest.raises(InvalidInputError, match="folder.ply: PLY file is not readable"):
+            read_ply(path)
+
+    def test_missing_file_stays_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_ply(tmp_path / "absent.ply")
 
 
 class TestObjRoundTrip:

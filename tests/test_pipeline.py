@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 import pasdf.pipeline as pipeline_module
+import pasdf.repair as repair_module
+import pasdf.scoring as scoring_module
 from oracles import save_config
 from pasdf.bench import AnomalySpec, ShapeSpec, generate_shape, inject_anomaly, run_bench
 from pasdf.cli import EXIT_INPUT, main
@@ -34,7 +36,7 @@ from pasdf.errors import (
 )
 from pasdf.geometry import PointCloud, apply_transform, chamfer_metric, random_rigid
 from pasdf.mesh import sample_surface
-from pasdf.meshio import read_ply, write_cloud_ply
+from pasdf.meshio import read_ply, read_record, write_cloud_ply
 from pasdf.network import NetworkConfig
 from pasdf.pipeline import (
     DetectCase,
@@ -46,6 +48,7 @@ from pasdf.pipeline import (
     cmd_train,
 )
 from pasdf.queries import QueryCounts, read_samples
+from pasdf.registration import pose_align
 from pasdf.rng import stream
 from pasdf.training import TrainConfig
 
@@ -340,10 +343,9 @@ class TestDetect:
         config = replace(
             world["config"], io=replace(world["config"].io, test_dir=str(ghost))
         )
-        for command in (cmd_detect, cmd_repair):
-            with pytest.raises(FileNotFoundError) as raised:
-                command(config)
-            assert str(ghost) in str(raised.value)
+        with pytest.raises(FileNotFoundError) as raised:
+            cmd_detect(config)
+        assert str(ghost) in str(raised.value)
 
 
 class TestRepair:
@@ -351,7 +353,6 @@ class TestRepair:
         cases = {case.id: case for case in world["repaired"].cases}
         assert set(cases) == {"dented", "normal"}
         assert not any(case.failed for case in cases.values())
-        assert all(case.converged for case in cases.values())
 
     def test_outputs_exist(self, world):
         repair_dir = world["repaired"].results_path.parent
@@ -401,13 +402,7 @@ class TestRepair:
         assert summary.cases[0].object_score <= original
 
     def test_failed_repair_marks_row_and_continues(self, world, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        out.mkdir()
-        for name in ("model.ckpt", "model.json", "prepare.json", "canonical.ply"):
-            shutil.copy(Path(world["config"].io.out_dir) / name, out / name)
-        config = replace(
-            world["config"], io=replace(world["config"].io, out_dir=str(out))
-        )
+        config = _copy_out(world, tmp_path)
         real_repair = pipeline_module.repair
 
         def flaky(cloud, *args, **kwargs):
@@ -425,15 +420,11 @@ class TestRepair:
             rows = {row["id"]: row for row in json.load(fh)["cases"]}
         assert rows["dented"]["failed"] is True
 
-
     def test_repair_grid_uses_the_training_shell(self, world, tmp_path, monkeypatch):
         config = replace(
-            world["config"],
-            io=replace(world["config"].io, out_dir=str(tmp_path)),
+            _copy_out(world, tmp_path),
             counts=replace(world["config"].counts, bbox_expand=1.6),
         )
-        for name in ("model.ckpt", "model.json", "prepare.json", "canonical.ply"):
-            shutil.copy(Path(world["config"].io.out_dir) / name, tmp_path / name)
         expands = []
 
         def record_expand(cloud, *args, **kwargs):
@@ -443,6 +434,113 @@ class TestRepair:
         monkeypatch.setattr(pipeline_module, "repair", record_expand)
         cmd_repair(config)
         assert expands == [1.6, 1.6]
+
+    def test_absolute_reference_is_read_from_its_own_path(
+        self, world, tmp_path, monkeypatch
+    ):
+        config = _copy_out(world, tmp_path)
+        manifest = tmp_path / "elsewhere" / "labels.json"
+        manifest.parent.mkdir()
+        entry = {"object": 1, "reference": str(world["root"] / "reference.ply")}
+        manifest.write_text(json.dumps({"cases": {"dented": entry}}))
+        config = replace(config, io=replace(config.io, labels=str(manifest)))
+        references = []
+
+        def record_reference(repaired, reference, **kwargs):
+            references.append(reference)
+            raise RepairFailedError("not measured")
+
+        monkeypatch.setattr(pipeline_module, "repair_quality", record_reference)
+        with pytest.raises(RepairFailedError, match="not measured"):
+            cmd_repair(config)
+        (reference,) = references
+        assert reference.points.tobytes() == world["reference"].points.tobytes()
+
+    def test_repair_reads_detect_artifacts_not_the_test_dir(
+        self, world, tmp_path, monkeypatch
+    ):
+        config = _copy_out(world, tmp_path)
+        config = replace(config, io=replace(config.io, test_dir=str(tmp_path / "ghost")))
+        repaired = []
+
+        def record_case(cloud, *args, **kwargs):
+            repaired.append(len(cloud))
+            raise RepairFailedError("not repaired")
+
+        monkeypatch.setattr(pipeline_module, "repair", record_case)
+        summary = cmd_repair(config)
+        assert [case.id for case in summary.cases] == ["dented", "normal"]
+        assert repaired == [1024, 1024]
+
+    def test_each_cloud_is_aligned_once_and_repaired_as_scored(
+        self, world, tmp_path, monkeypatch
+    ):
+        config = _copy_out(world, tmp_path)
+        aligned = []
+
+        def align_spy(src, tgt, **kwargs):
+            result = pose_align(src, tgt, **kwargs)
+            aligned.append(result.aligned)
+            return result
+
+        for module in (scoring_module, repair_module, pipeline_module):
+            monkeypatch.setattr(module, "pose_align", align_spy)
+        real_repair = pipeline_module.repair
+        received, results = [], []
+
+        def repair_spy(cloud, *args, **kwargs):
+            received.append(cloud)
+            results.append(real_repair(cloud, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(pipeline_module, "repair", repair_spy)
+        detected = cmd_detect(config)
+        repaired = cmd_repair(config)
+        assert len(aligned) == len(detected.cases) == 2
+
+        detect_dir = detected.results_path.parent
+        with open(detected.results_path, encoding="utf-8") as fh:
+            rows = [read_record(DetectCase, row, "") for row in json.load(fh)["cases"]]
+        assert rows == list(detected.cases)
+        repair_dir = repaired.results_path.parent
+        for row, scored, cloud, result, case in zip(
+            rows, aligned, received, results, repaired.cases
+        ):
+            content = read_ply(detect_dir / row.score_map)
+            expected = apply_transform(row.pose(), PointCloud(content.points, content.normals))
+            assert cloud.points.tobytes() == expected.points.tobytes()
+            assert cloud.points.tobytes() == scored.points.tobytes()
+            # read_ply rescales normals to unit length, which may move
+            # their last bit; repair reads only the points.
+            if scored.normals is None:
+                assert cloud.normals is None
+            else:
+                np.testing.assert_allclose(cloud.normals, scored.normals, rtol=0, atol=1e-15)
+            back = apply_transform(row.pose().inverse(), result.repaired)
+            written = read_ply(repair_dir / case.cloud)
+            assert written.points.tobytes() == back.points.tobytes()
+
+    def test_repair_before_detect_exits_with_input_error(self, world, tmp_path, capsys):
+        config = _copy_out(world, tmp_path)
+        shutil.rmtree(Path(config.io.out_dir) / "detect")
+        save_config(config, tmp_path / "run.json")
+        capsys.readouterr()
+        assert main(["repair", "--config", str(tmp_path / "run.json")]) == EXIT_INPUT
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        results = Path(config.io.out_dir) / "detect" / "results.json"
+        assert errors == [f"error: {results}: detect results is missing"]
+
+    def test_reflected_pose_is_refused_naming_the_row(self, world, tmp_path):
+        config, artifact = _copy_run(
+            world, tmp_path, "detect/results.json", _row_field("rotation", _REFLECTION)
+        )
+        with pytest.raises(InvalidInputError) as raised:
+            cmd_repair(config)
+        assert str(raised.value) == (
+            f"{artifact}: cases[0]: rotation has negative determinant"
+        )
 
 
 class TestEval:
@@ -579,6 +677,8 @@ def _record_field(field: str, value: object):
     return corrupt
 
 
+_REFLECTION = [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
 # Normalisation records that convert to numbers but are not a scale and
 # three offsets: JSON booleans and strings, a zero or negative scale, and
 # offsets of the wrong length.
@@ -594,14 +694,19 @@ _BAD_RECORDS = {
 }
 
 
+def _copy_out(world, tmp_path: Path) -> RunConfig:
+    """The world's config writing to a copy of its artifacts under tmp_path."""
+    out = tmp_path / "out"
+    shutil.copytree(world["config"].io.out_dir, out)
+    return replace(world["config"], io=replace(world["config"].io, out_dir=str(out)))
+
+
 def _copy_run(world, tmp_path: Path, name: str, corrupt) -> tuple[RunConfig, Path]:
     """The world's run copied under tmp_path with one artifact corrupted,
     and its config saved beside it."""
-    out = tmp_path / "out"
-    shutil.copytree(world["config"].io.out_dir, out)
-    artifact = out / name
+    config = _copy_out(world, tmp_path)
+    artifact = Path(config.io.out_dir) / name
     artifact.write_text(corrupt(artifact.read_text()))
-    config = replace(world["config"], io=replace(world["config"].io, out_dir=str(out)))
     save_config(config, tmp_path / "run.json")
     return config, artifact
 
@@ -626,6 +731,11 @@ class TestMalformedArtifacts:
             ("train", "samples.json", _sidecar_total(lambda total: total + 1)),
             ("detect", "prepare.json", _without_record),
             ("repair", "prepare.json", _without_record),
+            ("repair", "detect/results.json", _truncated),
+            ("repair", "detect/results.json", _row_field("rotation", _REFLECTION)),
+            ("repair", "detect/results.json", _row_field("rotation", [[1.0, 0.0, 0.0]] * 2)),
+            ("repair", "detect/results.json", _row_field("translation", [0.0, "1", 0.0])),
+            ("eval", "detect/results.json", _row_field("rotation", _REFLECTION)),
             *(("detect", "prepare.json", corrupt) for corrupt in _BAD_RECORDS.values()),
         ],
         ids=[
@@ -643,6 +753,11 @@ class TestMalformedArtifacts:
             "sidecar-total-off-by-one",
             "detect-prepare-without-record",
             "repair-prepare-without-record",
+            "repair-truncated-results",
+            "repair-row-reflected-rotation",
+            "repair-row-rotation-two-rows",
+            "repair-row-translation-string",
+            "eval-row-reflected-rotation",
             *(f"detect-record-{name}" for name in _BAD_RECORDS),
         ],
     )

@@ -3,7 +3,7 @@ objects, over every record type the package reads with it."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from typing import Any, get_args, get_origin, get_type_hints
 
 import pytest
@@ -61,13 +61,20 @@ def typed(annotation: Any) -> st.SearchStrategy:
 
 def documents(kind: type, typed_only: bool = False) -> st.SearchStrategy:
     """Objects whose keys are a subset of ``kind``'s fields, each value
-    of the field's type or, unless ``typed_only``, any JSON value."""
+    of the field's type or, unless ``typed_only``, any JSON value.  With
+    ``typed_only`` every required field is present, so that records of
+    many required fields are still drawn often."""
     hints = get_type_hints(kind)
     values = {
         f.name: typed(hints[f.name]) if typed_only else typed(hints[f.name]) | JSON_VALUES
         for f in fields(kind)
     }
-    return st.fixed_dictionaries({}, optional=values)
+    required = {
+        f.name: values.pop(f.name)
+        for f in fields(kind)
+        if typed_only and f.default is MISSING and f.default_factory is MISSING
+    }
+    return st.fixed_dictionaries(required, optional=values)
 
 
 def round_trips(kind: type, record: Any) -> bool:

@@ -182,7 +182,7 @@ class TestRepair:
         )
         assert np.abs(radii - sphere_world.radius).mean() < 0.12
         # Mapping back lands the repair on the posed object.
-        back = result.in_input_frame()
+        back = apply_transform(result.transform.inverse(), result.repaired)
         posed_center = (
             transform.rotation @ sphere_world.center + transform.translation
         )
@@ -228,10 +228,6 @@ class TestRepair:
         sample = sample_surface(result.mesh, 1500, derive_seed(7, "repair-sample"))
         np.testing.assert_array_equal(result.repaired.points, sample.points)
         np.testing.assert_array_equal(result.repaired.normals, sample.normals)
-        back = apply_transform(result.transform.inverse(), sample)
-        in_input = result.in_input_frame()
-        np.testing.assert_array_equal(in_input.points, back.points)
-        np.testing.assert_array_equal(in_input.normals, back.normals)
 
     @pytest.mark.parametrize("expand", (1.0, 1.6))
     def test_grid_spans_the_expanded_shell(self, sphere_world, expand) -> None:
