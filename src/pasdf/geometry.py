@@ -27,6 +27,9 @@ Matrix: TypeAlias = NDArray[F64]
 
 # Rotations are re-orthonormalised once accumulated drift exceeds this.
 _ROTATION_DRIFT_TOL = 1e-6
+# A matrix drifting further than this from orthonormal is not a rotation
+# carrying rounding error, and is refused rather than projected.
+_ROTATION_DRIFT_LIMIT = 1e-3
 _UNIT_NORMAL_TOL = 1e-6
 
 
@@ -105,7 +108,12 @@ class RigidTransform:
             raise InvalidInputError(f"translation must have shape (3,), got {tr.shape}")
         if not (np.isfinite(rot).all() and np.isfinite(tr).all()):
             raise InvalidInputError("transform contains non-finite values")
-        drift = np.abs(rot.T @ rot - np.eye(3)).max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = np.abs(rot.T @ rot - np.eye(3)).max()
+        if not drift <= _ROTATION_DRIFT_LIMIT:
+            raise InvalidInputError(
+                f"rotation is too far from orthonormal to be one (drift {drift:.3g})"
+            )
         if drift > _ROTATION_DRIFT_TOL:
             rot = _polar_rotation(rot)
         elif np.linalg.det(rot) < 0.0:

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidInputError, PasdfError
-from .geometry import PointCloud, Points
+from .geometry import _UNIT_NORMAL_TOL, PointCloud, Points
 from .mesh import TriMesh
 
 SCORE_PROPERTY = "anomaly_score"
@@ -176,10 +176,13 @@ def read_ply(path: str | Path) -> PlyContent:
         normals = np.column_stack(
             [vertex_data["nx"], vertex_data["ny"], vertex_data["nz"]]
         ).astype(np.float64)
+        # Unit normals are kept bit for bit; only those off unit length by
+        # more than PointCloud's tolerance (or NaN) are rescaled or replaced.
         lengths = np.linalg.norm(normals, axis=1)
-        safe = lengths > 1e-12
+        off = ~(np.abs(lengths - 1.0) <= _UNIT_NORMAL_TOL)
+        safe = off & (lengths > 1e-12)
         normals[safe] /= lengths[safe, None]
-        normals[~safe] = (0.0, 0.0, 1.0)
+        normals[off & ~safe] = (0.0, 0.0, 1.0)
     scores = None
     if SCORE_PROPERTY in vertex_data:
         scores = vertex_data[SCORE_PROPERTY].astype(np.float32)

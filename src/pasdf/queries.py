@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, InvalidParameterError
-from .geometry import F64, PointCloud, Points
+from .geometry import F64, PointCloud, Points, _as_points
 from .mesh import TriMesh, sample_surface
 from .meshio import read_json, read_value, write_json
 from .rng import derive_seed, stream
@@ -64,10 +64,8 @@ class QuerySet:
     sdf: NDArray[F64] | None = None
 
     def __post_init__(self) -> None:
-        pos = np.ascontiguousarray(self.positions, dtype=np.float64)
+        pos = _as_points(self.positions, "positions")
         tiers = np.ascontiguousarray(self.tiers, dtype=np.uint8)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise InvalidInputError(f"positions must have shape (n, 3), got {pos.shape}")
         if tiers.shape != (pos.shape[0],):
             raise InvalidInputError("tiers must pair 1:1 with positions")
         if tiers.size and tiers.max() > int(Tier.SURFACE):
@@ -183,13 +181,21 @@ def label_sdf(positions: Points, surface: PointCloud) -> NDArray[F64]:
     Distance to the nearest surface sample; sign from that sample's normal,
     with the boundary case (zero dot product, including coincident points)
     counted as positive.
+
+    The tree is a sliding-midpoint one with 64-point leaves
+    (Maneewongvatana & Mount 1999): volume- and bbox-tier queries lie far
+    from the surface, and this tree answers them much sooner than the
+    default balanced one.  Exact nearest-neighbour distances do not depend
+    on the tree, so neither do the distances here.  Only where two surface
+    samples are exactly equally near a position (coincident samples, say)
+    and their normals disagree can another tree pick the other sample, and
+    so the other sign.
     """
     if surface.normals is None:
         raise InvalidInputError("labelling surface cloud must carry normals")
-    pos = np.ascontiguousarray(positions, dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise InvalidInputError(f"positions must have shape (n, 3), got {pos.shape}")
-    dists, idx = cKDTree(surface.points).query(pos, k=1, workers=worker_count())
+    pos = _as_points(positions, "positions")
+    tree = cKDTree(surface.points, leafsize=64, balanced_tree=False, compact_nodes=False)
+    dists, idx = tree.query(pos, k=1, workers=worker_count())
     offsets = pos - surface.points[idx]
     dots = np.einsum("ij,ij->i", offsets, surface.normals[idx])
     signs = np.where(dots < 0.0, -1.0, 1.0)
@@ -235,11 +241,14 @@ def read_samples(path: str | Path) -> tuple[QuerySet, dict]:
         )
     records = np.frombuffer(raw, dtype=_RECORD_DTYPE)
     meta = read_json(path.with_suffix(".json"), "sample sidecar")
-    queries = QuerySet(
-        np.ascontiguousarray(records["position"], dtype=np.float64),
-        np.ascontiguousarray(records["tier"]),
-        np.ascontiguousarray(records["sdf"], dtype=np.float64),
-    )
+    try:
+        queries = QuerySet(
+            np.ascontiguousarray(records["position"], dtype=np.float64),
+            np.ascontiguousarray(records["tier"]),
+            np.ascontiguousarray(records["sdf"], dtype=np.float64),
+        )
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     total = read_value(int, meta.get("total"), str(path.with_suffix(".json")), "total")
     if total != len(queries):
         raise InvalidInputError(

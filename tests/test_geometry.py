@@ -137,6 +137,19 @@ class TestRigidTransform:
         with pytest.raises(InvalidInputError):
             RigidTransform(flip, np.zeros(3))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value, drift", [(0.0, "1"), (1e308, "inf")], ids=["zero", "huge"])
+    def test_rejects_matrix_far_from_any_rotation(self, value, drift):
+        with pytest.raises(InvalidInputError) as raised:
+            RigidTransform(np.full((3, 3), value), np.zeros(3))
+        assert str(raised.value) == (
+            f"rotation is too far from orthonormal to be one (drift {drift})"
+        )
+
+    def test_small_drift_is_projected_onto_a_rotation(self):
+        rotation = RigidTransform(np.diag([1.0 + 1e-4, 1.0, 1.0]), np.zeros(3)).rotation
+        np.testing.assert_array_equal(rotation, np.eye(3))
+
     def test_determinant_stays_unit_over_long_chains(self):
         rng = np.random.default_rng(3)
         current = RigidTransform.identity()

@@ -221,8 +221,29 @@ class TestPlyRoundTrip:
         write_cloud_ply(path, cloud, scores=scores)
         content = read_ply(path)
         np.testing.assert_array_equal(content.points, cloud.points)
-        np.testing.assert_allclose(content.normals, cloud.normals, atol=1e-15)
+        assert content.normals.tobytes() == cloud.normals.tobytes()
         np.testing.assert_array_equal(content.scores, scores)
+
+    def test_only_normals_off_unit_length_are_rescaled(self, tmp_path):
+        # Within PointCloud's tolerance a normal is kept bit for bit; a
+        # longer one is rescaled, and a zero or NaN one replaced by +z.
+        normals = [
+            [1.0 + 1e-7, 0.0, 0.0],
+            [0.0, 0.0, 2.0],
+            [0.0, 0.0, 0.0],
+            [0.6, 0.8, 0.0],
+            [float("nan"), 0.0, 0.0],
+        ]
+        path = tmp_path / "normals.ply"
+        header = "ply\nformat ascii 1.0\nelement vertex 5\n"
+        header += "".join(f"property double {name}\n" for name in ("x", "y", "z", "nx", "ny", "nz"))
+        rows = "".join(f"{i} 0 0 " + " ".join(repr(v) for v in n) + "\n" for i, n in enumerate(normals))
+        path.write_text(header + "end_header\n" + rows)
+        content = read_ply(path)
+        expected = np.array(
+            [[1.0 + 1e-7, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]
+        )
+        assert content.normals.tobytes() == expected.tobytes()
 
     def test_ascii_round_trip(self, tmp_path):
         cloud = self.make_cloud()

@@ -10,6 +10,7 @@ import json
 import logging
 import re
 import shutil
+import struct
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -277,6 +278,20 @@ class TestTrain:
         with pytest.raises(FileNotFoundError, match="samples.bin"):
             cmd_train(config)
 
+    def test_non_finite_sample_position_exits_with_input_error(self, world, tmp_path, capsys):
+        config = _copy_out(world, tmp_path)
+        samples = Path(config.io.out_dir) / "samples.bin"
+        raw = bytearray(samples.read_bytes())
+        raw[8:16] = struct.pack("<d", float("nan"))  # first record's y
+        samples.write_bytes(bytes(raw))
+        save_config(config, tmp_path / "run.json")
+        capsys.readouterr()
+        assert main(["train", "--config", str(tmp_path / "run.json")]) == EXIT_INPUT
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {samples}: positions contains non-finite values"]
+
 
 class TestDetect:
     def test_cases_sorted_and_scored(self, world):
@@ -510,12 +525,10 @@ class TestRepair:
             expected = apply_transform(row.pose(), PointCloud(content.points, content.normals))
             assert cloud.points.tobytes() == expected.points.tobytes()
             assert cloud.points.tobytes() == scored.points.tobytes()
-            # read_ply rescales normals to unit length, which may move
-            # their last bit; repair reads only the points.
             if scored.normals is None:
                 assert cloud.normals is None
             else:
-                np.testing.assert_allclose(cloud.normals, scored.normals, rtol=0, atol=1e-15)
+                assert cloud.normals.tobytes() == scored.normals.tobytes()
             back = apply_transform(row.pose().inverse(), result.repaired)
             written = read_ply(repair_dir / case.cloud)
             assert written.points.tobytes() == back.points.tobytes()
@@ -678,6 +691,8 @@ def _record_field(field: str, value: object):
 
 
 _REFLECTION = [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+_ZERO_ROTATION = [[0.0] * 3] * 3
+_HUGE_ROTATION = [[1e308] * 3] * 3
 
 # Normalisation records that convert to numbers but are not a scale and
 # three offsets: JSON booleans and strings, a zero or negative scale, and
@@ -735,6 +750,8 @@ class TestMalformedArtifacts:
             ("repair", "detect/results.json", _row_field("rotation", _REFLECTION)),
             ("repair", "detect/results.json", _row_field("rotation", [[1.0, 0.0, 0.0]] * 2)),
             ("repair", "detect/results.json", _row_field("translation", [0.0, "1", 0.0])),
+            ("repair", "detect/results.json", _row_field("rotation", _ZERO_ROTATION)),
+            ("repair", "detect/results.json", _row_field("rotation", _HUGE_ROTATION)),
             ("eval", "detect/results.json", _row_field("rotation", _REFLECTION)),
             *(("detect", "prepare.json", corrupt) for corrupt in _BAD_RECORDS.values()),
         ],
@@ -757,6 +774,8 @@ class TestMalformedArtifacts:
             "repair-row-reflected-rotation",
             "repair-row-rotation-two-rows",
             "repair-row-translation-string",
+            "repair-row-zero-rotation",
+            "repair-row-huge-rotation",
             "eval-row-reflected-rotation",
             *(f"detect-record-{name}" for name in _BAD_RECORDS),
         ],

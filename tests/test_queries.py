@@ -3,16 +3,22 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
+import pasdf.bench as bench_module
+from pasdf.config import load_config
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.geometry import PointCloud
 from pasdf.marching import GridSpec
-from pasdf.mesh import TriMesh, normalize_unit_cube
+from pasdf.mesh import TriMesh, normalize_unit_cube, sample_surface
 from pasdf.queries import (
     QueryCounts,
     QuerySet,
@@ -24,6 +30,7 @@ from pasdf.queries import (
     sample_queries_from_cloud,
     write_samples,
 )
+from pasdf.shapes import blob
 
 from test_mesh import unit_cube
 
@@ -106,10 +113,33 @@ class TestLabelSdf:
         queries = rng.normal(size=(40, 3))
         assert np.allclose(label_sdf(queries, cloud), oracle_label(queries, cloud), atol=1e-12)
 
+    def test_equals_brute_force_argmin(self) -> None:
+        # Enough samples for many leaves; queries on, just off and far
+        # from the surface.
+        cloud = sample_surface(blob(), 3000, seed=1)
+        rng = np.random.default_rng(2)
+        queries = np.vstack(
+            [
+                cloud.points[:100],
+                cloud.points[100:400] + rng.normal(scale=1e-3, size=(300, 3)),
+                rng.uniform(-3.0, 3.0, size=(700, 3)),
+            ]
+        )
+        dists = cdist(queries, cloud.points)
+        nearest = dists.argmin(axis=1)
+        offsets = queries - cloud.points[nearest]
+        dots = np.einsum("ij,ij->i", offsets, cloud.normals[nearest])
+        expected = dists[np.arange(len(queries)), nearest] * np.where(dots < 0.0, -1.0, 1.0)
+        assert label_sdf(queries, cloud).tobytes() == expected.tobytes()
+
     def test_requires_normals(self) -> None:
         bare = PointCloud(np.random.default_rng(0).random((10, 3)))
         with pytest.raises(InvalidInputError, match="normals"):
             label_sdf(np.zeros((1, 3)), bare)
+
+    def test_rejects_non_finite_positions(self) -> None:
+        with pytest.raises(InvalidInputError, match="positions contains non-finite values"):
+            label_sdf(np.array([[0.5, np.nan, 0.5]]), plane_cloud())
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15)
@@ -285,6 +315,11 @@ class TestQuerySetValidation:
         with pytest.raises(InvalidInputError):
             QuerySet(np.zeros((1, 3)), np.zeros(1, dtype=np.uint8), np.array([np.nan]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_positions(self, value: float) -> None:
+        with pytest.raises(InvalidInputError, match="positions contains non-finite values"):
+            QuerySet(np.array([[0.5, value, 0.5]]), np.zeros(1, dtype=np.uint8))
+
 
 class TestSampleStream:
     def make_labelled(self, n: int = 64) -> QuerySet:
@@ -341,6 +376,17 @@ class TestSampleStream:
         with pytest.raises(InvalidInputError, match="record"):
             read_samples(path)
 
+    def test_rejects_non_finite_position_naming_the_file(self, tmp_path) -> None:
+        queries = self.make_labelled(n=4)
+        path = tmp_path / "samples.bin"
+        write_samples(path, queries, {})
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 33 + 16, float("nan"))  # second record's z
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidInputError) as raised:
+            read_samples(path)
+        assert str(raised.value) == f"{path}: positions contains non-finite values"
+
     def test_rejects_missing_sidecar(self, tmp_path) -> None:
         queries = self.make_labelled(n=4)
         path = tmp_path / "samples.bin"
@@ -377,3 +423,37 @@ class TestSampleStream:
         assert str(raised.value) == (
             f"{tmp_path / 'samples.json'}: total: expected an integer, got {total!r}"
         )
+
+
+def balanced_tree_label(positions: np.ndarray, cloud: PointCloud) -> np.ndarray:
+    """``label_sdf`` on scipy's default tree: balanced, compacted, 16-point
+    leaves."""
+    dists, nearest = cKDTree(cloud.points).query(positions, k=1)
+    dots = np.einsum("ij,ij->i", positions - cloud.points[nearest], cloud.normals[nearest])
+    return dists * np.where(dots < 0.0, -1.0, 1.0)
+
+
+class _Labelled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("seed", [0, 2705])
+def test_bench_shape_labels_match_the_balanced_tree(monkeypatch, seed: int) -> None:
+    """The labels ``run_shape`` trains on, for every bench shape, are the
+    ones the default balanced tree gives, bit for bit."""
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "bench.json")
+    config = replace(config, seed=seed)
+    captured = []
+
+    def label_then_stop(queries, cloud):
+        captured.append((queries, cloud, label_queries(queries, cloud)))
+        raise _Labelled
+
+    monkeypatch.setattr(bench_module, "label_queries", label_then_stop)
+    for kind in config.bench.shapes:
+        with pytest.raises(_Labelled):
+            bench_module.run_shape(kind, config)
+    assert len(captured) == 4
+    for queries, cloud, labelled in captured:
+        expected = balanced_tree_label(queries.positions, cloud)
+        assert labelled.sdf.tobytes() == expected.tobytes()

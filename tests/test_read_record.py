@@ -6,12 +6,14 @@ import json
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from typing import Any, get_args, get_origin, get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pasdf.config import BENCH_ANOMALY_KINDS, BENCH_SHAPE_KINDS, RunConfig
 from pasdf.errors import InvalidInputError
+from pasdf.geometry import random_rotation
 from pasdf.mesh import NormalizationRecord
 from pasdf.meshio import read_record
 from pasdf.pipeline import DetectCase, LabelEntry
@@ -37,6 +39,16 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=8,
 )
+
+
+# A detect row's rotation must be one: RigidTransform refuses a matrix
+# far from orthonormal, so nine drawn floats would almost never make a
+# record.
+FIELD_VALUES = {
+    (DetectCase, "rotation"): st.integers(0, 2**32 - 1).map(
+        lambda seed: random_rotation(np.random.default_rng(seed)).tolist()
+    ),
+}
 
 
 def typed(annotation: Any) -> st.SearchStrategy:
@@ -65,9 +77,14 @@ def documents(kind: type, typed_only: bool = False) -> st.SearchStrategy:
     ``typed_only`` every required field is present, so that records of
     many required fields are still drawn often."""
     hints = get_type_hints(kind)
-    values = {
-        f.name: typed(hints[f.name]) if typed_only else typed(hints[f.name]) | JSON_VALUES
+    drawn = {
+        f.name: FIELD_VALUES[kind, f.name]
+        if (kind, f.name) in FIELD_VALUES
+        else typed(hints[f.name])
         for f in fields(kind)
+    }
+    values = {
+        name: value if typed_only else value | JSON_VALUES for name, value in drawn.items()
     }
     required = {
         f.name: values.pop(f.name)

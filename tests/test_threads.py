@@ -22,7 +22,13 @@ def surface():
 
 
 def _label(surface):
-    positions = np.random.default_rng(4).uniform(-1.0, 1.0, size=(500, 3))
+    rng = np.random.default_rng(4)
+    positions = np.vstack(
+        [
+            rng.uniform(-1.0, 1.0, size=(500, 3)),
+            surface.points[:300] + rng.normal(scale=1e-3, size=(300, 3)),
+        ]
+    )
     return [label_sdf(positions, surface)]
 
 
