@@ -17,7 +17,6 @@ from scipy.spatial import cKDTree
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import PointCloud
 from .rng import derive_seed
-from .runtime import worker_count
 
 
 @dataclass(frozen=True)
@@ -110,11 +109,10 @@ def crop(cloud: PointCloud, *, center: np.ndarray, radius: float) -> DefectResul
     kept = ~inside
     if not kept.any():
         raise InvalidParameterError("crop radius removes the whole cloud")
-    workers = worker_count()
-    spacing_distances, _ = cKDTree(cloud.points).query(cloud.points, k=2, workers=workers)
+    spacing_distances, _ = cKDTree(cloud.points).query(cloud.points, k=2)
     mean_spacing = float(spacing_distances[:, 1].mean())
     survivors = cloud.points[kept]
-    rim_distance, _ = cKDTree(cloud.points[inside]).query(survivors, k=1, workers=workers)
+    rim_distance, _ = cKDTree(cloud.points[inside]).query(survivors, k=1)
     labels = rim_distance < mean_spacing
     normals = cloud.normals[kept] if cloud.normals is not None else None
     return DefectResult(PointCloud(survivors, normals), labels)

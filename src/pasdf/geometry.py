@@ -18,7 +18,6 @@ from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, InvalidParameterError
-from .runtime import worker_count
 
 F64: TypeAlias = np.float64
 Points: TypeAlias = NDArray[F64]
@@ -171,6 +170,10 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     return PointCloud(np.column_stack(sums) / counts[:, None])
 
 
+# Neighbourhood size for fitting a normal where a cloud carries none.
+NORMALS_K = 16
+
+
 def estimate_normals(
     cloud: PointCloud, k: int, viewpoint: Vector
 ) -> tuple[PointCloud, int]:
@@ -189,7 +192,7 @@ def estimate_normals(
     if vp.shape != (3,):
         raise InvalidParameterError(f"viewpoint must have shape (3,), got {vp.shape}")
 
-    _, idx = cKDTree(cloud.points).query(cloud.points, k=k, workers=worker_count())
+    _, idx = cKDTree(cloud.points).query(cloud.points, k=k)
     neighbours = cloud.points[idx]
     centered = neighbours - neighbours.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / float(k)
@@ -205,9 +208,8 @@ def estimate_normals(
 
 
 def _sided_square_sums(a: Points, b: Points) -> tuple[float, float]:
-    workers = worker_count()
-    d_ab, _ = cKDTree(b).query(a, k=1, workers=workers)
-    d_ba, _ = cKDTree(a).query(b, k=1, workers=workers)
+    d_ab, _ = cKDTree(b).query(a, k=1)
+    d_ba, _ = cKDTree(a).query(b, k=1)
     return float(np.sum(d_ab**2)), float(np.sum(d_ba**2))
 
 

@@ -46,7 +46,14 @@ from .errors import (
     PasdfError,
     UndefinedMetricError,
 )
-from .geometry import PointCloud, RigidTransform, apply_points, apply_transform, estimate_normals
+from .geometry import (
+    NORMALS_K,
+    PointCloud,
+    RigidTransform,
+    apply_points,
+    apply_transform,
+    estimate_normals,
+)
 from .mesh import NormalizationRecord, TriMesh, normalization_from_bounds
 from .meshio import (
     PlyContent,
@@ -77,7 +84,6 @@ REPAIR_DIR = "repair"
 RESULTS_FILE = "results.json"
 EVAL_FILE = "eval.json"
 
-_NORMALS_K = 16
 _Row = tuple[float, float, float]
 
 
@@ -188,11 +194,20 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
     for case_id, path in zip(ids, files):
         cloud = _cloud_from_ply(read_ply(path))
         if cloud.normals is None:
+            if len(cloud) < NORMALS_K:
+                raise InvalidInputError(
+                    f"{path}: {len(cloud)} points without normals; "
+                    f"estimating normals needs at least {NORMALS_K}"
+                )
             cloud = _outward_normals(cloud)
         clouds[case_id] = cloud
 
     prepare_seed = derive_seed(config.seed, "prepare")
     target = clouds[canonical_id]
+    if target.bbox_diagonal() == 0.0:
+        raise InvalidInputError(
+            f"{files[ids.index(canonical_id)]}: canonical cloud's points all coincide"
+        )
     aligned: dict[str, PointCloud] = {canonical_id: target}
     alignment_meta: dict[str, dict] = {}
     for case_id in ids:
@@ -584,7 +599,7 @@ def _cloud_from_ply(content: PlyContent) -> PointCloud:
 def _outward_normals(cloud: PointCloud) -> PointCloud:
     """Estimated normals oriented away from the centroid."""
     centroid = cloud.points.mean(axis=0)
-    oriented, degenerate = estimate_normals(cloud, _NORMALS_K, centroid)
+    oriented, degenerate = estimate_normals(cloud, NORMALS_K, centroid)
     if degenerate:
         log.warning("%d points had degenerate normal neighbourhoods", degenerate)
     return PointCloud(cloud.points, -oriented.normals)

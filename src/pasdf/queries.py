@@ -21,7 +21,6 @@ from .geometry import F64, PointCloud, Points, _as_points
 from .mesh import TriMesh, sample_surface
 from .meshio import read_json, read_value, write_json
 from .rng import derive_seed, stream
-from .runtime import worker_count
 
 _SURFACE_SDF_TOL = 1e-9
 
@@ -195,7 +194,7 @@ def label_sdf(positions: Points, surface: PointCloud) -> NDArray[F64]:
         raise InvalidInputError("labelling surface cloud must carry normals")
     pos = _as_points(positions, "positions")
     tree = cKDTree(surface.points, leafsize=64, balanced_tree=False, compact_nodes=False)
-    dists, idx = tree.query(pos, k=1, workers=worker_count())
+    dists, idx = tree.query(pos, k=1)
     offsets = pos - surface.points[idx]
     dots = np.einsum("ij,ij->i", offsets, surface.normals[idx])
     signs = np.where(dots < 0.0, -1.0, 1.0)

@@ -21,10 +21,11 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
-from .errors import CoarseAlignmentError, InvalidInputError, InvalidParameterError
+from .errors import CoarseAlignmentError, InvalidInputError
 from .fpfh import compute_fpfh
 from .geometry import (
     F64,
+    NORMALS_K,
     PointCloud,
     Points,
     RigidTransform,
@@ -37,17 +38,14 @@ from .geometry import (
     voxel_downsample,
 )
 from .rng import derive_seed
-from .runtime import worker_count
 
 log = logging.getLogger(__name__)
 
 # Geometric factors of the alignment, relative to the voxel size:
 # the voxel is the target's bounding-box diagonal over _VOXEL_DIVISOR,
-# FPFH radius and RANSAC inlier distance scale the voxel, and normals fit
-# over _NORMALS_K neighbours.
+# FPFH radius and RANSAC inlier distance scale the voxel.
 _VOXEL_DIVISOR = 20.0
 _FPFH_RADIUS_FACTOR = 5.0
-_NORMALS_K = 16
 _RANSAC_DISTANCE_FACTOR = 1.5
 
 # RANSAC: hypothesis budget, correspondences per hypothesis, the
@@ -112,9 +110,8 @@ class RansacResult:
 def _mutual_correspondences(
     src_desc: NDArray[F64], tgt_desc: NDArray[F64]
 ) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
-    workers = worker_count()
-    _, fwd = cKDTree(tgt_desc).query(src_desc, k=1, workers=workers)
-    _, back = cKDTree(src_desc).query(tgt_desc, k=1, workers=workers)
+    _, fwd = cKDTree(tgt_desc).query(src_desc, k=1)
+    _, back = cKDTree(src_desc).query(tgt_desc, k=1)
     src_idx = np.arange(src_desc.shape[0])
     mutual = back[fwd] == src_idx
     return src_idx[mutual], fwd[mutual]
@@ -264,19 +261,18 @@ def icp_refine(
     """
     target_normals = tgt.normals
     if target_normals is None:
-        k = min(_NORMALS_K, len(tgt))
+        k = min(NORMALS_K, len(tgt))
         target_normals = estimate_normals(tgt, k=k, viewpoint=tgt.centroid())[0].normals
     tree = cKDTree(tgt.points)
-    workers = worker_count()
     transform = init
     current = apply_points(transform, src.points)
-    dists, idx = tree.query(current, k=1, workers=workers)
+    dists, idx = tree.query(current, k=1)
     mse = float(np.mean(dists**2))
     iterations = 0
     for _ in range(_ICP_MAX_ITERATIONS):
         delta = _plane_step(current, tgt.points[idx], target_normals[idx])
         moved = apply_points(delta, current)
-        dists, new_idx = tree.query(moved, k=1, workers=workers)
+        dists, new_idx = tree.query(moved, k=1)
         new_mse = float(np.mean(dists**2))
         if new_mse > mse:
             break
@@ -306,7 +302,7 @@ def _described_downsample(
     sparse = voxel_downsample(cloud, voxel)
     if len(sparse) < _RANSAC_SAMPLE_SIZE:
         return None
-    k = min(_NORMALS_K, len(sparse))
+    k = min(NORMALS_K, len(sparse))
     with_normals, _ = estimate_normals(sparse, k=k, viewpoint=sparse.centroid())
     descriptors = compute_fpfh(with_normals, _FPFH_RADIUS_FACTOR * voxel)
     return with_normals, descriptors
@@ -333,11 +329,11 @@ def pose_align(src: PointCloud, tgt: PointCloud, *, seed: int = 0) -> AlignmentR
     counted in ``ransac_failures``, not fatal: the first such round starts
     ICP from the identity and a later one refines nothing.  A cloud too
     small to describe gets one round.  A target whose points all coincide
-    has no voxel and raises InvalidParameterError.
+    has no voxel and raises InvalidInputError.
     """
     voxel = tgt.bbox_diagonal() / _VOXEL_DIVISOR
     if voxel <= 0.0:
-        raise InvalidParameterError(f"voxel size must be positive, got {voxel}")
+        raise InvalidInputError("target points all coincide, so it has no voxel size")
     threshold = _ACCEPT_LOSS_VOXELS * voxel**2
 
     distance_threshold = _RANSAC_DISTANCE_FACTOR * voxel

@@ -3,12 +3,16 @@
 ``rotation_angle`` sizes a rotation error, ``signed_volume`` and
 ``check_watertight`` judge the meshes that shapes and marching cubes
 build, ``read_obj`` reads back what ``pasdf.meshio.write_obj`` writes,
-and ``serialize`` and ``save_config`` write the documents
-``pasdf.config.deserialize`` and ``pasdf.config.load_config`` read.
+``serialize`` and ``save_config`` write the documents
+``pasdf.config.deserialize`` and ``pasdf.config.load_config`` read, and
+``stdout_per_blas_thread_count`` runs a script at one and two BLAS threads.
 """
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import Any
@@ -18,6 +22,8 @@ import numpy as np
 from pasdf.config import RunConfig
 from pasdf.errors import InvalidInputError
 from pasdf.mesh import TriMesh
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def rotation_angle(rotation: np.ndarray) -> float:
@@ -98,3 +104,22 @@ def serialize(config: RunConfig) -> str:
 
 def save_config(config: RunConfig, path: str | Path) -> None:
     Path(path).write_text(serialize(config))
+
+
+def stdout_per_blas_thread_count(script: str) -> list[str]:
+    """What ``script`` prints, run on ``src`` in a fresh interpreter at
+    ``OPENBLAS_NUM_THREADS`` 1 and then 2."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        outputs.append(run.stdout)
+    return outputs

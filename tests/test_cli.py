@@ -1,6 +1,7 @@
 """Exit codes and error lines of the command-line front end."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from oracles import save_config
@@ -16,6 +17,10 @@ from pasdf.errors import (
     TrainingDivergedError,
     UndefinedMetricError,
 )
+from pasdf.geometry import PointCloud
+from pasdf.mesh import sample_surface
+from pasdf.meshio import write_cloud_ply
+from pasdf.shapes import blob
 
 
 @pytest.fixture
@@ -82,17 +87,47 @@ def test_grid_resolution_beyond_the_bound_exits_as_validation_error(tmp_path, ca
     assert errors == ["error: grid: grid resolution must be in [8, 892], got 893"]
 
 
-def test_unopenable_training_cloud_exits_as_input_error(tmp_path, capsys):
-    # A directory that matches *.ply cannot be opened as a file.
-    (tmp_path / "train" / "x.ply").mkdir(parents=True)
+def run_prepare(tmp_path, capsys) -> tuple[int, list[str]]:
+    """``pasdf prepare`` on the clouds in ``tmp_path/train``: exit code and error lines."""
     path = tmp_path / "run.json"
     save_config(
         RunConfig(io=IoConfig(train_dir=str(tmp_path / "train"), out_dir=str(tmp_path / "out"))),
         path,
     )
-    assert cli.main(["prepare", "--config", str(path)]) == cli.EXIT_INPUT
+    code = cli.main(["prepare", "--config", str(path)])
     stderr = capsys.readouterr().err
     assert "Traceback" not in stderr
-    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+    return code, [line for line in stderr.splitlines() if line.startswith("error:")]
+
+
+def test_unopenable_training_cloud_exits_as_input_error(tmp_path, capsys):
+    # A directory that matches *.ply cannot be opened as a file.
+    (tmp_path / "train" / "x.ply").mkdir(parents=True)
+    code, errors = run_prepare(tmp_path, capsys)
+    assert code == cli.EXIT_INPUT
     assert len(errors) == 1
     assert f"{tmp_path / 'train' / 'x.ply'}: PLY file is not readable" in errors[0]
+
+
+def test_training_cloud_too_small_for_normals_exits_as_input_error(tmp_path, capsys):
+    # Ten points without normals cannot fill a 16-point normal neighbourhood.
+    (tmp_path / "train").mkdir()
+    small = tmp_path / "train" / "a.ply"
+    write_cloud_ply(small, PointCloud(np.random.default_rng(0).random((10, 3))))
+    code, errors = run_prepare(tmp_path, capsys)
+    assert code == cli.EXIT_INPUT
+    assert errors == [
+        f"error: {small}: 10 points without normals; estimating normals needs at least 16"
+    ]
+
+
+def test_coincident_canonical_cloud_exits_as_input_error(tmp_path, capsys):
+    # The first cloud is the canonical one; with all its points in one
+    # place it has no extent to align the other cloud onto.
+    (tmp_path / "train").mkdir()
+    canonical = tmp_path / "train" / "a.ply"
+    write_cloud_ply(canonical, PointCloud(np.ones((100, 3))))
+    write_cloud_ply(tmp_path / "train" / "b.ply", sample_surface(blob(), 100, seed=1))
+    code, errors = run_prepare(tmp_path, capsys)
+    assert code == cli.EXIT_INPUT
+    assert errors == [f"error: {canonical}: canonical cloud's points all coincide"]

@@ -7,7 +7,7 @@ from scipy.spatial.transform import Rotation
 
 from oracles import rotation_angle
 from pasdf import registration, shapes
-from pasdf.errors import CoarseAlignmentError, InvalidInputError, InvalidParameterError
+from pasdf.errors import CoarseAlignmentError, InvalidInputError
 from pasdf.geometry import (
     PointCloud,
     RigidTransform,
@@ -454,7 +454,7 @@ class TestPoseAlign:
         # A target whose points coincide has a zero voxel.
         cloud = lumpy_blob(92, n=100)
         point = PointCloud(np.ones((100, 3)))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             pose_align(cloud, point)
 
 

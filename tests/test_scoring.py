@@ -1,12 +1,14 @@
 """Anomaly scoring, top-k aggregation, and AUROC."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rotation_angle
+from oracles import rotation_angle, stdout_per_blas_thread_count
 from pasdf.errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -30,6 +32,8 @@ from pasdf.scoring import (
     score_points,
 )
 from pasdf.shapes import blob
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def oracle_auroc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -273,6 +277,41 @@ class TestScorePoints:
         assert not report.converged
         assert report.per_point_scores.size == len(sphere_world.canonical)
         assert np.isfinite(report.per_point_scores).all()
+
+
+    def test_align_and_score_bitwise_identical_across_blas_thread_counts(self) -> None:
+        # A posed blob and torus cloud against the perfbench fixture models,
+        # trained in these meshes' frame on the bench network.
+        script = f"""
+import hashlib, json
+import numpy as np
+from pasdf import shapes
+from pasdf.checkpoint import load_checkpoint
+from pasdf.geometry import apply_transform, random_rigid
+from pasdf.mesh import NormalizationRecord, sample_surface
+from pasdf.meshio import read_record
+from pasdf.registration import pose_align
+from pasdf.scoring import score_points
+
+for kind in ("blob", "torus"):
+    fixture = {str(FIXTURES)!r} + "/" + kind
+    model, encoding, _ = load_checkpoint(fixture + ".f32")
+    with open(fixture + ".json") as handle:
+        record = read_record(NormalizationRecord, json.load(handle)["record"], kind)
+    mesh = getattr(shapes, kind)()
+    canonical = sample_surface(mesh, 2048, seed=1)
+    pose = random_rigid(np.random.default_rng(2), mesh.bbox_diagonal() / 2.0)
+    cloud = apply_transform(pose, sample_surface(mesh, 2048, seed=3))
+    aligned = pose_align(cloud, canonical, seed=4)
+    report = score_points(model, encoding, aligned.aligned, canonical, record, seed=0, align=False)
+    digest = hashlib.sha256()
+    for array in (aligned.transform.rotation, aligned.transform.translation, report.per_point_scores):
+        digest.update(array.tobytes())
+    print(kind, aligned.converged, digest.hexdigest())
+"""
+        outputs = [out.split() for out in stdout_per_blas_thread_count(script)]
+        assert outputs[0][:2] == ["blob", "True"] and outputs[0][3:5] == ["torus", "True"]
+        assert outputs[0] == outputs[1]
 
 
 class TestEvaluate:

@@ -1,14 +1,12 @@
 """Training loop behaviour: descent, determinism, divergence handling."""
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import stdout_per_blas_thread_count
 from pasdf.encoding import EncodingConfig, positional_encode
 from pasdf.errors import (
     InvalidInputError,
@@ -113,19 +111,7 @@ cfg = TrainConfig(learning_rate=3e-4, epochs=2, batch_size=4096, seed=5, clamp_t
 trained = train_model(queries, cfg, config.encoding, config.network)
 print(hashlib.sha256(trained.model.params.flat.tobytes()).hexdigest())
 """
-        digests = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-            run = subprocess.run(
-                [sys.executable, "-c", script],
-                env=env,
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=300,
-            )
-            digests.append(run.stdout.strip())
+        digests = [out.strip() for out in stdout_per_blas_thread_count(script)]
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
 
