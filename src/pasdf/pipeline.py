@@ -54,19 +54,10 @@ from .geometry import (
     apply_transform,
     estimate_normals,
 )
-from .mesh import NormalizationRecord, TriMesh, normalization_from_bounds
-from .meshio import (
-    PlyContent,
-    read_json,
-    read_ply,
-    read_record,
-    write_cloud_ply,
-    write_json,
-    write_obj,
-)
+from .mesh import NormalizationRecord, TriMesh
+from .meshio import read_json, read_ply, read_record, write_cloud_ply, write_json, write_obj
 from .network import SdfModel
-from .queries import QuerySet, label_queries, read_samples, sample_queries_from_cloud, write_samples
-from .registration import pose_align
+from .queries import prepare_samples, read_samples, write_samples
 from .repair import repair, repair_quality
 from .rng import derive_seed
 from .scoring import auroc, pooled_auroc, score_points
@@ -173,9 +164,9 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
     """Turn raw training clouds into one pooled, labelled sample file.
 
     The canonical cloud (first sorted id unless named explicitly) keeps
-    its pose; every other training cloud is aligned onto it, and all of
-    them are normalized with a single shared record so the pooled
-    queries live in one frame.
+    its pose; ``queries.prepare_samples`` aligns every other training
+    cloud onto it and normalizes all of them with a single shared record,
+    so the pooled queries live in one frame.
     """
     files = _scan_clouds(config.io.train_dir)
     if not files:
@@ -192,7 +183,7 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
 
     clouds: dict[str, PointCloud] = {}
     for case_id, path in zip(ids, files):
-        cloud = _cloud_from_ply(read_ply(path))
+        cloud = _read_cloud(path)
         if cloud.normals is None:
             if len(cloud) < NORMALS_K:
                 raise InvalidInputError(
@@ -202,22 +193,15 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
             cloud = _outward_normals(cloud)
         clouds[case_id] = cloud
 
-    prepare_seed = derive_seed(config.seed, "prepare")
     target = clouds[canonical_id]
     if target.bbox_diagonal() == 0.0:
         raise InvalidInputError(
             f"{files[ids.index(canonical_id)]}: canonical cloud's points all coincide"
         )
-    aligned: dict[str, PointCloud] = {canonical_id: target}
-    alignment_meta: dict[str, dict] = {}
-    for case_id in ids:
-        if case_id == canonical_id:
-            continue
-        result = pose_align(
-            clouds[case_id],
-            target,
-            seed=derive_seed(prepare_seed, f"align-{case_id}"),
-        )
+    labelled, record, alignments = prepare_samples(
+        clouds, canonical_id, config.counts, derive_seed(config.seed, "prepare")
+    )
+    for case_id, result in alignments.items():
         if not result.converged:
             log.warning(
                 "training cloud %s did not meet the alignment threshold "
@@ -225,36 +209,10 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
                 case_id,
                 result.chamfer,
             )
-        aligned[case_id] = result.aligned
-        alignment_meta[case_id] = {
-            "converged": result.converged,
-            "chamfer": result.chamfer,
-            "rounds": result.rounds,
-        }
-
-    # One record over the union keeps every aligned cloud inside the
-    # unit cube; for a single training cloud this is its own bbox.
-    lower = np.min([aligned[i].points.min(axis=0) for i in ids], axis=0)
-    upper = np.max([aligned[i].points.max(axis=0) for i in ids], axis=0)
-    record = normalization_from_bounds(lower, upper)
-
-    normalized = [
-        PointCloud(record.normalize(aligned[i].points), aligned[i].normals) for i in ids
-    ]
-    tiered = [
-        sample_queries_from_cloud(
-            cloud, config.counts, derive_seed(prepare_seed, f"queries-{case_id}")
-        )[0]
-        for case_id, cloud in zip(ids, normalized)
-    ]
-    pooled = QuerySet(
-        np.vstack([q.positions for q in tiered]), np.concatenate([q.tiers for q in tiered])
-    )
-    union = PointCloud(
-        np.vstack([cloud.points for cloud in normalized]),
-        np.vstack([cloud.normals for cloud in normalized]),
-    )
-    labelled = label_queries(pooled, union)
+    alignment_meta = {
+        case_id: {"converged": result.converged, "chamfer": result.chamfer, "rounds": result.rounds}
+        for case_id, result in alignments.items()
+    }
 
     out_dir = Path(config.io.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -334,7 +292,7 @@ def cmd_detect(config: RunConfig) -> DetectSummary:
         log.warning("no test clouds to detect in %s", config.io.test_dir)
     for path in paths:
         case_id = path.stem
-        cloud = _cloud_from_ply(read_ply(path))
+        cloud = _read_cloud(path)
         report = score_points(
             model,
             encoding,
@@ -398,7 +356,7 @@ def cmd_repair(config: RunConfig) -> RepairSummary:
     cases: list[RepairCase] = []
     for case in detected:
         pose = case.pose()
-        cloud = _cloud_from_ply(read_ply(detect_dir / case.score_map))
+        cloud = _read_cloud(detect_dir / case.score_map)
         try:
             result = repair(
                 apply_transform(pose, cloud),
@@ -429,7 +387,7 @@ def cmd_repair(config: RunConfig) -> RepairSummary:
         entry = labels.get(case.id)
         if entry and entry.reference:
             # An absolute reference replaces the manifest's directory.
-            reference = _cloud_from_ply(read_ply(Path(config.io.labels).parent / entry.reference))
+            reference = _read_cloud(Path(config.io.labels).parent / entry.reference)
             quality = repair_quality(
                 result.repaired,
                 reference,
@@ -581,7 +539,7 @@ def _load_model_artifacts(
         read_json(prepare_path, "prepare metadata").get("record"),
         f"{prepare_path}: normalisation record",
     )
-    canonical = _cloud_from_ply(read_ply(out_dir / CANONICAL_FILE))
+    canonical = _read_cloud(out_dir / CANONICAL_FILE)
     return model, encoding, canonical, record
 
 
@@ -592,8 +550,13 @@ def _scan_clouds(directory: str | Path) -> list[Path]:
     return sorted(root.glob("*.ply"))
 
 
-def _cloud_from_ply(content: PlyContent) -> PointCloud:
-    return PointCloud(content.points, content.normals)
+def _read_cloud(path: Path) -> PointCloud:
+    """The cloud a PLY file holds; an unusable one is refused naming the file."""
+    content = read_ply(path)
+    try:
+        return PointCloud(content.points, content.normals)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def _outward_normals(cloud: PointCloud) -> PointCloud:

@@ -5,6 +5,9 @@ scales (whole unit volume, expanded object bounding box, on the surface),
 each labelled with a signed distance to an oriented surface cloud.  Sign
 comes from the nearest surface sample's normal: negative behind it (inside),
 positive in front, and exactly on a sample counts as positive.
+
+:func:`prepare_samples` is the one path from oriented training clouds to
+labelled samples; ``pasdf prepare`` and the benchmark both train through it.
 """
 from __future__ import annotations
 
@@ -18,8 +21,9 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import F64, PointCloud, Points, _as_points
-from .mesh import TriMesh, sample_surface
+from .mesh import NormalizationRecord, TriMesh, normalization_from_bounds, sample_surface
 from .meshio import read_json, read_value, write_json
+from .registration import AlignmentResult, pose_align
 from .rng import derive_seed, stream
 
 _SURFACE_SDF_TOL = 1e-9
@@ -204,6 +208,43 @@ def label_sdf(positions: Points, surface: PointCloud) -> NDArray[F64]:
 def label_queries(queries: QuerySet, labelling_cloud: PointCloud) -> QuerySet:
     sdf = label_sdf(queries.positions, labelling_cloud)
     return QuerySet(queries.positions, queries.tiers, sdf)
+
+
+def prepare_samples(
+    clouds: dict[str, PointCloud], canonical_id: str, counts: QueryCounts, seed: int
+) -> tuple[QuerySet, NormalizationRecord, dict[str, AlignmentResult]]:
+    """Labelled training queries pooled from oriented clouds of one shape.
+
+    The canonical cloud keeps its pose and every other cloud is aligned
+    onto it.  One record over the union of the aligned clouds normalizes
+    them all, each cloud draws its own tiers, and the pooled queries are
+    labelled against the union.  Returns the queries, the record and the
+    alignment of each cloud but the canonical one, by id.
+    """
+    target = clouds[canonical_id]
+    alignments = {
+        case_id: pose_align(cloud, target, seed=derive_seed(seed, f"align-{case_id}"))
+        for case_id, cloud in clouds.items()
+        if case_id != canonical_id
+    }
+    aligned = [
+        alignments[case_id].aligned if case_id in alignments else cloud
+        for case_id, cloud in clouds.items()
+    ]
+    points = np.vstack([cloud.points for cloud in aligned])
+    # One record over the union keeps every aligned cloud inside the
+    # unit cube; for a single training cloud this is its own bbox.
+    record = normalization_from_bounds(points.min(axis=0), points.max(axis=0))
+    normalized = [PointCloud(record.normalize(cloud.points), cloud.normals) for cloud in aligned]
+    tiered = [
+        sample_queries_from_cloud(cloud, counts, derive_seed(seed, f"queries-{case_id}"))[0]
+        for case_id, cloud in zip(clouds, normalized)
+    ]
+    pooled = QuerySet(
+        np.vstack([q.positions for q in tiered]), np.concatenate([q.tiers for q in tiered])
+    )
+    union = PointCloud(record.normalize(points), np.vstack([cloud.normals for cloud in aligned]))
+    return label_queries(pooled, union), record, alignments
 
 
 _RECORD_DTYPE = np.dtype(

@@ -123,3 +123,18 @@ def stdout_per_blas_thread_count(script: str) -> list[str]:
         )
         outputs.append(run.stdout)
     return outputs
+
+
+# PLY clouds that read but cannot be used: the vertex rows of each, and
+# the complaint ``PointCloud`` makes about them.
+UNUSABLE_CLOUDS = {
+    "no-vertex": ([], "point cloud must contain at least one point"),
+    "nan-vertex": (["0 0 0", "nan 0 0"], "points contains non-finite values"),
+}
+
+
+def write_ascii_ply(path: str | Path, rows: list[str]) -> None:
+    """An ASCII PLY of x/y/z vertex rows."""
+    header = ["ply", "format ascii 1.0", f"element vertex {len(rows)}"]
+    header += [f"property float {axis}" for axis in "xyz"] + ["end_header"]
+    Path(path).write_text("\n".join(header + rows) + "\n")

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import save_config
+from oracles import UNUSABLE_CLOUDS, save_config, write_ascii_ply
 from pasdf import cli, pipeline
 from pasdf.config import IoConfig, RunConfig
 from pasdf.errors import (
@@ -131,3 +131,13 @@ def test_coincident_canonical_cloud_exits_as_input_error(tmp_path, capsys):
     code, errors = run_prepare(tmp_path, capsys)
     assert code == cli.EXIT_INPUT
     assert errors == [f"error: {canonical}: canonical cloud's points all coincide"]
+
+
+@pytest.mark.parametrize("rows, problem", UNUSABLE_CLOUDS.values(), ids=UNUSABLE_CLOUDS.keys())
+def test_unusable_training_cloud_names_the_file(tmp_path, capsys, rows, problem):
+    (tmp_path / "train").mkdir()
+    bad = tmp_path / "train" / "a.ply"
+    write_ascii_ply(bad, rows)
+    code, errors = run_prepare(tmp_path, capsys)
+    assert code == cli.EXIT_INPUT
+    assert errors == [f"error: {bad}: {problem}"]

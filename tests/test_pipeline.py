@@ -17,10 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pasdf.bench as bench_module
 import pasdf.pipeline as pipeline_module
+import pasdf.queries as queries_module
 import pasdf.repair as repair_module
 import pasdf.scoring as scoring_module
-from oracles import save_config
+from oracles import UNUSABLE_CLOUDS, save_config, write_ascii_ply
 from pasdf.bench import AnomalySpec, ShapeSpec, generate_shape, inject_anomaly, run_bench
 from pasdf.cli import EXIT_INPUT, main
 from pasdf.config import (
@@ -237,6 +239,52 @@ class TestPreparePooling:
         np.testing.assert_array_equal(content.points, clouds["right"].points)
 
 
+class _Stopped(Exception):
+    pass
+
+
+class TestOneTrainingPath:
+    """The bench and ``prepare`` reach labelled samples only through
+    ``queries.prepare_samples``, each calling it once."""
+
+    @staticmethod
+    def spy(monkeypatch, module) -> list[dict[str, PointCloud]]:
+        calls = []
+        real = queries_module.prepare_samples
+
+        def prepare_spy(clouds, *args):
+            calls.append(clouds)
+            return real(clouds, *args)
+
+        def bypass(*args, **kwargs):
+            raise AssertionError(f"{module.__name__} drew or labelled queries itself")
+
+        monkeypatch.setattr(module, "prepare_samples", prepare_spy)
+        for name in ("sample_queries", "sample_queries_from_cloud", "label_queries"):
+            monkeypatch.setattr(module, name, bypass, raising=False)
+        return calls
+
+    def test_run_shape_trains_on_one_cloud_with_normals(self, monkeypatch):
+        calls = self.spy(monkeypatch, bench_module)
+
+        def stop(*args, **kwargs):
+            raise _Stopped
+
+        monkeypatch.setattr(bench_module, "train_model", stop)
+        config = RunConfig(counts=QueryCounts(volume=500, bbox=500, surface=500))
+        with pytest.raises(_Stopped):
+            bench_module.run_shape("torus", config)
+        assert len(calls) == 1
+        [cloud] = calls[0].values()
+        assert cloud.normals is not None
+
+    def test_cmd_prepare_calls_it_once(self, world, tmp_path, monkeypatch):
+        calls = self.spy(monkeypatch, pipeline_module)
+        cmd_prepare(replace(world["config"], io=replace(world["config"].io, out_dir=str(tmp_path))))
+        assert len(calls) == 1
+        assert list(calls[0]) == ["model-a"]
+
+
 class TestTrain:
     def test_checkpoint_and_history_written(self, world):
         assert world["trained"].checkpoint_path.is_file()
@@ -361,6 +409,21 @@ class TestDetect:
         with pytest.raises(FileNotFoundError) as raised:
             cmd_detect(config)
         assert str(ghost) in str(raised.value)
+
+    @pytest.mark.parametrize("rows, problem", UNUSABLE_CLOUDS.values(), ids=UNUSABLE_CLOUDS.keys())
+    def test_unusable_test_cloud_names_the_file(self, world, tmp_path, capsys, rows, problem):
+        config = _copy_out(world, tmp_path)
+        (tmp_path / "test").mkdir()
+        bad = tmp_path / "test" / "bad.ply"
+        write_ascii_ply(bad, rows)
+        config = replace(config, io=replace(config.io, test_dir=str(tmp_path / "test")))
+        save_config(config, tmp_path / "run.json")
+        capsys.readouterr()
+        assert main(["detect", "--config", str(tmp_path / "run.json")]) == EXIT_INPUT
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {bad}: {problem}"]
 
 
 class TestRepair:
@@ -498,7 +561,7 @@ class TestRepair:
             aligned.append(result.aligned)
             return result
 
-        for module in (scoring_module, repair_module, pipeline_module):
+        for module in (scoring_module, repair_module, queries_module):
             monkeypatch.setattr(module, "pose_align", align_spy)
         real_repair = pipeline_module.repair
         received, results = [], []

@@ -14,6 +14,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 import pasdf.bench as bench_module
+import pasdf.queries as queries_module
 from pasdf.config import load_config
 from pasdf.errors import InvalidInputError, InvalidParameterError
 from pasdf.geometry import PointCloud
@@ -449,7 +450,7 @@ def test_bench_shape_labels_match_the_balanced_tree(monkeypatch, seed: int) -> N
         captured.append((queries, cloud, label_queries(queries, cloud)))
         raise _Labelled
 
-    monkeypatch.setattr(bench_module, "label_queries", label_then_stop)
+    monkeypatch.setattr(queries_module, "label_queries", label_then_stop)
     for kind in config.bench.shapes:
         with pytest.raises(_Labelled):
             bench_module.run_shape(kind, config)
