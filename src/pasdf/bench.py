@@ -362,7 +362,14 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
 
 
 def run_bench(config: RunConfig, out_dir: str | Path | None = None) -> BenchResult:
-    """Run every configured shape; failures mark their row and move on."""
+    """Run every configured shape; failures mark their row and move on.
+
+    With ``out_dir`` the directory is made first, so an unusable one
+    fails before any shape trains, and the artifacts are written there.
+    """
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[ShapeResult] = []
     timings: list[tuple[str, float]] = []
     for kind in config.bench.shapes:
@@ -374,7 +381,7 @@ def run_bench(config: RunConfig, out_dir: str | Path | None = None) -> BenchResu
         timings.append((kind, time.monotonic() - started))
     result = BenchResult(tuple(rows))
     if out_dir is not None:
-        write_bench_artifacts(result, config, Path(out_dir), timings)
+        write_bench_artifacts(result, config, out_dir, timings)
     return result
 
 
@@ -428,7 +435,6 @@ def write_bench_artifacts(
     Timings go to a separate log so the metrics files stay byte-stable
     across runs of the same configuration.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.csv").write_text(metrics_table(result))
 
     document = {"shapes": []}

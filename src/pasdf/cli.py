@@ -15,7 +15,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from . import pipeline
-from .bench import metrics_table
+from .bench import metrics_table, run_bench
 from .config import load_config
 from .errors import (
     CheckpointMismatchError,
@@ -89,7 +89,6 @@ def _run(args: argparse.Namespace, config) -> int:
         for case in detected.cases:
             flag = "" if case.converged else " (alignment not converged)"
             print(f"{case.id}: object score {case.object_score:.6f}{flag}")
-        _print_metrics(detected.o_auroc, detected.p_auroc)
     elif args.command == "repair":
         repaired = pipeline.cmd_repair(config)
         for case in repaired.cases:
@@ -101,18 +100,13 @@ def _run(args: argparse.Namespace, config) -> int:
                 print(f"{case.id}: repaired -> {case.cloud}")
     elif args.command == "eval":
         evaluated = pipeline.cmd_eval(config)
-        _print_metrics(evaluated.o_auroc, evaluated.p_auroc)
+        print(f"object AUROC {evaluated.o_auroc:.4f}")
+        if evaluated.p_auroc is not None:
+            print(f"point AUROC {evaluated.p_auroc:.4f}")
     elif args.command == "bench":
-        result = pipeline.cmd_bench(config)
+        result = run_bench(config, out_dir=config.io.out_dir)
         print(metrics_table(result), end="")
     return EXIT_OK
-
-
-def _print_metrics(o_auroc: float | None, p_auroc: float | None) -> None:
-    if o_auroc is not None:
-        print(f"object AUROC {o_auroc:.4f}")
-    if p_auroc is not None:
-        print(f"point AUROC {p_auroc:.4f}")
 
 
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:

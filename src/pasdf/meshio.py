@@ -22,9 +22,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, TypeVar, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, TypeVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -110,7 +111,10 @@ def _parse_header(fh: io.BufferedReader) -> tuple[str, list[tuple[str, int, list
         if parts[0] == "format":
             fmt = parts[1]
         elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
+            count = int(parts[2])
+            if count < 0:
+                raise ValueError(f"element {parts[1]} claims {count} rows")
+            elements.append((parts[1], count, []))
         elif parts[0] == "property":
             if not elements:
                 raise InvalidInputError("PLY property before any element")
@@ -136,9 +140,10 @@ def _read_vertex_block(fh, fmt: str, count: int, props: list) -> dict[str, NDArr
         dtype_fields.append((name, "<" + _PLY_TYPES[type_name]))
     dtype = np.dtype(dtype_fields)
     if fmt == "binary_little_endian":
+        _check_room(fh, "vertex", count, dtype.itemsize)
         data = np.frombuffer(fh.read(dtype.itemsize * count), dtype=dtype, count=count)
     else:
-        rows = [fh.readline().decode("ascii").split() for _ in range(count)]
+        rows = [line.decode("ascii").split() for line in _ascii_rows(fh, "vertex", count)]
         data = np.zeros(count, dtype=dtype)
         for col, name in enumerate(names):
             data[name] = np.asarray([row[col] for row in rows], dtype=np.float64)
@@ -148,7 +153,8 @@ def _read_vertex_block(fh, fmt: str, count: int, props: list) -> dict[str, NDArr
 def read_ply(path: str | Path) -> PlyContent:
     """Vertex positions, and normals and scores when present; every other
     element is skipped.  A missing file raises FileNotFoundError; one
-    that cannot be read, or malformed content, raises InvalidInputError."""
+    that cannot be read, or malformed content, raises InvalidInputError,
+    as does an element count the rest of the file cannot hold."""
     vertex_data: dict[str, NDArray] | None = None
     try:
         with open(path, "rb") as fh:
@@ -157,14 +163,14 @@ def read_ply(path: str | Path) -> PlyContent:
                 if name == "vertex":
                     vertex_data = _read_vertex_block(fh, fmt, count, props)
                 else:
-                    _skip_element(fh, fmt, count, props)
+                    _skip_element(fh, fmt, name, count, props)
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise InvalidInputError(f"{path}: PLY file is not readable: {exc}") from exc
     except (ValueError, IndexError, KeyError) as exc:
-        # Bad counts, short rows, truncated binary data and unknown types
-        # surface from int(), indexing, numpy and the type table.
+        # Bad counts, short rows, truncated data and unknown types surface
+        # from the count checks, int(), indexing, numpy and the type table.
         raise InvalidInputError(f"{path}: malformed PLY file: {exc}") from exc
     if vertex_data is None or any(axis not in vertex_data for axis in "xyz"):
         raise InvalidInputError(f"{path}: PLY file has no x/y/z vertex data")
@@ -189,11 +195,32 @@ def read_ply(path: str | Path) -> PlyContent:
     return PlyContent(points=points, normals=normals, scores=scores)
 
 
-def _skip_element(fh, fmt: str, count: int, props: list) -> None:
+def _check_room(fh, name: str, count: int, row_size: int) -> None:
+    """Refuse a binary element whose ``count`` rows of at least
+    ``row_size`` bytes each the rest of the file cannot hold."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count * row_size > left:
+        raise ValueError(f"element {name} claims {count} rows of {row_size} bytes; {left} remain")
+
+
+def _ascii_rows(fh, name: str, count: int) -> Iterator[bytes]:
+    """The element's ``count`` lines; a file that ends sooner is refused."""
+    for index in range(count):
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"element {name} claims {count} rows; the file ends after {index}")
+        yield line
+
+
+def _skip_element(fh, fmt: str, name: str, count: int, props: list) -> None:
     if fmt == "ascii":
-        for _ in range(count):
-            fh.readline()
+        for _ in _ascii_rows(fh, name, count):
+            pass
         return
+    # A list property's count is its least size, so for rows with lists
+    # this is the fewest bytes a row can take.
+    row_size = sum(np.dtype("<" + _PLY_TYPES[p[1]]).itemsize for p in props)
+    _check_room(fh, name, count, row_size)
     if any(p[0] == "list" for p in props):
         for _ in range(count):
             for prop in props:
@@ -204,7 +231,6 @@ def _skip_element(fh, fmt: str, count: int, props: list) -> None:
                 else:
                     fh.read(np.dtype("<" + _PLY_TYPES[prop[1]]).itemsize)
     else:
-        row_size = sum(np.dtype("<" + _PLY_TYPES[p[1]]).itemsize for p in props)
         fh.read(row_size * count)
 
 

@@ -13,11 +13,14 @@ its ``model.json`` sidecar and ``loss_history.csv``; detect writes
 ``detect/<id>_scores.ply`` per case and ``detect/results.json``; repair
 writes ``repair/<id>_repaired.ply`` and ``.obj`` per repaired case and
 ``repair/results.json``; eval writes ``eval.json``.  A ``results.json``
-row is exactly the fields of ``DetectCase`` or ``RepairCase``; a detect
-row's ``rotation`` and ``translation`` move its score map's float64
-points into the canonical frame, exactly as detect scored them.
+holds case rows only, under ``cases``, each exactly the fields of
+``DetectCase`` or ``RepairCase``; a detect row's ``rotation`` and
+``translation`` move its score map's float64 points into the canonical
+frame, exactly as detect scored them.
 
-The optional labels manifest is a JSON document
+Only repair (for references) and eval read the labels manifest, and
+eval is the one command that pools dataset metrics.  The manifest is a
+JSON document
 ``{"cases": {"<id>": {"object": 0 or 1, "anomalous_points": [...],
 "reference": "clean.ply"}}}`` keyed by input file stem; each entry is
 read as a ``LabelEntry``.  ``anomalous_points`` lists anomalous point
@@ -32,20 +35,13 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .bench import BenchResult, run_bench
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .encoding import EncodingConfig
-from .errors import (
-    CheckpointMismatchError,
-    InvalidInputError,
-    PasdfError,
-    UndefinedMetricError,
-)
+from .errors import CheckpointMismatchError, InvalidInputError, PasdfError
 from .geometry import (
     NORMALS_K,
     PointCloud,
@@ -131,8 +127,6 @@ class LabelEntry:
 class DetectSummary:
     results_path: Path
     cases: tuple[DetectCase, ...]
-    o_auroc: float | None
-    p_auroc: float | None
 
 
 @dataclass(frozen=True)
@@ -277,17 +271,15 @@ def cmd_detect(config: RunConfig) -> DetectSummary:
     """Align each test cloud once and score it against the trained field.
 
     Each input gets a score-map PLY (the cloud in its original pose with
-    per-point scores) and a results row with its score and pose; when a
-    labels manifest covers the inputs, dataset AUROCs are attached.
+    per-point scores) and a results row with its score and pose.  The
+    labels manifest is not read here; eval pools the dataset metrics.
     """
     model, encoding, canonical, record = _load_model_artifacts(config)
     paths = _scan_clouds(config.io.test_dir)
-    labels = _read_labels(config.io.labels) if config.io.labels else None
 
     detect_dir = Path(config.io.out_dir) / DETECT_DIR
     detect_dir.mkdir(parents=True, exist_ok=True)
     cases: list[DetectCase] = []
-    score_vectors: dict[str, np.ndarray] = {}
     if not paths:
         log.warning("no test clouds to detect in %s", config.io.test_dir)
     for path in paths:
@@ -304,9 +296,6 @@ def cmd_detect(config: RunConfig) -> DetectSummary:
         ).with_object_score(config.scoring.top_k)
         score_map = f"{case_id}_scores.ply"
         write_cloud_ply(detect_dir / score_map, cloud, scores=report.per_point_scores)
-        # Pool the float32 values the score map stores, so eval, which
-        # reads them back, reproduces these metrics exactly.
-        score_vectors[case_id] = report.per_point_scores.astype(np.float32)
         cases.append(
             DetectCase(
                 id=case_id,
@@ -319,22 +308,9 @@ def cmd_detect(config: RunConfig) -> DetectSummary:
             )
         )
 
-    o_auroc = p_auroc = None
-    if labels is not None and cases:
-        o_auroc, p_auroc = _dataset_metrics(
-            cases, lambda case: score_vectors[case.id], labels, strict=False
-        )
     results_path = detect_dir / RESULTS_FILE
-    write_json(
-        results_path,
-        {"cases": [asdict(case) for case in cases], "o_auroc": o_auroc, "p_auroc": p_auroc},
-    )
-    return DetectSummary(
-        results_path=results_path,
-        cases=tuple(cases),
-        o_auroc=o_auroc,
-        p_auroc=p_auroc,
-    )
+    write_json(results_path, {"cases": [asdict(case) for case in cases]})
+    return DetectSummary(results_path=results_path, cases=tuple(cases))
 
 
 def cmd_repair(config: RunConfig) -> RepairSummary:
@@ -405,88 +381,35 @@ def cmd_repair(config: RunConfig) -> RepairSummary:
 
 
 def cmd_eval(config: RunConfig) -> EvalSummary:
-    """Recompute dataset metrics from detect's artifacts.
+    """Pool the dataset metrics from detect's artifacts and the labels.
 
-    Object scores come from the results JSON and per-point scores from
-    the score-map PLYs, so this never loads the model; a labels
-    manifest is required and must cover both classes.
+    Object AUROC covers the detected cases whose manifest entry carries
+    an object label; point AUROC pools those that also list anomalous
+    points.  Object scores come from the results rows and per-point
+    scores from the float32 values the score maps store, so this never
+    loads the model.  A labels manifest is required, must label a
+    detected case, and each AUROC must see both classes.
     """
     if config.io.labels is None:
         raise InvalidInputError("evaluation requires a labels manifest (io.labels)")
     labels = _read_labels(config.io.labels)
     detect_dir = Path(config.io.out_dir) / DETECT_DIR
-    cases = _read_detect_results(detect_dir)
-    n_cases = len(_labelled_cases(cases, labels))
-    if not n_cases:
-        raise InvalidInputError("labels manifest covers none of the detected cases")
-
-    def stored_scores(case: DetectCase) -> np.ndarray:
-        content = read_ply(detect_dir / case.score_map)
-        if content.scores is None:
-            raise InvalidInputError(
-                f"{case.score_map}: score map carries no anomaly scores"
-            )
-        return content.scores
-
-    o_auroc, p_auroc = _dataset_metrics(cases, stored_scores, labels, strict=True)
-    results_path = Path(config.io.out_dir) / EVAL_FILE
-    write_json(results_path, {"o_auroc": o_auroc, "p_auroc": p_auroc, "n_cases": n_cases})
-    return EvalSummary(
-        results_path=results_path, o_auroc=o_auroc, p_auroc=p_auroc, n_cases=n_cases
-    )
-
-
-def cmd_bench(config: RunConfig) -> BenchResult:
-    """Run the synthetic benchmark, writing its artifacts to out_dir."""
-    out_dir = Path(config.io.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return run_bench(config, out_dir=out_dir)
-
-
-def _read_detect_results(detect_dir: Path) -> list[DetectCase]:
-    """The rows of detect's results file, which names its score maps."""
-    source = detect_dir / RESULTS_FILE
-    rows = read_json(source, "detect results").get("cases")
-    if not isinstance(rows, list):
-        raise InvalidInputError(f"{source}: detect results need a 'cases' list")
-    return [read_record(DetectCase, row, f"{source}: cases[{i}]") for i, row in enumerate(rows)]
-
-
-def _labelled_cases(
-    cases: Sequence[DetectCase], labels: dict[str, LabelEntry]
-) -> list[tuple[DetectCase, LabelEntry]]:
-    """Cases whose manifest entry carries an object label, with the entry."""
-    entries = [(case, labels.get(case.id)) for case in cases]
-    return [
-        (case, entry)
-        for case, entry in entries
-        if entry is not None and entry.object is not None
-    ]
-
-
-def _dataset_metrics(
-    cases: Sequence[DetectCase],
-    scores_of: Callable[[DetectCase], np.ndarray],
-    labels: dict[str, LabelEntry],
-    strict: bool,
-) -> tuple[float | None, float | None]:
-    """Object AUROC over labelled cases and point AUROC pooled over the
-    cases that list anomalous points.
-
-    With ``strict`` an AUROC missing a class raises; otherwise it is
-    logged and left out as None.
-    """
     object_scores: list[float] = []
     object_labels: list[int] = []
     pooled_scores: list[np.ndarray] = []
     pooled_labels: list[np.ndarray] = []
-    for case, entry in _labelled_cases(cases, labels):
+    for case in _read_detect_results(detect_dir):
+        entry = labels.get(case.id)
+        if entry is None or entry.object is None:
+            continue
         object_scores.append(case.object_score)
         object_labels.append(entry.object)
         points = entry.anomalous_points
         if points is None:
             continue
-        scores = scores_of(case)
+        scores = read_ply(detect_dir / case.score_map).scores
+        if scores is None:
+            raise InvalidInputError(f"{case.score_map}: score map carries no anomaly scores")
         # Checked as Python ints, before numpy narrows them to int64.
         outside = [i for i in points if not 0 <= i < len(scores)]
         if outside:
@@ -498,23 +421,26 @@ def _dataset_metrics(
         marks[np.asarray(points, dtype=np.int64)] = 1
         pooled_scores.append(np.asarray(scores, dtype=np.float64))
         pooled_labels.append(marks)
+    if not object_labels:
+        raise InvalidInputError("labels manifest covers none of the detected cases")
 
-    o_auroc = p_auroc = None
-    if object_labels:
-        try:
-            o_auroc = auroc(np.asarray(object_scores), np.asarray(object_labels))
-        except UndefinedMetricError as error:
-            if strict:
-                raise
-            log.warning("object AUROC left out: %s", error)
-    if pooled_labels:
-        try:
-            p_auroc = pooled_auroc(pooled_scores, pooled_labels)
-        except UndefinedMetricError as error:
-            if strict:
-                raise
-            log.warning("point AUROC left out: %s", error)
-    return o_auroc, p_auroc
+    o_auroc = auroc(np.asarray(object_scores), np.asarray(object_labels))
+    p_auroc = pooled_auroc(pooled_scores, pooled_labels) if pooled_labels else None
+    n_cases = len(object_labels)
+    results_path = Path(config.io.out_dir) / EVAL_FILE
+    write_json(results_path, {"o_auroc": o_auroc, "p_auroc": p_auroc, "n_cases": n_cases})
+    return EvalSummary(
+        results_path=results_path, o_auroc=o_auroc, p_auroc=p_auroc, n_cases=n_cases
+    )
+
+
+def _read_detect_results(detect_dir: Path) -> list[DetectCase]:
+    """The rows of detect's results file, which names its score maps."""
+    source = detect_dir / RESULTS_FILE
+    rows = read_json(source, "detect results").get("cases")
+    if not isinstance(rows, list):
+        raise InvalidInputError(f"{source}: detect results need a 'cases' list")
+    return [read_record(DetectCase, row, f"{source}: cases[{i}]") for i, row in enumerate(rows)]
 
 
 def _load_model_artifacts(

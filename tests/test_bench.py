@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import pasdf.bench as bench_module
 from oracles import check_watertight, signed_volume
 from pasdf.bench import (
     AnomalySpec,
@@ -222,6 +223,16 @@ class TestRunBench:
         assert len(lines) == 2
         assert lines[0].startswith("shape,o_auroc,p_auroc,o_auroc_no_pam")
         assert lines[1].startswith("sphere,")
+
+    def test_unusable_out_dir_fails_before_any_shape_runs(self, tmp_path, monkeypatch) -> None:
+        def run_shape(kind, config):
+            raise AssertionError("a shape ran")
+
+        monkeypatch.setattr(bench_module, "run_shape", run_shape)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        with pytest.raises(FileExistsError):
+            run_bench(small_run_config(), out_dir=taken)
 
     def test_deterministic_rerun(self, bench_result) -> None:
         again = run_bench(small_run_config())

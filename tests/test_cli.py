@@ -6,7 +6,7 @@ import pytest
 
 from oracles import UNUSABLE_CLOUDS, save_config, write_ascii_ply
 from pasdf import cli, pipeline
-from pasdf.config import IoConfig, RunConfig
+from pasdf.config import BenchConfig, GridConfig, IoConfig, RunConfig
 from pasdf.errors import (
     CheckpointMismatchError,
     CoarseAlignmentError,
@@ -20,7 +20,10 @@ from pasdf.errors import (
 from pasdf.geometry import PointCloud
 from pasdf.mesh import sample_surface
 from pasdf.meshio import write_cloud_ply
+from pasdf.network import NetworkConfig
+from pasdf.queries import QueryCounts
 from pasdf.shapes import blob
+from pasdf.training import TrainConfig
 
 
 @pytest.fixture
@@ -141,3 +144,27 @@ def test_unusable_training_cloud_names_the_file(tmp_path, capsys, rows, problem)
     code, errors = run_prepare(tmp_path, capsys)
     assert code == cli.EXIT_INPUT
     assert errors == [f"error: {bad}: {problem}"]
+
+
+def test_bench_prints_the_metrics_table_it_writes(tmp_path, capsys):
+    config = RunConfig(
+        seed=11,
+        counts=QueryCounts(volume=400, bbox=400, surface=400),
+        network=NetworkConfig(input_dim=39, hidden_width=16),
+        training=TrainConfig(learning_rate=1e-3, epochs=20, clamp_targets=True),
+        grid=GridConfig(resolution=24),
+        bench=BenchConfig(
+            shapes=("sphere",),
+            normal_cases=1,
+            cloud_points=256,
+            anomaly_kinds=("dent",),
+            crop_cases=0,
+        ),
+    )
+    save_config(config, tmp_path / "run.json")
+    out = tmp_path / "not" / "yet" / "made"
+    capsys.readouterr()
+    assert cli.main(["bench", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed == (out / "metrics.csv").read_text()
+    assert printed.startswith("shape,") and "\nsphere," in printed

@@ -304,6 +304,12 @@ def _ply_bytes(fmt: str, order: tuple[str, ...], headers: dict = _PLY_HEADERS) -
     return header.encode() + b"".join(bodies[name] for name in order)
 
 
+def _recount(name: str, count: int) -> dict[str, str]:
+    """The usual headers, with element ``name`` claiming ``count`` rows."""
+    _, properties = _PLY_HEADERS[name].split("\n", 1)
+    return {**_PLY_HEADERS, name: f"element {name} {count}\n{properties}"}
+
+
 class TestPlyReader:
     @pytest.mark.parametrize("fmt", ["binary_little_endian", "ascii"])
     @pytest.mark.parametrize(
@@ -352,6 +358,52 @@ class TestPlyReader:
         with pytest.raises(InvalidInputError, match="broken.ply"):
             read_ply(path)
 
+
+    @pytest.mark.parametrize(
+        "data, element",
+        [
+            pytest.param(
+                _ply_bytes("binary_little_endian", ("vertex",), _recount("vertex", 10**12)),
+                "vertex",
+                id="binary-vertices-beyond-the-file",
+            ),
+            # A face element of fixed-size rows; the material rows stand in
+            # for its body.
+            pytest.param(
+                _ply_bytes(
+                    "binary_little_endian",
+                    ("vertex", "material"),
+                    {**_PLY_HEADERS, "material": f"element face {10**12}\nproperty int a\n"},
+                ),
+                "face",
+                id="binary-faces-beyond-the-file",
+            ),
+            pytest.param(
+                _ply_bytes("ascii", ("vertex",), _recount("vertex", 100_000)),
+                "vertex",
+                id="ascii-vertices-beyond-the-rows",
+            ),
+            pytest.param(
+                _ply_bytes("ascii", ("vertex", "face"), _recount("face", 100_000)),
+                "face",
+                id="ascii-faces-truncated",
+            ),
+            pytest.param(
+                _ply_bytes("binary_little_endian", ("vertex",), _recount("vertex", -1)),
+                "vertex",
+                id="negative-count",
+            ),
+        ],
+    )
+    def test_count_the_file_cannot_hold_is_refused_naming_the_element(
+        self, tmp_path, data, element
+    ):
+        # Refused from the file's size or end, before an array of the
+        # claimed size is made or a missing row is asked for.
+        path = tmp_path / "broken.ply"
+        path.write_bytes(data)
+        with pytest.raises(InvalidInputError, match=f"broken.ply: .*element {element} "):
+            read_ply(path)
 
     def test_path_that_cannot_be_opened_is_invalid_input_naming_it(self, tmp_path):
         path = tmp_path / "folder.ply"

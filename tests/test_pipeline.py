@@ -42,6 +42,7 @@ from pasdf.mesh import sample_surface
 from pasdf.meshio import read_ply, read_record, write_cloud_ply
 from pasdf.network import NetworkConfig
 from pasdf.pipeline import (
+    RESULTS_FILE,
     DetectCase,
     RepairCase,
     cmd_detect,
@@ -53,6 +54,7 @@ from pasdf.pipeline import (
 from pasdf.queries import QueryCounts, read_samples
 from pasdf.registration import pose_align
 from pasdf.rng import stream
+from pasdf.scoring import auroc, pooled_auroc
 from pasdf.training import TrainConfig
 
 
@@ -352,12 +354,24 @@ class TestDetect:
         by_id = {case.id: case for case in world["detected"].cases}
         assert by_id["normal"].object_score < by_id["dented"].object_score
 
-    def test_results_json_carries_metrics(self, world):
+    def test_results_json_holds_only_cases(self, world):
         with open(world["detected"].results_path, encoding="utf-8") as fh:
             results = json.load(fh)
-        assert results["o_auroc"] == 1.0
-        assert results["p_auroc"] is not None and results["p_auroc"] > 0.8
+        assert list(results) == ["cases"]
         assert [row["id"] for row in results["cases"]] == ["dented", "normal"]
+
+    def test_does_not_read_the_labels_manifest(self, world, tmp_path):
+        detect_dir = world["detected"].results_path.parent
+        names = [RESULTS_FILE] + [case.score_map for case in world["detected"].cases]
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text('{"cases": {"dented": {"object": 2}}}\n')
+        for labels in (malformed, tmp_path / "absent.json"):
+            config = _copy_out(world, tmp_path / labels.stem)
+            config = replace(config, io=replace(config.io, labels=str(labels)))
+            summary = cmd_detect(config)
+            for name in names:
+                written = summary.results_path.parent / name
+                assert written.read_bytes() == (detect_dir / name).read_bytes()
 
     def test_score_maps_reload_with_scores(self, world):
         for case in world["detected"].cases:
@@ -621,14 +635,36 @@ class TestRepair:
 
 class TestEval:
     def test_matches_detect_metrics(self, world):
-        assert world["evaluated"].o_auroc == world["detected"].o_auroc
-        assert world["evaluated"].p_auroc == world["detected"].p_auroc
+        # Pooled here from detect's artifacts against the manifest's
+        # labels: object scores from the results rows, point scores as
+        # the score maps store them.
+        detect_dir = world["detected"].results_path.parent
+        with open(world["detected"].results_path, encoding="utf-8") as fh:
+            rows = json.load(fh)["cases"]
+        with open(world["config"].io.labels, encoding="utf-8") as fh:
+            entries = json.load(fh)["cases"]
+        o_auroc = auroc(
+            np.array([row["object_score"] for row in rows]),
+            np.array([entries[row["id"]]["object"] for row in rows]),
+        )
+        scores, marks = [], []
+        for row in rows:
+            points = entries[row["id"]].get("anomalous_points")
+            if points is None:
+                continue
+            stored = read_ply(detect_dir / row["score_map"]).scores
+            scores.append(stored.astype(np.float64))
+            marks.append(np.isin(np.arange(len(stored)), points).astype(np.int64))
+        assert len(scores) == 1
+        assert world["evaluated"].o_auroc == o_auroc
+        assert world["evaluated"].p_auroc == pooled_auroc(scores, marks)
         assert world["evaluated"].n_cases == 2
 
     def test_eval_json_written(self, world):
         with open(world["evaluated"].results_path, encoding="utf-8") as fh:
             results = json.load(fh)
         assert results["o_auroc"] == 1.0
+        assert results["p_auroc"] is not None and results["p_auroc"] > 0.8
         assert results["n_cases"] == 2
 
     def test_requires_labels(self, world):
@@ -674,7 +710,7 @@ class TestLabelsManifest:
         config = replace(
             world["config"], io=replace(world["config"].io, labels=str(manifest))
         )
-        for command in (cmd_detect, cmd_repair, cmd_eval):
+        for command in (cmd_repair, cmd_eval):
             with pytest.raises(InvalidInputError, match=re.escape(problem)) as raised:
                 command(config)
             assert str(manifest) in str(raised.value)
@@ -693,15 +729,14 @@ class TestLabelsManifest:
         shutil.copytree(world["config"].io.out_dir, out)
         io = replace(world["config"].io, out_dir=str(out), labels=str(manifest))
         save_config(replace(world["config"], io=io), tmp_path / "run.json")
-        for command in ("detect", "eval"):
-            capsys.readouterr()
-            assert main([command, "--config", str(tmp_path / "run.json")]) == EXIT_INPUT
-            stderr = capsys.readouterr().err
-            assert "Traceback" not in stderr
-            errors = [line for line in stderr.splitlines() if line.startswith("error:")]
-            assert errors == [
-                f"error: dented: anomalous point index {index} is outside the cloud's 1024 points"
-            ]
+        capsys.readouterr()
+        assert main(["eval", "--config", str(tmp_path / "run.json")]) == EXIT_INPUT
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert errors == [
+            f"error: dented: anomalous point index {index} is outside the cloud's 1024 points"
+        ]
 
 
 def _truncated(text: str) -> str:

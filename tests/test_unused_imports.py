@@ -1,20 +1,24 @@
-"""Every name that ``src/`` and ``tests/`` import is used, and every
-private module-level name in ``src/pasdf`` is read by some src module.
+"""Every name that ``src/`` and ``tests/`` import is used, every
+private module-level name in ``src/pasdf`` is read by some src module,
+and every public one by some src or ``perfbench/`` module.
 
 The repository runs no linter, so these are the F401 check and a
-dead-private-name check in a few lines of ``ast``: names defined against
-the names code reads, string annotations included.  An import marked
-``# noqa: F401`` is a deliberate re-export and is skipped.  A private
-name is a module-level ``def``, ``class`` or assignment target starting
-with ``_``, dunders excluded; tests do not count as readers.
+dead-name check in a few lines of ``ast``: names defined against the
+names code reads, string annotations included.  An import marked
+``# noqa: F401`` is a deliberate re-export and is skipped.  The names
+checked are module-level ``def``, ``class`` and assignment targets; a
+private one starts with ``_``, dunders excluded, and a public one does
+not start with ``_``.  Tests do not count as readers.
 """
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Callable, Sequence
 
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = sorted((_ROOT / "src" / "pasdf").rglob("*.py"))
+_PERFBENCH = sorted((_ROOT / "perfbench").rglob("*.py"))
 _FILES = sorted((_ROOT / "src").rglob("*.py")) + sorted((_ROOT / "tests").rglob("*.py"))
 
 
@@ -61,17 +65,27 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def unread_private_names(paths: list[Path]) -> list[str]:
-    """``file:line: name`` for each private module-level name in ``paths``
-    that no module in ``paths`` reads, by name or as an attribute."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+def _is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def unread_names(
+    paths: list[Path], readers: Sequence[Path] = (), checked: Callable[[str], bool] = _is_private
+) -> list[str]:
+    """``file:line: name`` for each module-level name in ``paths`` that
+    ``checked`` selects and no module in ``paths`` or ``readers`` reads,
+    by name or as an attribute."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in [*paths, *readers]
+    }
     read: set[str] = set()
     for tree in trees.values():
         read |= _names_read(tree)
         read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     unread = []
-    for path, tree in trees.items():
-        for node in tree.body:
+    for path in paths:
+        for node in trees[path].body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 targets = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -82,7 +96,7 @@ def unread_private_names(paths: list[Path]) -> list[str]:
             unread += [
                 f"{path.name}:{node.lineno}: {name}"
                 for name in targets
-                if _is_private(name) and name not in read
+                if checked(name) and name not in read
             ]
     return unread
 
@@ -106,7 +120,11 @@ def test_scan_flags_an_unused_import_and_honours_noqa(tmp_path) -> None:
 
 
 def test_every_private_name_is_read() -> None:
-    assert unread_private_names(_SRC) == []
+    assert unread_names(_SRC) == []
+
+
+def test_every_public_name_is_read_by_src_or_perfbench() -> None:
+    assert unread_names(_SRC, _PERFBENCH, _is_public) == []
 
 
 def test_scan_flags_an_unread_private_name(tmp_path) -> None:
@@ -123,8 +141,31 @@ def test_scan_flags_an_unread_private_name(tmp_path) -> None:
         "    return _helper()\n"
     )
     (tmp_path / "b.py").write_text("import a\nvalue = a._z\n")
-    assert unread_private_names(sorted(tmp_path.glob("*.py"))) == [
+    assert unread_names(sorted(tmp_path.glob("*.py"))) == [
         "a.py:3: _LEFTOVER",
         "a.py:4: _x",
         "a.py:7: _Gone",
+    ]
+
+
+def test_scan_flags_an_unread_public_name(tmp_path) -> None:
+    (tmp_path / "a.py").write_text(
+        "LIMIT = 3\n"
+        "LEFTOVER, _hidden = 1e-9, 0\n"
+        "def helper() -> int:\n"
+        "    return LIMIT\n"
+        "def orphan() -> int:\n"
+        "    return 0\n"
+        "class Gone:\n"
+        "    pass\n"
+        "class Kept:\n"
+        "    pass\n"
+    )
+    reader = tmp_path / "bench" / "run.py"
+    reader.parent.mkdir()
+    reader.write_text("from a import helper\nimport a\nhelper()\nprint(a.Kept)\n")
+    assert unread_names([tmp_path / "a.py"], [reader], _is_public) == [
+        "a.py:2: LEFTOVER",
+        "a.py:5: orphan",
+        "a.py:7: Gone",
     ]
