@@ -20,7 +20,7 @@ from .defects import bulge, crop, dent, noise_patch
 from .errors import InvalidParameterError, PasdfError
 from .geometry import PointCloud, apply_transform, random_rigid
 from .mesh import TriMesh, sample_surface
-from .meshio import write_cloud_ply, write_json
+from .meshio import make_dir, write_cloud_ply, write_json
 from .queries import prepare_samples
 from .repair import repair, repair_quality
 from .rng import derive_seed, stream
@@ -271,7 +271,7 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
             canonical,
             record,
             seed=derive_seed(case.seed, "detect"),
-        ).with_object_score(config.scoring.top_k)
+        ).with_object_score()
         identity = score_points(
             model,
             config.encoding,
@@ -280,7 +280,7 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
             record,
             seed=derive_seed(case.seed, "detect-no-pam"),
             align=False,
-        ).with_object_score(config.scoring.top_k)
+        ).with_object_score()
         reports.append(report)
         identity_reports.append(identity)
         case_results.append(
@@ -330,13 +330,11 @@ def run_shape(kind: str, config: RunConfig) -> ShapeResult:
             aligned_input,
             case.reference,
             seed=derive_seed(case.seed, "quality-before"),
-            emd_subsample=config.repair.emd_subsample,
         )
         after = repair_quality(
             repaired.repaired,
             case.reference,
             seed=derive_seed(case.seed, "quality-after"),
-            emd_subsample=config.repair.emd_subsample,
         )
         repair_results.append(
             RepairCaseResult(
@@ -368,8 +366,7 @@ def run_bench(config: RunConfig, out_dir: str | Path | None = None) -> BenchResu
     fails before any shape trains, and the artifacts are written there.
     """
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = make_dir(out_dir)
     rows: list[ShapeResult] = []
     timings: list[tuple[str, float]] = []
     for kind in config.bench.shapes:
@@ -451,7 +448,7 @@ def write_bench_artifacts(
     for row in result.shapes:
         case_dir = out_dir / "cases" / row.shape
         if row.scored_cases:
-            case_dir.mkdir(parents=True, exist_ok=True)
+            make_dir(case_dir)
         entries = []
         for case in row.scored_cases:
             path = case_dir / f"{case.name}.ply"

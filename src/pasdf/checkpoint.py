@@ -88,6 +88,8 @@ def load_checkpoint(path: str | Path) -> tuple[SdfModel, EncodingConfig, dict]:
             f"{path}: {len(raw) - end} trailing bytes after parameters"
         )
     flat = np.frombuffer(raw, dtype="<f4", count=count, offset=_HEADER.size)
+    if not np.isfinite(flat).all():
+        raise CheckpointMismatchError(f"{path}: non-finite parameter value")
     params = ParameterSet(config, flat.astype(np.float32))
 
     sidecar = path.with_suffix(".json")

@@ -6,7 +6,12 @@ section's dataclass, read by ``meshio.read_record`` with the cast its
 type annotation names.  Deserialization is strict.  Unknown keys, wrong
 types, and out-of-range values all raise ConfigValidationError before
 any work starts, so a failed run never leaves partial artifacts behind.
-Missing sections and keys fall back to the dataclass defaults.
+Missing sections and keys fall back to the dataclass defaults, which
+are the gated run: ``RunConfig()`` equals ``configs/bench.json``.  The
+paper-scale training in ``configs/paper.json`` (width 512, 2,000 epochs)
+is kept for reference but no gate runs it.  The object score's top-k and
+the EMD subsample are the constants ``scoring.DEFAULT_TOP_K`` and
+``repair.DEFAULT_EMD_SUBSAMPLE``, not settings.
 """
 from __future__ import annotations
 
@@ -21,8 +26,6 @@ from .marching import check_resolution
 from .meshio import read_record
 from .network import NetworkConfig
 from .queries import QueryCounts
-from .repair import DEFAULT_EMD_SUBSAMPLE, DEFAULT_REPAIR_POINTS
-from .scoring import DEFAULT_TOP_K
 from .training import TrainConfig
 
 BENCH_SHAPE_KINDS = ("sphere", "box", "torus", "capsule")
@@ -54,27 +57,6 @@ class GridConfig:
 
     def __post_init__(self) -> None:
         check_resolution(self.resolution)
-
-
-@dataclass(frozen=True)
-class ScoreConfig:
-    top_k: int = DEFAULT_TOP_K
-
-    def __post_init__(self) -> None:
-        if self.top_k < 1:
-            raise InvalidParameterError("top_k must be >= 1")
-
-
-@dataclass(frozen=True)
-class RepairConfig:
-    n_points: int = DEFAULT_REPAIR_POINTS
-    emd_subsample: int = DEFAULT_EMD_SUBSAMPLE
-
-    def __post_init__(self) -> None:
-        if self.n_points < 1:
-            raise InvalidParameterError("n_points must be >= 1")
-        if self.emd_subsample < 1:
-            raise InvalidParameterError("emd_subsample must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -136,8 +118,6 @@ class RunConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
     grid: GridConfig = field(default_factory=GridConfig)
-    scoring: ScoreConfig = field(default_factory=ScoreConfig)
-    repair: RepairConfig = field(default_factory=RepairConfig)
     bench: BenchConfig = field(default_factory=BenchConfig)
 
     def __post_init__(self) -> None:

@@ -1,4 +1,5 @@
-"""PLY and JSON readers and writers, and an OBJ writer.
+"""PLY and JSON readers and writers, an OBJ writer, and ``make_dir``,
+which makes every output directory.
 
 PLY covers clouds and score maps (written binary little-endian, ASCII
 accepted on read); OBJ covers triangle meshes, which the pipeline writes
@@ -248,6 +249,17 @@ def write_json(path: str | Path, document: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def make_dir(path: str | Path) -> Path:
+    """Make an output directory and its parents, as every stage does; a
+    path that cannot be one raises InvalidInputError naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot make output directory: {exc.strerror}") from None
+    return path
 
 
 def read_json(path: str | Path, what: str) -> dict:

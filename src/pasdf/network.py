@@ -55,7 +55,7 @@ class NetworkConfig:
     """
 
     input_dim: int = 39
-    hidden_width: int = 512
+    hidden_width: int = 64
     num_layers: int = 8
     skip_layer: int | None = 4
     dropout: float = 0.2

@@ -18,6 +18,12 @@ holds case rows only, under ``cases``, each exactly the fields of
 ``translation`` move its score map's float64 points into the canonical
 frame, exactly as detect scored them.
 
+A config section left out runs the gated defaults (``configs/bench.json``).
+Detect's object score is the mean of the ``DEFAULT_TOP_K`` largest point
+scores.  Repair samples as many points as the detected cloud holds, so its
+chamfer compares input and repair at equal counts; its EMD matches
+``DEFAULT_EMD_SUBSAMPLE`` points of each cloud.
+
 Only repair (for references) and eval read the labels manifest, and
 eval is the one command that pools dataset metrics.  The manifest is a
 JSON document
@@ -51,7 +57,9 @@ from .geometry import (
     estimate_normals,
 )
 from .mesh import NormalizationRecord, TriMesh
-from .meshio import read_json, read_ply, read_record, write_cloud_ply, write_json, write_obj
+from .meshio import (
+    make_dir, read_json, read_ply, read_record, write_cloud_ply, write_json, write_obj
+)
 from .network import SdfModel
 from .queries import prepare_samples, read_samples, write_samples
 from .repair import repair, repair_quality
@@ -175,6 +183,7 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
             f"canonical id {canonical_id!r} is not a training cloud; have {ids}"
         )
 
+    out_dir = make_dir(config.io.out_dir)
     clouds: dict[str, PointCloud] = {}
     for case_id, path in zip(ids, files):
         cloud = _read_cloud(path)
@@ -208,8 +217,6 @@ def cmd_prepare(config: RunConfig, canonical_id: str | None = None) -> PrepareSu
         for case_id, result in alignments.items()
     }
 
-    out_dir = Path(config.io.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     metadata = {
         "canonical_id": canonical_id,
         "canonical_file": CANONICAL_FILE,
@@ -277,8 +284,7 @@ def cmd_detect(config: RunConfig) -> DetectSummary:
     model, encoding, canonical, record = _load_model_artifacts(config)
     paths = _scan_clouds(config.io.test_dir)
 
-    detect_dir = Path(config.io.out_dir) / DETECT_DIR
-    detect_dir.mkdir(parents=True, exist_ok=True)
+    detect_dir = make_dir(Path(config.io.out_dir) / DETECT_DIR)
     cases: list[DetectCase] = []
     if not paths:
         log.warning("no test clouds to detect in %s", config.io.test_dir)
@@ -293,7 +299,7 @@ def cmd_detect(config: RunConfig) -> DetectSummary:
             record,
             seed=derive_seed(config.seed, f"detect-{case_id}"),
             align=True,
-        ).with_object_score(config.scoring.top_k)
+        ).with_object_score()
         score_map = f"{case_id}_scores.ply"
         write_cloud_ply(detect_dir / score_map, cloud, scores=report.per_point_scores)
         cases.append(
@@ -327,8 +333,7 @@ def cmd_repair(config: RunConfig) -> RepairSummary:
     detected = _read_detect_results(detect_dir)
     labels = _read_labels(config.io.labels) if config.io.labels else {}
 
-    repair_dir = Path(config.io.out_dir) / REPAIR_DIR
-    repair_dir.mkdir(parents=True, exist_ok=True)
+    repair_dir = make_dir(Path(config.io.out_dir) / REPAIR_DIR)
     cases: list[RepairCase] = []
     for case in detected:
         pose = case.pose()
@@ -343,7 +348,7 @@ def cmd_repair(config: RunConfig) -> RepairSummary:
                 seed=derive_seed(config.seed, f"repair-{case.id}"),
                 expand=config.counts.bbox_expand,
                 resolution=config.grid.resolution,
-                n_points=config.repair.n_points,
+                n_points=len(cloud),
                 align=False,
             )
         except PasdfError as error:
@@ -368,7 +373,6 @@ def cmd_repair(config: RunConfig) -> RepairSummary:
                 result.repaired,
                 reference,
                 seed=derive_seed(config.seed, f"quality-{case.id}"),
-                emd_subsample=config.repair.emd_subsample,
             )
             chamfer, emd = quality.chamfer, quality.emd
         cases.append(

@@ -39,9 +39,9 @@ class Tier(IntEnum):
 class QueryCounts:
     """How many query points to draw per tier."""
 
-    volume: int = 10_000
-    bbox: int = 10_000
-    surface: int = 3_000
+    volume: int = 8_000
+    bbox: int = 8_000
+    surface: int = 6_000
     bbox_expand: float = 1.3
 
     def __post_init__(self) -> None:

@@ -5,7 +5,8 @@ model's zero level set is extracted over an evaluation grid covering the
 aligned footprint, and the repaired cloud is an area-uniform sample of
 the extracted mesh in original units.  Quality is reported against a
 reference cloud with the summed chamfer distance and an exact earth
-mover's distance on a matched subsample.
+mover's distance on a subsample of ``DEFAULT_EMD_SUBSAMPLE`` points per
+cloud.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .queries import QueryCounts
 from .registration import pose_align
 from .rng import derive_seed
 
-DEFAULT_REPAIR_POINTS = 20000
 DEFAULT_EMD_SUBSAMPLE = 512
 
 def emd(a: PointCloud, b: PointCloud) -> float:
@@ -81,7 +81,7 @@ def repair(
     seed: int,
     expand: float = QueryCounts.bbox_expand,
     resolution: int = 128,
-    n_points: int = DEFAULT_REPAIR_POINTS,
+    n_points: int,
     align: bool = True,
 ) -> RepairResult:
     """Reconstruct the normal surface underneath an anomalous cloud.
@@ -96,9 +96,11 @@ def repair(
     lose.  Extraction closes the level set at the grid boundary, so
     shapes whose normalized surface touches the unit cube keep those
     faces.  The mesh is returned in original units, and the repaired
-    cloud is an area-uniform sample of it.  Extraction yielding no
-    surface, or one of zero area, raises RepairFailedError rather than
-    returning an empty cloud.
+    cloud is an area-uniform sample of ``n_points`` points of it.  The
+    chamfer distance sums over points, so ``pasdf repair`` passes the
+    input's own point count: a repair and its input are then compared
+    at equal counts.  Extraction yielding no surface, or one of zero
+    area, raises RepairFailedError rather than returning an empty cloud.
     """
     if n_points < 1:
         raise InvalidParameterError("n_points must be positive")

@@ -37,6 +37,8 @@ class AnomalyReport:
         scores = np.ascontiguousarray(self.per_point_scores, dtype=np.float64)
         if scores.ndim != 1 or scores.size == 0:
             raise InvalidInputError("per-point scores must be a non-empty vector")
+        if not np.isfinite(scores).all():
+            raise InvalidInputError("anomaly scores must be finite")
         if scores.min() < 0.0:
             raise InvalidInputError("anomaly scores are absolute values, >= 0")
         object.__setattr__(self, "per_point_scores", scores)

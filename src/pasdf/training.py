@@ -32,15 +32,15 @@ from .rng import derive_seed, stream
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-5
-    epochs: int = 2000
+    learning_rate: float = 3e-4
+    epochs: int = 300
     batch_size: int = 4096
     d_max: float = 0.1
     seed: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    clamp_targets: bool = False
+    clamp_targets: bool = True
 
     def __post_init__(self) -> None:
         if not self.learning_rate > 0.0:

@@ -18,7 +18,7 @@ from pasdf.bench import (
     run_bench,
 )
 from pasdf.config import BenchConfig, GridConfig, RunConfig
-from pasdf.errors import InvalidParameterError, PasdfError
+from pasdf.errors import InvalidInputError, InvalidParameterError, PasdfError
 from pasdf.mesh import sample_surface
 from pasdf.network import NetworkConfig
 from pasdf.queries import QueryCounts
@@ -231,8 +231,9 @@ class TestRunBench:
         monkeypatch.setattr(bench_module, "run_shape", run_shape)
         taken = tmp_path / "taken"
         taken.write_text("a file, not a directory\n")
-        with pytest.raises(FileExistsError):
+        with pytest.raises(InvalidInputError) as raised:
             run_bench(small_run_config(), out_dir=taken)
+        assert str(taken) in str(raised.value)
 
     def test_deterministic_rerun(self, bench_result) -> None:
         again = run_bench(small_run_config())

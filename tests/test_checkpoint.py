@@ -196,6 +196,18 @@ class TestCorruption:
         with pytest.raises(CheckpointMismatchError, match="magic"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_is_refused_naming_the_file(self, tmp_path, value) -> None:
+        # One NaN parameter makes every forward value NaN, and a NaN
+        # object score would be written to detect's results as bare NaN.
+        model = small_model()
+        model.params.flat[5] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, encoding=ENC)
+        with pytest.raises(CheckpointMismatchError, match="non-finite") as raised:
+            load_checkpoint(path)
+        assert str(path) in str(raised.value)
+
     def test_truncated_parameters(self, tmp_path) -> None:
         path = self.write_good(tmp_path)
         path.write_bytes(path.read_bytes()[:-10])

@@ -146,6 +146,23 @@ def test_unusable_training_cloud_names_the_file(tmp_path, capsys, rows, problem)
     assert errors == [f"error: {bad}: {problem}"]
 
 
+@pytest.mark.parametrize("command", ["prepare", "bench"])
+def test_out_that_is_a_file_exits_as_input_error(tmp_path, capsys, command):
+    (tmp_path / "train").mkdir()
+    write_cloud_ply(tmp_path / "train" / "a.ply", sample_surface(blob(), 100, seed=1))
+    path = tmp_path / "run.json"
+    save_config(RunConfig(io=IoConfig(train_dir=str(tmp_path / "train"))), path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(path), "--out", str(taken)]) == cli.EXIT_INPUT
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {taken}: cannot make output directory")
+
+
 def test_bench_prints_the_metrics_table_it_writes(tmp_path, capsys):
     config = RunConfig(
         seed=11,

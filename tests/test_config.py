@@ -12,9 +12,7 @@ from pasdf.config import (
     BenchConfig,
     GridConfig,
     IoConfig,
-    RepairConfig,
     RunConfig,
-    ScoreConfig,
     deserialize,
     from_document,
     load_config,
@@ -24,6 +22,8 @@ from pasdf.errors import ConfigValidationError, InvalidParameterError
 from pasdf.network import NetworkConfig
 from pasdf.queries import QueryCounts
 from pasdf.training import TrainConfig
+
+REPO = Path(__file__).resolve().parents[1]
 
 # Left out of the document: the training seed derives from the root seed.
 DERIVED_FIELDS = {("training", "seed")}
@@ -53,11 +53,9 @@ def every_field_changed() -> RunConfig:
             beta1=0.8,
             beta2=0.99,
             epsilon=1e-6,
-            clamp_targets=True,
+            clamp_targets=False,
         ),
         grid=GridConfig(resolution=64),
-        scoring=ScoreConfig(top_k=5),
-        repair=RepairConfig(n_points=100, emd_subsample=32),
         bench=BenchConfig(
             shapes=("torus",),
             normal_cases=3,
@@ -72,12 +70,16 @@ def every_field_changed() -> RunConfig:
 
 
 class TestDefaults:
+    def test_defaults_are_the_bench_config(self) -> None:
+        assert RunConfig() == load_config(REPO / "configs" / "bench.json")
+
     def test_paper_defaults(self) -> None:
-        config = RunConfig()
+        # The paper-scale run; no gate trains it.
+        config = load_config(REPO / "configs" / "paper.json")
         assert config.training.d_max == 0.1
         assert config.training.learning_rate == 1e-5
         assert config.training.epochs == 2000
-        assert config.scoring.top_k == 1000
+        assert not config.training.clamp_targets
         assert config.counts.volume == 10_000
         assert config.counts.bbox == 10_000
         assert config.counts.surface == 3_000
@@ -150,7 +152,7 @@ class TestRoundTrip:
     def test_serialized_floats_survive_json(self) -> None:
         document = json.loads(serialize(RunConfig()))
         assert document["counts"]["bbox_expand"] == 1.3
-        assert document["training"]["learning_rate"] == 1e-5
+        assert document["training"]["learning_rate"] == 3e-4
 
 
 class TestDeserialization:
@@ -160,7 +162,7 @@ class TestDeserialization:
     def test_partial_section_keeps_other_defaults(self) -> None:
         config = from_document({"training": {"epochs": 7}})
         assert config.training.epochs == 7
-        assert config.training.learning_rate == 1e-5
+        assert config.training.learning_rate == 3e-4
 
     def test_unknown_top_level_key_rejected(self) -> None:
         with pytest.raises(ConfigValidationError, match="unknown key 'extra'"):
@@ -193,8 +195,20 @@ class TestDeserialization:
                 from_document({"grid": {"resolution": resolution}})
 
     def test_out_of_range_value_reports_section(self) -> None:
-        with pytest.raises(ConfigValidationError, match="scoring"):
-            from_document({"scoring": {"top_k": 0}})
+        with pytest.raises(ConfigValidationError, match="^bench: cloud_points"):
+            from_document({"bench": {"cloud_points": 0}})
+
+    @pytest.mark.parametrize(
+        "document",
+        [{"scoring": {"top_k": 1000}}, {"repair": {"n_points": 20000, "emd_subsample": 512}}],
+        ids=["scoring", "repair"],
+    )
+    def test_scoring_and_repair_sections_rejected(self, document) -> None:
+        # Top-k and the EMD subsample are constants, and repair samples
+        # the input's point count; no document sets them.
+        [name] = document
+        with pytest.raises(ConfigValidationError, match=f"unknown key '{name}'"):
+            from_document(document)
 
     def test_align_section_rejected(self) -> None:
         # Alignment takes no settings; an old document naming them fails

@@ -82,10 +82,10 @@ class TestNetworkConfig:
     def test_default_layer_shapes(self) -> None:
         shapes = NetworkConfig().layer_shapes()
         assert len(shapes) == 8
-        assert shapes[0] == (512, 39)
-        assert shapes[4] == (512, 512 + 39)
-        assert shapes[-1] == (1, 512)
-        assert all(s == (512, 512) for s in shapes[1:4] + shapes[5:7])
+        assert shapes[0] == (64, 39)
+        assert shapes[4] == (64, 64 + 39)
+        assert shapes[-1] == (1, 64)
+        assert all(s == (64, 64) for s in shapes[1:4] + shapes[5:7])
 
     def test_no_skip_shapes(self) -> None:
         shapes = NetworkConfig(

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from field_oracle import dense_field
 from pasdf import registration, scoring
+from pasdf.config import RunConfig
 from pasdf.marching import GridSpec, marching_cubes
-from pasdf.repair import repair
+from pasdf.repair import DEFAULT_EMD_SUBSAMPLE, repair
 from pasdf.training import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -52,6 +54,27 @@ def test_fixture_models_load(monkeypatch) -> None:
     for kind in ("torus", "blob"):
         inputs.check_probes(inputs.load_world(kind, seed=0))
     assert TrainConfig(**inputs.TRAINING.to_dict()) == inputs.TRAINING
+
+
+def test_perfbench_measures_the_default_configuration(monkeypatch) -> None:
+    # inputs.py pins its settings as copies of configs/bench.json, which
+    # are the defaults; a default that drifts from them is no longer
+    # what the benchmark measures.
+    inputs = load_by_path("inputs", monkeypatch)
+    config = RunConfig()
+    assert inputs.NETWORK == config.network
+    assert inputs.ENCODING == config.encoding
+    assert inputs.COUNTS == config.counts
+    assert replace(inputs.TRAINING, seed=config.training.seed) == config.training
+    assert (inputs.TOP_K, inputs.EMD_SUBSAMPLE) == (scoring.DEFAULT_TOP_K, DEFAULT_EMD_SUBSAMPLE)
+    assert inputs.RESOLUTION == config.grid.resolution
+    assert inputs.CLOUD_POINTS == config.bench.cloud_points
+    bench = config.bench
+    assert (inputs.RADIUS_FRAC, inputs.CROP_RADIUS_FRAC, inputs.MAGNITUDE_FRAC) == (
+        bench.radius_frac,
+        bench.crop_radius_frac,
+        bench.magnitude_frac,
+    )
 
 
 def test_workloads_set_up_and_run_a_case(monkeypatch) -> None:

@@ -29,7 +29,6 @@ from pasdf.config import (
     BenchConfig,
     GridConfig,
     IoConfig,
-    RepairConfig,
     RunConfig,
 )
 from pasdf.errors import (
@@ -73,7 +72,6 @@ def small_config(root: Path) -> RunConfig:
             learning_rate=1e-3, epochs=250, batch_size=512, clamp_targets=True
         ),
         grid=GridConfig(resolution=64),
-        repair=RepairConfig(n_points=1024),
     )
 
 
@@ -212,9 +210,9 @@ class TestPreparePooling:
         prepared = cmd_prepare(config)
         assert prepared.canonical_id == "scan-0"
         assert prepared.train_ids == ("scan-0", "scan-1", "scan-2", "scan-3")
-        assert prepared.n_records == 4 * 23_000
+        assert prepared.n_records == 4 * config.counts.total
         queries, meta = read_samples(prepared.samples_path)
-        assert len(queries) == 4 * 23_000
+        assert len(queries) == 4 * config.counts.total
         assert all(meta["alignment"][f"scan-{i}"]["converged"] for i in (1, 2, 3))
         assert queries.positions.min() >= 0.0
         assert queries.positions.max() <= 1.0
@@ -453,10 +451,11 @@ class TestRepair:
             assert (repair_dir / case.mesh).is_file()
 
     def test_repaired_cloud_size(self, world):
+        # Repair samples as many points as the input holds.
         repair_dir = world["repaired"].results_path.parent
         case = next(c for c in world["repaired"].cases if c.id == "dented")
         content = read_ply(repair_dir / case.cloud)
-        assert len(content.points) == world["config"].repair.n_points
+        assert len(content.points) == len(world["dented"]) == 1024
 
     def test_dented_quality_beats_input(self, world):
         case = next(c for c in world["repaired"].cases if c.id == "dented")

@@ -161,9 +161,9 @@ class TestLabelSdf:
 class TestQueryCounts:
     def test_defaults(self) -> None:
         counts = QueryCounts()
-        assert (counts.volume, counts.bbox, counts.surface) == (10_000, 10_000, 3_000)
+        assert (counts.volume, counts.bbox, counts.surface) == (8_000, 8_000, 6_000)
         assert counts.bbox_expand == pytest.approx(1.3)
-        assert counts.total == 23_000
+        assert counts.total == 22_000
 
     def test_rejects_negative_and_empty(self) -> None:
         with pytest.raises(InvalidParameterError):

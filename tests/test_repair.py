@@ -272,6 +272,7 @@ class TestRepair:
                     sphere_world.record,
                     seed=7,
                     resolution=16,
+                    n_points=500,
                     align=False,
                 )
         finally:
@@ -298,6 +299,7 @@ class TestRepair:
                 sphere_world.record,
                 seed=7,
                 resolution=16,
+                n_points=500,
                 align=False,
             )
 
@@ -313,6 +315,7 @@ class TestRepair:
                 record,
                 seed=7,
                 resolution=16,
+                n_points=500,
                 align=False,
             )
 

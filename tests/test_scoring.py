@@ -149,6 +149,12 @@ class TestAnomalyReport:
         with pytest.raises(InvalidInputError):
             AnomalyReport(np.array([-0.1]), RigidTransform.identity(), True)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_scores(self, value) -> None:
+        # NaN passes a ``min() < 0`` check and makes the object score NaN.
+        with pytest.raises(InvalidInputError, match="finite"):
+            AnomalyReport(np.array([0.1, value]), RigidTransform.identity(), True)
+
     def test_with_object_score_fills_top_k_mean(self) -> None:
         report = AnomalyReport(
             np.array([0.5, 0.1, 0.4, 0.2]), RigidTransform.identity(), True

@@ -37,12 +37,12 @@ def radial_targets(positions: np.ndarray) -> np.ndarray:
 class TestTrainConfig:
     def test_defaults(self) -> None:
         cfg = TrainConfig()
-        assert cfg.learning_rate == pytest.approx(1e-5)
-        assert cfg.epochs == 2000
+        assert cfg.learning_rate == pytest.approx(3e-4)
+        assert cfg.epochs == 300
         assert cfg.batch_size == 4096
         assert cfg.d_max == pytest.approx(0.1)
         assert (cfg.beta1, cfg.beta2) == (0.9, 0.999)
-        assert not cfg.clamp_targets
+        assert cfg.clamp_targets
 
     def test_validation(self) -> None:
         with pytest.raises(InvalidParameterError):
